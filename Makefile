@@ -7,10 +7,13 @@
 #   make vet      - the standard go vet checks
 #   make lint     - iocovlint: domaincheck, speccheck, shardcheck, errcheck,
 #                   httpcheck, lockcheck, alloccheck, leakcheck, atomcheck,
-#                   determcheck, wirecheck, boundcheck over the whole
+#                   determcheck, boundcheck (eleven passes) over the whole
 #                   repository (exit 1 on any finding); -v prints per-pass
 #                   analysis times
 #   make fuzz     - short fuzz passes over the binary trace codec
+#
+# Every go test line carries -timeout, so an analysis or test that stops
+# terminating fails in minutes instead of the default ten.
 #   make smoke    - end-to-end iocovd daemon smoke test (ingest, report,
 #                   metrics, graceful shutdown, checkpoint-restore identity)
 #                   plus the CPU-aware parallel-scaling wall-clock check
@@ -30,12 +33,12 @@ LABEL ?= dev
 
 verify:
 	$(GO) build ./...
-	$(GO) test ./...
+	$(GO) test -timeout 5m ./...
 	$(MAKE) vet
 	$(MAKE) lint
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 15m ./...
 
 vet:
 	$(GO) vet ./...
@@ -44,8 +47,8 @@ lint:
 	$(GO) run ./cmd/iocovlint -v
 
 fuzz:
-	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/trace/
-	$(GO) test -run xxx -fuzz FuzzBinaryReaderMalformed -fuzztime 15s ./internal/trace/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/trace/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryReaderMalformed -fuzztime 15s ./internal/trace/
 
 smoke:
 	./scripts/smoke_iocovd.sh
@@ -55,10 +58,10 @@ evolve-smoke:
 	./scripts/smoke_evolve.sh
 
 bench:
-	$(GO) test -run xxx -bench SuiteSerialVsParallel -benchtime 3x .
+	$(GO) test -timeout 10m -run xxx -bench SuiteSerialVsParallel -benchtime 3x .
 
 bench-json:
-	$(GO) test -run xxx -bench . -benchtime 2x -benchmem . \
+	$(GO) test -timeout 10m -run xxx -bench . -benchtime 2x -benchmem . \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -o BENCH_$(LABEL).json
 
 figures:

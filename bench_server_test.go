@@ -17,17 +17,12 @@ import (
 	"iocov/internal/trace"
 )
 
-// benchStream pre-serializes one suite run's filtered events in the given
-// binary trace format version, returning the payload and its event count.
-func benchStream(tb testing.TB, scale float64, version int) ([]byte, int) {
+// benchStream pre-serializes one suite run's filtered events in the binary
+// trace format, returning the payload and its event count.
+func benchStream(tb testing.TB, scale float64) ([]byte, int) {
 	evs := collectEvents(tb, scale)
 	var buf bytes.Buffer
-	var w *trace.BinaryWriter
-	if version >= 2 {
-		w = trace.NewBinaryWriterV2(&buf)
-	} else {
-		w = trace.NewBinaryWriter(&buf)
-	}
+	w := trace.NewBinaryWriter(&buf)
 	for _, ev := range evs {
 		w.Emit(ev)
 	}
@@ -41,10 +36,8 @@ func benchStream(tb testing.TB, scale float64, version int) ([]byte, int) {
 // iocovd, serially and with 8 concurrent sessions, reporting end-to-end
 // events/sec. The concurrent case shows how much of the pipeline
 // (everything but the final store merge) parallelizes across sessions.
-// The payload is the v2 format — what a current harness streams; the
-// legacy v1 encoding is covered by BenchmarkIngestThroughputV1.
 func BenchmarkIngestThroughput(b *testing.B) {
-	payload, nEvents := benchStream(b, benchScale, 2)
+	payload, nEvents := benchStream(b, benchScale)
 	for _, streams := range []int{1, 8} {
 		b.Run(fmt.Sprintf("streams=%d", streams), func(b *testing.B) {
 			srv, err := server.New(server.Config{})
@@ -89,33 +82,4 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			b.ReportMetric(float64(nEvents*streams*b.N)/b.Elapsed().Seconds(), "events/sec")
 		})
 	}
-}
-
-// BenchmarkIngestThroughputV1 measures the same serial ingest over the
-// legacy v1 encoding, pinning the cost of supporting it forever.
-func BenchmarkIngestThroughputV1(b *testing.B) {
-	payload, nEvents := benchStream(b, benchScale, 1)
-	srv, err := server.New(server.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	client := &http.Client{}
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := client.Post(ts.URL+"/ingest", "application/octet-stream",
-			bytes.NewReader(payload))
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		_ = resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			b.Fatalf("ingest status %d", resp.StatusCode)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(nEvents*b.N)/b.Elapsed().Seconds(), "events/sec")
 }

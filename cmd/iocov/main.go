@@ -510,7 +510,6 @@ func cmdRun(args []string) error {
 	extended := fs.Bool("extended", false, "analyze with the future-work extended syscall table")
 	combos := fs.Bool("combinations", false, "track distinct bitmap combinations as partitions")
 	remote := fs.String("remote", "", "stream shards to an iocovd daemon at this address instead of analyzing locally")
-	remoteFormat := fs.Int("remote-format", 2, "binary trace format version streamed to the daemon: 2 (delta-encoded, fast path) or 1 (legacy)")
 	workers := workersFlag(fs, "; -trace forces 1")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -518,14 +517,11 @@ func cmdRun(args []string) error {
 	if err := validateWorkers(fs, *workers); err != nil {
 		return err
 	}
-	if *remoteFormat != 1 && *remoteFormat != 2 {
-		return fmt.Errorf("run: -remote-format must be 1 or 2, got %d", *remoteFormat)
-	}
 	if *remote != "" {
 		if *traceFile != "" || *extended || *combos {
 			return fmt.Errorf("run: -remote is incompatible with -trace/-extended/-combinations (the daemon owns the analyzer)")
 		}
-		return runRemote(*remote, *suite, *scale, *seed, *workers, *remoteFormat, *asJSON)
+		return runRemote(*remote, *suite, *scale, *seed, *workers, *asJSON)
 	}
 	opts := coverage.DefaultOptions()
 	opts.ExtendedSyscalls = *extended
@@ -592,11 +588,11 @@ func cmdRun(args []string) error {
 // report the daemon's receipts. With -json the daemon's aggregate /report
 // is copied to stdout — note it reflects every session the daemon has
 // merged, not just this run's.
-func runRemote(addr, suite string, scale float64, seed int64, workers, format int, asJSON bool) error {
+func runRemote(addr, suite string, scale float64, seed int64, workers int, asJSON bool) error {
 	if err := harness.WaitReady(addr, 10*time.Second); err != nil {
 		return err
 	}
-	res, err := harness.RunRemote(addr, suite, scale, seed, harness.RemoteOptions{Workers: workers, Format: format})
+	res, err := harness.RunRemote(addr, suite, scale, seed, harness.RemoteOptions{Workers: workers})
 	if err != nil {
 		return err
 	}

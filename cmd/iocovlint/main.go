@@ -17,9 +17,6 @@
 //	atomcheck    sync/atomic objects must never be accessed plainly
 //	determcheck  //iocov:deterministic roots stay clock-, RNG-, goroutine-
 //	             and map-order-free
-//	wirecheck    trace encoder/decoder field-sequence symmetry, decoder
-//	             allocation budgets, dictionary retention caps, and format
-//	             negotiation coverage
 //	boundcheck   //iocov:hotpath index expressions proven in-bounds by the
 //	             value lattice, or carrying a reasoned //iocov:bounds-ok
 //

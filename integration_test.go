@@ -2,13 +2,19 @@ package iocov
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iocov/internal/bugsim"
 	"iocov/internal/coverage"
 	"iocov/internal/harness"
 	"iocov/internal/kernel"
+	"iocov/internal/server"
 	"iocov/internal/suites/crashmonkey"
 	"iocov/internal/suites/xfstests"
 	"iocov/internal/trace"
@@ -143,5 +149,46 @@ func TestUntestedPartitionsPredictBugTriggers(t *testing.T) {
 	// (they are O_RDONLY combos) — verify no write ENOSPC was recorded.
 	if an.Output("write").Count("ENOSPC") != 0 {
 		t.Error("write ENOSPC exercised; NOWAIT bug would surface")
+	}
+}
+
+// TestRetiredV1TraceRejected pins the removal of binary format v1 at both
+// entry points a recorded v1 trace can reach: the daemon's /ingest answers
+// 400 and names v1 as retired, and offline analysis (iocov analyze, and
+// iocov convert through the same decoder) fails with ErrMalformed.
+func TestRetiredV1TraceRejected(t *testing.T) {
+	var bin bytes.Buffer
+	bw := trace.NewBinaryWriter(&bin)
+	bw.Emit(trace.Event{Seq: 1, PID: 1, Name: "sync"})
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	v1 := append([]byte("IOCV\x01"), bin.Bytes()[len("IOCV\x02"):]...)
+
+	srv, err := server.New(server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/ingest", "application/octet-stream", bytes.NewReader(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "version 1 is retired") {
+		t.Errorf("/ingest of a v1 stream: status %d, body %q; want 400 naming v1 as retired", resp.StatusCode, body)
+	}
+
+	if _, _, _, err := AnalyzeTrace(bytes.NewReader(v1), `^/`); !errors.Is(err, trace.ErrMalformed) {
+		t.Errorf("AnalyzeTrace of a v1 file: err = %v, want ErrMalformed", err)
+	}
+	// The unmodified v2 bytes still analyze.
+	if _, _, _, err := AnalyzeTrace(bytes.NewReader(bin.Bytes()), `^/`); err != nil {
+		t.Errorf("AnalyzeTrace of the v2 original: %v", err)
 	}
 }

@@ -44,10 +44,6 @@ type RemoteOptions struct {
 	// with no overall timeout, since an ingest stream legitimately lasts as
 	// long as the suite shard runs.
 	Client *http.Client
-	// Format selects the binary trace format streamed to the daemon: 2
-	// (the default, delta-encoded seq, the daemon's batch-decode fast
-	// path) or 1 (the legacy absolute encoding, supported forever).
-	Format int
 }
 
 // RemoteResult aggregates the daemon's per-shard ingest receipts.
@@ -67,15 +63,6 @@ type transientErr struct{ err error }
 
 func (e *transientErr) Error() string { return e.err.Error() }
 func (e *transientErr) Unwrap() error { return e.err }
-
-// formatVersion normalizes a RemoteOptions.Format value: anything but the
-// explicit legacy 1 streams the v2 fast-path format.
-func formatVersion(format int) int {
-	if format == 1 {
-		return 1
-	}
-	return 2
-}
 
 // normalizeAddr turns a bare host:port into an http URL base.
 func normalizeAddr(addr string) string {
@@ -132,17 +119,12 @@ func runShardToSink(suite string, scale float64, seed int64, shard, shards int, 
 }
 
 // streamShardOnce runs one shard once, streaming its binary trace to the
-// daemon in the requested format version, and decodes the ingest receipt.
-func streamShardOnce(client *http.Client, base, suite string, scale float64, seed int64, shard, shards, format int, session string) (server.IngestResult, error) {
+// daemon, and decodes the ingest receipt.
+func streamShardOnce(client *http.Client, base, suite string, scale float64, seed int64, shard, shards int, session string) (server.IngestResult, error) {
 	var res server.IngestResult
 	pr, pw := io.Pipe()
 	go func() {
-		var w *trace.BinaryWriter
-		if formatVersion(format) >= 2 {
-			w = trace.NewBinaryWriterV2(pw)
-		} else {
-			w = trace.NewBinaryWriter(pw)
-		}
+		w := trace.NewBinaryWriter(pw)
 		err := runShardToSink(suite, scale, seed, shard, shards, w)
 		if err == nil {
 			err = w.Flush()
@@ -157,7 +139,6 @@ func streamShardOnce(client *http.Client, base, suite string, scale float64, see
 	}
 	req.Header.Set("X-Iocov-Session", session)
 	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("X-Iocov-Format", fmt.Sprintf("%d", formatVersion(format)))
 	resp, err := client.Do(req)
 	if err != nil {
 		return res, &transientErr{err}
@@ -184,7 +165,7 @@ func streamShardOnce(client *http.Client, base, suite string, scale float64, see
 // streamShard retries streamShardOnce with exponential backoff on transient
 // failures. Re-running is safe because shards are deterministic and a
 // failed session merges nothing on the daemon.
-func streamShard(client *http.Client, base, suite string, scale float64, seed int64, shard, shards, attempts, format int, backoff time.Duration) (server.IngestResult, int, error) {
+func streamShard(client *http.Client, base, suite string, scale float64, seed int64, shard, shards, attempts int, backoff time.Duration) (server.IngestResult, int, error) {
 	var lastErr error
 	delay := backoff
 	for attempt := 0; attempt < attempts; attempt++ {
@@ -195,7 +176,7 @@ func streamShard(client *http.Client, base, suite string, scale float64, seed in
 			}
 		}
 		session := fmt.Sprintf("%s-s%g-n%d-shard%d/%d-try%d", suite, scale, seed, shard, shards, attempt)
-		res, err := streamShardOnce(client, base, suite, scale, seed, shard, shards, format, session)
+		res, err := streamShardOnce(client, base, suite, scale, seed, shard, shards, session)
 		if err == nil {
 			return res, attempt, nil
 		}
@@ -245,7 +226,7 @@ func RunRemote(addr, suite string, scale float64, seed int64, ro RemoteOptions) 
 		go func(w int) {
 			defer wg.Done()
 			results[w], retries[w], errs[w] = streamShard(
-				client, base, suite, scale, seed, w, workers, attempts, ro.Format, backoff)
+				client, base, suite, scale, seed, w, workers, attempts, backoff)
 		}(w)
 	}
 	wg.Wait()

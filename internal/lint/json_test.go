@@ -32,7 +32,6 @@ func TestJSONGolden(t *testing.T) {
 		NewLeakCheck(),
 		NewAtomCheck(),
 		NewDetermCheck(),
-		fixtureWireCheck(),
 		NewBoundCheck(),
 	}
 	// The golden suite must cover exactly the canonical pass list, in order,

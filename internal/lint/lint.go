@@ -38,12 +38,6 @@
 //     roots must not read the wall clock, use the global RNG, launch
 //     goroutines, or leak map iteration order into their results (append
 //     inside a map range is tainted until a subsequent sort washes it);
-//   - wirecheck: the binary trace format's decoders mirror the encoder's
-//     field sequence exactly (order, varint width, dictionary compression,
-//     version branches), wire-derived decoder allocations are length-capped
-//     and preceded by the event byte-budget check, dictionary retention is
-//     capped, and every format version the daemon's negotiation admits is
-//     implemented by a version branch;
 //   - boundcheck: every index expression reachable from an //iocov:hotpath
 //     root is proven in-bounds by the value lattice, or the function carries
 //     a reasoned //iocov:bounds-ok annotation — and a stale annotation on a
@@ -52,12 +46,12 @@
 // shardcheck additionally holds internal/server (the iocovd daemon) to its
 // no-package-level-writes rule, with the wall-clock rules relaxed.
 //
-// The interprocedural passes (alloccheck, leakcheck, determcheck, wirecheck,
+// The interprocedural passes (alloccheck, leakcheck, determcheck,
 // boundcheck) share one lazily built package-spanning call graph (see
 // callgraph.go): static edges from resolved callees, conservative edges from
 // interface method sets and func-value flow, condensed into SCCs for
-// fixpoint analyses. wirecheck, boundcheck and domaincheck additionally
-// share a per-target value-analysis engine (see values.go): a
+// fixpoint analyses. boundcheck and domaincheck additionally share a
+// per-target value-analysis engine (see values.go): a
 // constant/interval lattice with relational length facts, propagated to a
 // fixpoint over each function's CFG and seeded interprocedurally through
 // return-value summaries and never-mutated constant tables.
@@ -120,7 +114,6 @@ func AllPasses() []Pass {
 		NewLeakCheck(),
 		NewAtomCheck(),
 		NewDetermCheck(),
-		NewWireCheck(),
 		NewBoundCheck(),
 	}
 }

@@ -81,8 +81,8 @@ func TestRepoSelfCheck(t *testing.T) {
 
 func TestSelectPasses(t *testing.T) {
 	all, err := SelectPasses("")
-	if err != nil || len(all) != 12 {
-		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want 12, nil", len(all), err)
+	if err != nil || len(all) != 11 {
+		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want 11, nil", len(all), err)
 	}
 	if last := all[len(all)-1].Name(); last != "boundcheck" {
 		t.Fatalf("last pass = %s, want boundcheck", last)

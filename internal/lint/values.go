@@ -15,11 +15,9 @@ import (
 // plus a constant/interval-propagation lattice solved over the CFG
 // (cfg.go) by the worklist engine (dataflow.go), with branch refinement
 // along the Cond/TrueSucc/FalseSucc edges and interprocedural return
-// summaries seeded through the PR 7 call graph. wirecheck uses it to prove
-// wire-declared lengths are capped before they size allocations,
-// boundcheck to prove hot-path index expressions in-bounds, and
-// domaincheck to prove indexed label-table returns stay inside declared
-// domains.
+// summaries seeded through the call graph (callgraph.go). boundcheck uses
+// it to prove hot-path index expressions in-bounds, and domaincheck to
+// prove indexed label-table returns stay inside declared domains.
 //
 // The lattice tracks, per function:
 //
@@ -381,12 +379,21 @@ func (f *valueFact) Clone() Fact {
 
 // Widen implements the widener hook: a bound still moving after repeated
 // visits of a loop head snaps outward to the function's constant landmarks
-// (or to infinity past the last one), bounding the lattice chains that
-// incrementing counters would otherwise climb forever.
+// (or to infinity past the last one), and a length relation whose delta
+// grew is dropped, bounding the lattice chains that incrementing counters
+// would otherwise climb forever.
 func (f *valueFact) Widen(prev Fact) Fact {
 	p := prev.(*valueFact)
 	widenMap(f.an, f.vals, p.vals)
 	widenMap(f.an, f.lens, p.lens)
+	// A relation whose delta is still growing (i++ under i <= len(s)+d)
+	// would climb forever: drop it. Join only keeps keys present on both
+	// sides, so relations can only disappear from here on.
+	for k, d := range f.rels {
+		if pd, ok := p.rels[k]; ok && d > pd {
+			delete(f.rels, k)
+		}
+	}
 	return f
 }
 
@@ -522,6 +529,9 @@ type funcAnalysis struct {
 	facts     []Fact
 	landmarks []int64
 	skip      map[types.Object]bool
+	// solving is set while the fixpoint runs; a summary query that reaches
+	// a function still being solved is recursion (see summaryOf).
+	solving bool
 }
 
 // analysisOf builds (or returns the cached) value analysis for a declared
@@ -535,13 +545,15 @@ func (e *valueEngine) analysisOf(pkg *Package, decl *ast.FuncDecl) *funcAnalysis
 	}
 	an := &funcAnalysis{eng: e, pkg: pkg, decl: decl, skip: map[types.Object]bool{}}
 	// Reserve the slot first: a recursive summary query for this same
-	// function during solving must not rebuild it (summaryOf's inProgress
-	// guard handles the interval; this guards the analysis memo).
+	// function during solving must not rebuild it; summaryOf sees solving
+	// and falls back to the result's type interval.
 	e.analyses[decl] = an
+	an.solving = true
 	an.collectSkips()
 	an.collectLandmarks()
 	an.cfg = BuildCFG(decl.Body)
 	an.facts = SolveForwardEdges(an.cfg, newValueFact(an), an.transfer, an.refineEdge)
+	an.solving = false
 	return an
 }
 
@@ -1841,7 +1853,7 @@ func (e *valueEngine) summaryOf(fn *types.Func) interval {
 		e.summaries[fn] = fallback
 		return fallback
 	}
-	if e.inProgress[fn] {
+	if an, ok := e.analyses[node.Decl]; e.inProgress[fn] || ok && an.solving {
 		return fallback // recursion: don't memoize the coarse answer
 	}
 	e.inProgress[fn] = true

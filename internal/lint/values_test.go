@@ -154,3 +154,74 @@ func TestIntervalOps(t *testing.T) {
 		t.Error("containment over [0,255] wrong")
 	}
 }
+
+// analyzeFixture solves every function body in a one-package fixture and
+// returns the analyses by function name.
+func analyzeFixture(t *testing.T, name string) (*valueEngine, *Package, map[string]*funcAnalysis) {
+	t.Helper()
+	tgt := fixtureTarget(t, name)
+	pkg := tgt.Pkgs[0]
+	eng := tgt.values()
+	out := map[string]*funcAnalysis{}
+	for _, file := range pkg.Files {
+		for _, decl := range file.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				out[fd.Name.Name] = eng.analysisOf(pkg, fd)
+			}
+		}
+	}
+	return eng, pkg, out
+}
+
+// TestValuesSelfRecursion is the regression test for a self-recursive
+// function (testdata/reprorec). Solving fact reaches summaryOf(fact)
+// through its own call; that query used to walk the half-built analysis
+// and index its nil facts. It must instead fall back to the result's type
+// interval, and the finished analysis must walk normally.
+func TestValuesSelfRecursion(t *testing.T) {
+	eng, pkg, ans := analyzeFixture(t, "reprorec")
+	an := ans["fact"]
+	if an == nil || an.solving || an.facts == nil {
+		t.Fatalf("fact analysis not solved: %+v", an)
+	}
+	returns := 0
+	an.walk(func(n ast.Node, f *valueFact) {
+		if _, ok := n.(*ast.ReturnStmt); ok {
+			returns++
+		}
+	})
+	if returns != 2 {
+		t.Errorf("walk visited %d returns, want 2", returns)
+	}
+	fn := pkg.Types.Scope().Lookup("fact").(*types.Func)
+	if got, want := eng.summaryOf(fn), typeInterval(types.Typ[types.Int]); !want.contains(got) {
+		t.Errorf("summaryOf(fact) = %s, want within %s", got, want)
+	}
+}
+
+// TestValuesRelationWidening is the regression test for testdata/reprorel:
+// i++ inside a loop raises the delta of i <= len(s)+delta on every trip,
+// so without widening the relation the solver never reaches a fixpoint.
+// The relation must be dropped at the loop head and gone after the loop.
+func TestValuesRelationWidening(t *testing.T) {
+	_, _, ans := analyzeFixture(t, "reprorel")
+	an := ans["consume"]
+	if an == nil || an.facts == nil {
+		t.Fatal("consume analysis not solved")
+	}
+	sawReturn := false
+	an.walk(func(n ast.Node, f *valueFact) {
+		if _, ok := n.(*ast.ReturnStmt); !ok {
+			return
+		}
+		sawReturn = true
+		for k, d := range f.rels {
+			if k.x.String() == "i" {
+				t.Errorf("relation i <= len(%s)%+d survived the loop", k.s, d)
+			}
+		}
+	})
+	if !sawReturn {
+		t.Error("walk never reached the return")
+	}
+}

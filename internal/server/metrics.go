@@ -41,10 +41,6 @@ type Metrics struct {
 	// SessionsFailed counts sessions rejected before merging (malformed
 	// stream, over-size body, deadline).
 	SessionsFailed atomic.Int64
-	// SessionsV1/SessionsV2 count cleanly decoded sessions per binary
-	// trace format version, making a fleet's v1→v2 migration observable.
-	SessionsV1 atomic.Int64
-	SessionsV2 atomic.Int64
 
 	// mergeCount/mergeNanos are the store-merge latency histogram (count +
 	// sum in integer nanoseconds, so the sum is a plain atomic add rather
@@ -62,15 +58,6 @@ func NewMetrics() *Metrics {
 		m.hits[i].m = make(map[string]int64)
 	}
 	return m
-}
-
-// FormatSessions returns the per-version session counter for a decoded
-// stream's format version (v2 for anything newer than 1).
-func (m *Metrics) FormatSessions(version int) *atomic.Int64 {
-	if version <= 1 {
-		return &m.SessionsV1
-	}
-	return &m.SessionsV2
 }
 
 // ObserveMerge records one store-merge latency.
@@ -165,15 +152,6 @@ func (m *Metrics) WriteProm(w io.Writer, analyzed, skipped, sessions int64) erro
 			pm.name, pm.help, pm.name, pm.typ, pm.name, pm.value); err != nil {
 			return err
 		}
-	}
-
-	if _, err := fmt.Fprintf(w,
-		"# HELP iocovd_format_sessions_total Cleanly decoded sessions per binary trace format version.\n"+
-			"# TYPE iocovd_format_sessions_total counter\n"+
-			"iocovd_format_sessions_total{version=\"1\"} %d\n"+
-			"iocovd_format_sessions_total{version=\"2\"} %d\n",
-		m.SessionsV1.Load(), m.SessionsV2.Load()); err != nil {
-		return err
 	}
 
 	names := make([]string, 0, len(hits))

@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net/http"
 	"os"
 	"sync"
@@ -286,32 +285,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// declaredFormat extracts the client's advertised trace-format version
-// from the request: the X-Iocov-Format header, or a v= parameter on the
-// Content-Type (e.g. "application/x-iocov-trace; v=2"). 0 means the client
-// declared nothing (any supported version is accepted); -1 marks an
-// unparseable or unsupported declaration.
-func declaredFormat(r *http.Request) int {
-	decl := r.Header.Get("X-Iocov-Format")
-	if decl == "" {
-		if ct := r.Header.Get("Content-Type"); ct != "" {
-			if _, params, err := mime.ParseMediaType(ct); err == nil {
-				decl = params["v"]
-			}
-		}
-	}
-	switch decl {
-	case "":
-		return 0
-	case "1":
-		return 1
-	case "2":
-		return 2
-	default:
-		return -1
-	}
-}
-
 // handleIngest runs one streaming session: binary events are batch-decoded
 // as they arrive (TCP flow control is the backpressure toward the sender),
 // filtered, analyzed into a session-local analyzer, and merged into the
@@ -321,9 +294,8 @@ func declaredFormat(r *http.Request) int {
 //
 // Decoding goes through trace.BatchDecoder + coverage.Batch: one reused
 // event, no per-event allocation, dictionary-ordinal dispatch into the
-// analyzer's dense counters. Both format versions are accepted; a client
-// that declares a version (X-Iocov-Format or a Content-Type v= parameter)
-// must stream a matching header.
+// analyzer's dense counters. The stream's magic is the only format field
+// the daemon validates.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "ingest requires POST")
@@ -357,23 +329,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	cr := &countingReader{r: body}
 	defer func() { s.metrics.BytesRead.Add(cr.n) }()
 
-	declared := declaredFormat(r)
-	if declared < 0 {
-		httpError(w, http.StatusBadRequest, "session %s: unsupported trace format declaration", session)
-		return
-	}
 	sess := s.getSession(cr)
 	defer s.putSession(sess)
 	filter, an, batch, dec := sess.filter, sess.an, sess.batch, sess.dec
 	if err := dec.ReadHeader(); err != nil {
 		s.metrics.SessionsFailed.Add(1)
 		httpError(w, ingestErrorStatus(err), "session %s rejected: %v", session, err)
-		return
-	}
-	if declared != 0 && declared != dec.Version() {
-		s.metrics.SessionsFailed.Add(1)
-		httpError(w, http.StatusBadRequest, "session %s rejected: declared format v%d but stream header is v%d",
-			session, declared, dec.Version())
 		return
 	}
 	var events int64
@@ -395,7 +356,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			batch.Add(&ev, nameID)
 		}
 	}
-	s.metrics.FormatSessions(dec.Version()).Add(1)
 	_, dropped := filter.Stats()
 	s.metrics.EventsIngested.Add(events)
 	s.metrics.EventsFiltered.Add(dropped)

@@ -59,22 +59,11 @@ func streamEvents(i int) []trace.Event {
 	return evs
 }
 
-// encodeStream serializes events in the binary trace format (v1).
+// encodeStream serializes events in the binary trace format.
 func encodeStream(t *testing.T, evs []trace.Event) []byte {
 	t.Helper()
-	return encodeStreamV(t, evs, 1)
-}
-
-// encodeStreamV serializes events in the requested format version.
-func encodeStreamV(t *testing.T, evs []trace.Event, version int) []byte {
-	t.Helper()
 	var buf bytes.Buffer
-	var w *trace.BinaryWriter
-	if version >= 2 {
-		w = trace.NewBinaryWriterV2(&buf)
-	} else {
-		w = trace.NewBinaryWriter(&buf)
-	}
+	w := trace.NewBinaryWriter(&buf)
 	for _, ev := range evs {
 		w.Emit(ev)
 	}
@@ -82,6 +71,11 @@ func encodeStreamV(t *testing.T, evs []trace.Event, version int) []byte {
 		t.Fatalf("Flush: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// retiredV1 relabels a stream with the retired format-v1 magic.
+func retiredV1(stream []byte) []byte {
+	return append([]byte("IOCV\x01"), stream[len("IOCV\x02"):]...)
 }
 
 // serialSnapshot runs the given streams through per-stream filter+analyzer
@@ -131,20 +125,12 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 
 func ingest(t *testing.T, url string, session string, body []byte) (*http.Response, IngestResult) {
 	t.Helper()
-	return ingestHeaders(t, url, session, body, nil)
-}
-
-func ingestHeaders(t *testing.T, url string, session string, body []byte, headers map[string]string) (*http.Response, IngestResult) {
-	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url+"/ingest", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("NewRequest: %v", err)
 	}
 	if session != "" {
 		req.Header.Set("X-Iocov-Session", session)
-	}
-	for k, v := range headers {
-		req.Header.Set(k, v)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -353,73 +339,53 @@ func TestIngestEmptyBodyRejected(t *testing.T) {
 	}
 }
 
-// TestIngestV1V2ReportByteIdentical is the version-negotiation acceptance
-// criterion: the same events ingested as v1 into one daemon and as v2 into
-// another must produce byte-identical /report snapshots — the format is
-// transport detail, never analysis input.
-func TestIngestV1V2ReportByteIdentical(t *testing.T) {
-	streams := [][]trace.Event{streamEvents(0), streamEvents(1), streamEvents(2)}
-
-	reports := make([][]byte, 2)
-	for vi, version := range []int{1, 2} {
-		s, ts := newTestServer(t, Config{})
-		for i, evs := range streams {
-			resp, res := ingestHeaders(t, ts.URL, fmt.Sprintf("v%d-%d", version, i),
-				encodeStreamV(t, evs, version),
-				map[string]string{"X-Iocov-Format": fmt.Sprintf("%d", version)})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("v%d stream %d: status %d", version, i, resp.StatusCode)
-			}
-			if res.Events != int64(len(evs)) {
-				t.Fatalf("v%d stream %d: events %d, want %d", version, i, res.Events, len(evs))
-			}
-		}
-		code, report := get(t, ts.URL+"/report")
-		if code != http.StatusOK {
-			t.Fatalf("v%d /report status %d", version, code)
-		}
-		reports[vi] = report
-		if n := s.Metrics().FormatSessions(version).Load(); n != int64(len(streams)) {
-			t.Errorf("v%d format sessions = %d, want %d", version, n, len(streams))
-		}
-	}
-	if !bytes.Equal(reports[0], reports[1]) {
-		t.Errorf("v1 and v2 /report differ\n  v1: %.400s\n  v2: %.400s", reports[0], reports[1])
-	}
-	if want := serialSnapshot(t, streams); !bytes.Equal(reports[0], want) {
-		t.Errorf("/report differs from serial reference\n got: %.400s\nwant: %.400s", reports[0], want)
-	}
-}
-
-// TestIngestFormatNegotiation pins the declaration rules: a declared
-// version must match the stream header, declarations ride either the
-// X-Iocov-Format header or a Content-Type v= parameter, an undeclared
-// stream accepts either version, and junk declarations are rejected.
+// TestIngestFormatNegotiation pins the format rules: the stream's magic
+// alone decides. Format declarations in request headers are ignored, the
+// retired v1 magic is rejected with a 400 that says so, and so is an
+// unknown version.
 func TestIngestFormatNegotiation(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	evs := streamEvents(0)
-	v1, v2 := encodeStreamV(t, evs, 1), encodeStreamV(t, evs, 2)
+	s, ts := newTestServer(t, Config{})
+	v2 := encodeStream(t, streamEvents(0))
+	unknown := append([]byte("IOCV\x09"), v2[len("IOCV\x02"):]...)
 
 	cases := []struct {
 		name    string
 		body    []byte
 		headers map[string]string
 		want    int
+		msg     string
 	}{
-		{"undeclared-v1", v1, nil, http.StatusOK},
-		{"undeclared-v2", v2, nil, http.StatusOK},
-		{"declared-v2-matches", v2, map[string]string{"X-Iocov-Format": "2"}, http.StatusOK},
-		{"content-type-v1", v1, map[string]string{"Content-Type": "application/octet-stream; v=1"}, http.StatusOK},
-		{"declared-v2-stream-v1", v1, map[string]string{"X-Iocov-Format": "2"}, http.StatusBadRequest},
-		{"declared-v1-stream-v2", v2, map[string]string{"X-Iocov-Format": "1"}, http.StatusBadRequest},
-		{"declared-junk", v1, map[string]string{"X-Iocov-Format": "banana"}, http.StatusBadRequest},
-		{"declared-unsupported", v1, map[string]string{"X-Iocov-Format": "9"}, http.StatusBadRequest},
+		{"v2", v2, nil, http.StatusOK, ""},
+		{"content-type-v-ignored", v2, map[string]string{"Content-Type": "application/octet-stream; v=1"}, http.StatusOK, ""},
+		{"v1-retired", retiredV1(v2), nil, http.StatusBadRequest, "version 1 is retired"},
+		{"unknown-version", unknown, nil, http.StatusBadRequest, "unsupported binary format version 9"},
 	}
 	for _, c := range cases {
-		resp, _ := ingestHeaders(t, ts.URL, c.name, c.body, c.headers)
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range c.headers {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s: POST /ingest: %v", c.name, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: read body: %v", c.name, err)
+		}
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
 		}
+		if !strings.Contains(string(body), c.msg) {
+			t.Errorf("%s: response %q does not mention %q", c.name, body, c.msg)
+		}
+	}
+	if got := s.Store().Sessions(); got != 2 {
+		t.Errorf("merged sessions = %d, want 2", got)
 	}
 }
 
@@ -428,7 +394,7 @@ func TestIngestFormatNegotiation(t *testing.T) {
 func TestIngestPIDOverflowRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body := encodeStream(t, nil) // just the header
-	body = append(body, 1)       // seq = 1
+	body = append(body, 2)       // seq delta = 1
 	// pid = 2^63 as a uvarint.
 	body = append(body, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
 	resp, _ := ingest(t, ts.URL, "bigpid", body)

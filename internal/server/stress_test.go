@@ -33,34 +33,28 @@ func TestIngestChurnPoisoningStress(t *testing.T) {
 	// equality holds for any interleaving (merges are additive).
 	type slot struct {
 		payload  []byte
-		version  int  // format header version of the payload
-		declared int  // X-Iocov-Format header; 0 = undeclared
 		poisoned bool // must be rejected and merge nothing
 	}
 	var slots []slot
 	var good [][]trace.Event
-	var goodVersions []int
 	for idx := 0; idx < goroutines*rounds; idx++ {
-		version := 1 + idx%2
 		evs := streamEvents(idx)
-		payload := encodeStreamV(t, evs, version)
+		payload := encodeStream(t, evs)
 		switch idx % 3 {
 		case 2:
 			// Rotate through the poison shapes: truncation mid-stream, a
-			// garbage header, and a version declaration contradicting the
-			// stream's actual header.
+			// garbage header, and the retired v1 header over a valid body.
 			switch (idx / 3) % 3 {
 			case 0:
-				slots = append(slots, slot{payload: payload[:len(payload)/2], version: version, poisoned: true})
+				slots = append(slots, slot{payload: payload[:len(payload)/2], poisoned: true})
 			case 1:
 				slots = append(slots, slot{payload: []byte("not a trace stream at all"), poisoned: true})
 			default:
-				slots = append(slots, slot{payload: payload, version: version, declared: 3 - version, poisoned: true})
+				slots = append(slots, slot{payload: retiredV1(payload), poisoned: true})
 			}
 		default:
-			slots = append(slots, slot{payload: payload, version: version})
+			slots = append(slots, slot{payload: payload})
 			good = append(good, evs)
-			goodVersions = append(goodVersions, version)
 		}
 	}
 
@@ -77,9 +71,6 @@ func TestIngestChurnPoisoningStress(t *testing.T) {
 				if err != nil {
 					errCh <- err
 					return
-				}
-				if sl.declared != 0 {
-					req.Header.Set("X-Iocov-Format", fmt.Sprintf("%d", sl.declared))
 				}
 				resp, err := client.Do(req)
 				if err != nil {
@@ -112,11 +103,11 @@ func TestIngestChurnPoisoningStress(t *testing.T) {
 	}
 
 	// Byte-identity against a serial re-analysis of exactly the accepted
-	// streams, each round-tripped through its own format version so the
-	// reference sees the events the daemon's parser reconstructed.
+	// streams, each round-tripped through the codec so the reference sees
+	// the events the daemon's decoder reconstructed.
 	global := coverage.NewAnalyzer(coverage.DefaultOptions())
-	for i, evs := range good {
-		decoded, err := trace.ParseAllBinary(bytes.NewReader(encodeStreamV(t, evs, goodVersions[i])))
+	for _, evs := range good {
+		decoded, err := trace.ParseAllBinary(bytes.NewReader(encodeStream(t, evs)))
 		if err != nil {
 			t.Fatalf("round-trip: %v", err)
 		}

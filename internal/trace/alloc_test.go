@@ -60,7 +60,7 @@ func TestKeepSteadyStateAllocs(t *testing.T) {
 // allocTestStream encodes n copies of a typical syscall event cycle whose
 // strings all repeat, so everything past the first few events is a pure
 // dictionary-hit decode.
-func allocTestStream(t *testing.T, n, version int) []byte {
+func allocTestStream(t *testing.T, n int) []byte {
 	t.Helper()
 	var events []Event
 	for i := 0; i < n; i++ {
@@ -70,33 +70,31 @@ func allocTestStream(t *testing.T, n, version int) []byte {
 		ev.AddArg("count", 4096)
 		events = append(events, ev)
 	}
-	return encodeEvents(t, events, version)
+	return encodeEvents(t, events)
 }
 
-// TestBinaryParserSteadyStateAllocs pins the reference decoder's allocation
-// regression fix: Next used to build a fresh Args and Strs map per event;
-// with the inline-storage decode the steady state (all strings already
-// interned) must not allocate at all.
+// TestBinaryParserSteadyStateAllocs pins the Event-returning adapter's
+// allocation regression fix: Next used to build a fresh Args and Strs map
+// per event; with the inline-storage decode the steady state (all strings
+// already interned) must not allocate at all.
 func TestBinaryParserSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are unreliable under -race")
 	}
-	for _, version := range []int{1, 2} {
-		p := NewBinaryParser(bytes.NewReader(allocTestStream(t, 1000, version)))
-		// Warm up: first sight interns the dictionary strings.
-		for i := 0; i < 8; i++ {
-			if _, err := p.Next(); err != nil {
-				t.Fatal(err)
-			}
+	p := NewBinaryParser(bytes.NewReader(allocTestStream(t, 1000)))
+	// Warm up: first sight interns the dictionary strings.
+	for i := 0; i < 8; i++ {
+		if _, err := p.Next(); err != nil {
+			t.Fatal(err)
 		}
-		n := testing.AllocsPerRun(500, func() {
-			if _, err := p.Next(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n != 0 {
-			t.Fatalf("v%d steady-state BinaryParser.Next allocates %.1f per event, want 0", version, n)
+	}
+	n := testing.AllocsPerRun(500, func() {
+		if _, err := p.Next(); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if n != 0 {
+		t.Fatalf("steady-state BinaryParser.Next allocates %.1f per event, want 0", n)
 	}
 }
 
@@ -107,21 +105,19 @@ func TestBatchDecodeSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are unreliable under -race")
 	}
-	for _, version := range []int{1, 2} {
-		d := NewBatchDecoder(bytes.NewReader(allocTestStream(t, 1000, version)))
-		var ev Event
-		for i := 0; i < 8; i++ {
-			if _, err := d.Next(&ev); err != nil {
-				t.Fatal(err)
-			}
+	d := NewBatchDecoder(bytes.NewReader(allocTestStream(t, 1000)))
+	var ev Event
+	for i := 0; i < 8; i++ {
+		if _, err := d.Next(&ev); err != nil {
+			t.Fatal(err)
 		}
-		n := testing.AllocsPerRun(500, func() {
-			if _, err := d.Next(&ev); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if n != 0 {
-			t.Fatalf("v%d steady-state BatchDecoder.Next allocates %.1f per event, want 0", version, n)
+	}
+	n := testing.AllocsPerRun(500, func() {
+		if _, err := d.Next(&ev); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if n != 0 {
+		t.Fatalf("steady-state BatchDecoder.Next allocates %.1f per event, want 0", n)
 	}
 }

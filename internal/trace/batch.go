@@ -12,10 +12,9 @@ import (
 // that walks raw stream bytes in a reused block buffer and decodes each
 // record into a caller-owned Event, so the per-event steady state performs
 // no allocation at all — no Event construction, no argument maps, no
-// buffered-reader byte calls. It accepts both format versions (v1 absolute
-// and v2 delta-encoded sequence numbers) and enforces exactly the same
-// adversarial-input budgets as BinaryParser, which remains the reference
-// decoder the fuzz harness checks this one against.
+// buffered-reader byte calls. It is the package's only decoder: BinaryParser
+// is a thin adapter over it, and the fuzz harness checks it against an
+// independent reference decoder kept with the tests.
 //
 // Allocation discipline (statically proven via //iocov:hotpath, pinned by
 // TestBatchDecodeSteadyStateAllocs):
@@ -43,7 +42,6 @@ type BatchDecoder struct {
 	rerr       error
 	emptyReads int
 
-	version int
 	header  bool
 	dict    []string
 	prevSeq uint64
@@ -74,7 +72,6 @@ func (d *BatchDecoder) Reset(r io.Reader) {
 	d.pos, d.end = 0, 0
 	d.rerr = nil
 	d.emptyReads = 0
-	d.version = 0
 	d.header = false
 	clear(d.dict) // drop the string references so the old stream's names can be collected
 	d.dict = d.dict[:0]
@@ -82,13 +79,13 @@ func (d *BatchDecoder) Reset(r io.Reader) {
 	d.evBytes = 0
 }
 
-// Version returns the stream's format version: 0 before the header has
-// been read, then 1 or 2.
-func (d *BatchDecoder) Version() int { return d.version }
+// Version returns the binary format version the decoder reads. There is
+// only one, 2; callers use it to label what they stream.
+func (d *BatchDecoder) Version() int { return binaryVersion }
 
 // ReadHeader validates the stream header eagerly (idempotent). The ingest
-// daemon calls it before the decode loop so a missing or mismatched header
-// is rejected prior to any event work.
+// daemon calls it before the decode loop so a missing or foreign header is
+// rejected prior to any event work.
 //
 //iocov:coldpath
 func (d *BatchDecoder) ReadHeader() error {
@@ -106,12 +103,10 @@ func (d *BatchDecoder) ReadHeader() error {
 			return fmt.Errorf("trace: short binary header: %w", d.eofErr())
 		}
 	}
-	version, err := binaryVersion(d.buf[d.pos : d.pos+len(binaryMagic)])
-	if err != nil {
+	if err := checkMagic(d.buf[d.pos : d.pos+len(binaryMagic)]); err != nil {
 		return err
 	}
 	d.pos += len(binaryMagic)
-	d.version = version
 	d.header = true
 	return nil
 }
@@ -302,20 +297,13 @@ func (d *BatchDecoder) Next(ev *Event) (nameID int, err error) {
 	}
 	*ev = Event{}
 	d.evBytes = 0
-	var seq uint64
-	if d.version >= 2 {
-		var delta int64
-		delta, err = d.varint()
-		seq = d.prevSeq + uint64(delta)
-	} else {
-		seq, err = d.uvarint()
-	}
+	delta, err := d.varint()
 	if err != nil {
 		// io.EOF at the seq position is the clean end of the stream.
 		return -1, err
 	}
-	d.prevSeq = seq
-	ev.Seq = seq
+	d.prevSeq += uint64(delta)
+	ev.Seq = d.prevSeq
 	pid, err := d.uvarint()
 	if err != nil {
 		return -1, unexpectedEOF(err)

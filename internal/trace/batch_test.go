@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"iocov/internal/sys"
@@ -51,15 +52,10 @@ func batchTestEvents(n int) []Event {
 	return evs
 }
 
-func encodeEvents(t *testing.T, evs []Event, version int) []byte {
+func encodeEvents(t *testing.T, evs []Event) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	var w *BinaryWriter
-	if version >= 2 {
-		w = NewBinaryWriterV2(&buf)
-	} else {
-		w = NewBinaryWriter(&buf)
-	}
+	w := NewBinaryWriter(&buf)
 	for _, ev := range evs {
 		w.Emit(ev)
 	}
@@ -89,43 +85,35 @@ func decodeBatch(t *testing.T, d *BatchDecoder) ([]Event, []int) {
 	}
 }
 
-// TestBatchDecoderDifferential is the codec acceptance test: over both
-// format versions, the batch decoder must reconstruct exactly the events the
-// reference BinaryParser does — including spill events and literal strings —
-// and must report a stable dictionary ordinal per distinct name.
+// TestBatchDecoderDifferential is the codec acceptance test: the batch
+// decoder must reconstruct exactly the events the reference decoder does —
+// including spill events and literal strings — and must report a stable
+// dictionary ordinal per distinct name.
 func TestBatchDecoderDifferential(t *testing.T) {
-	src := batchTestEvents(500)
-	for _, version := range []int{1, 2} {
-		data := encodeEvents(t, src, version)
-		want, err := ParseAllBinary(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("v%d reference parse: %v", version, err)
+	data := encodeEvents(t, batchTestEvents(500))
+	want, err := parseAllRef(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("reference parse: %v", err)
+	}
+	d := NewBatchDecoder(bytes.NewReader(data))
+	got, ids := decodeBatch(t, d)
+	if len(got) != len(want) {
+		t.Fatalf("batch decoded %d events, reference %d", len(got), len(want))
+	}
+	idByName := make(map[string]int)
+	for i := range want {
+		if !eventsEquivalent(&got[i], &want[i]) {
+			t.Fatalf("event %d:\n batch %+v\n  ref  %+v", i, got[i], want[i])
 		}
-		d := NewBatchDecoder(bytes.NewReader(data))
-		got, ids := decodeBatch(t, d)
-		if d.Version() != version {
-			t.Errorf("v%d: Version() = %d", version, d.Version())
-		}
-		if len(got) != len(want) {
-			t.Fatalf("v%d: batch decoded %d events, reference %d", version, len(got), len(want))
-		}
-		idByName := make(map[string]int)
-		for i := range want {
-			if !eventsEquivalent(&got[i], &want[i]) {
-				t.Fatalf("v%d event %d:\n batch %+v\n  ref  %+v", version, i, got[i], want[i])
+		if prev, seen := idByName[got[i].Name]; seen {
+			if ids[i] != prev {
+				t.Fatalf("event %d: name %q ordinal %d, previously %d", i, got[i].Name, ids[i], prev)
 			}
-			if prev, seen := idByName[got[i].Name]; seen {
-				if ids[i] != prev {
-					t.Fatalf("v%d event %d: name %q ordinal %d, previously %d",
-						version, i, got[i].Name, ids[i], prev)
-				}
-			} else {
-				if ids[i] < 0 {
-					t.Fatalf("v%d event %d: interned name %q reported ordinal %d",
-						version, i, got[i].Name, ids[i])
-				}
-				idByName[got[i].Name] = ids[i]
+		} else {
+			if ids[i] < 0 {
+				t.Fatalf("event %d: interned name %q reported ordinal %d", i, got[i].Name, ids[i])
 			}
+			idByName[got[i].Name] = ids[i]
 		}
 	}
 }
@@ -134,23 +122,20 @@ func TestBatchDecoderDifferential(t *testing.T) {
 // buffer boundary by shrinking the block to a few bytes, proving the
 // refill/compaction path preserves the decode exactly.
 func TestBatchDecoderSmallBuffer(t *testing.T) {
-	src := batchTestEvents(64)
-	for _, version := range []int{1, 2} {
-		data := encodeEvents(t, src, version)
-		want, err := ParseAllBinary(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
+	data := encodeEvents(t, batchTestEvents(64))
+	want, err := parseAllRef(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{16, 31, 64} {
+		d := &BatchDecoder{r: iotest(data), buf: make([]byte, size)}
+		got, _ := decodeBatch(t, d)
+		if len(got) != len(want) {
+			t.Fatalf("buf=%d: %d events, want %d", size, len(got), len(want))
 		}
-		for _, size := range []int{16, 31, 64} {
-			d := &BatchDecoder{r: iotest(data), buf: make([]byte, size)}
-			got, _ := decodeBatch(t, d)
-			if len(got) != len(want) {
-				t.Fatalf("v%d buf=%d: %d events, want %d", version, size, len(got), len(want))
-			}
-			for i := range want {
-				if !eventsEquivalent(&got[i], &want[i]) {
-					t.Fatalf("v%d buf=%d event %d mismatch", version, size, i)
-				}
+		for i := range want {
+			if !eventsEquivalent(&got[i], &want[i]) {
+				t.Fatalf("buf=%d event %d mismatch", size, i)
 			}
 		}
 	}
@@ -193,7 +178,7 @@ func TestBatchDecoderEmptyAndHeader(t *testing.T) {
 		t.Errorf("short header: %v, want ErrUnexpectedEOF", err)
 	}
 
-	d = NewBatchDecoder(bytes.NewReader([]byte(binaryMagicV2)))
+	d = NewBatchDecoder(bytes.NewReader([]byte(binaryMagic)))
 	if err := d.ReadHeader(); err != nil {
 		t.Fatalf("header-only ReadHeader: %v", err)
 	}
@@ -216,7 +201,7 @@ func TestBatchDecoderEmptyAndHeader(t *testing.T) {
 // TestBatchDecoderTruncation: every proper prefix of a valid stream must
 // end in an error, never a silent success.
 func TestBatchDecoderTruncation(t *testing.T) {
-	full := encodeEvents(t, batchTestEvents(5), 2)
+	full := encodeEvents(t, batchTestEvents(5))
 	for cut := len(binaryMagic) + 1; cut < len(full)-1; cut++ {
 		d := NewBatchDecoder(bytes.NewReader(full[:cut]))
 		var ev Event
@@ -227,7 +212,7 @@ func TestBatchDecoderTruncation(t *testing.T) {
 		if err == io.EOF {
 			// A clean EOF is only legitimate exactly at an event boundary;
 			// cross-check against the reference decoder.
-			if _, refErr := ParseAllBinary(bytes.NewReader(full[:cut])); refErr != nil {
+			if _, refErr := parseAllRef(bytes.NewReader(full[:cut])); refErr != nil {
 				t.Errorf("cut %d: batch decoder clean EOF, reference errors with %v", cut, refErr)
 			}
 			continue
@@ -241,7 +226,7 @@ func TestBatchDecoderTruncation(t *testing.T) {
 // TestBatchDecoderTransportError: an underlying transport failure surfaces
 // verbatim, never reclassified as a decode error.
 func TestBatchDecoderTransportError(t *testing.T) {
-	full := encodeEvents(t, batchTestEvents(50), 2)
+	full := encodeEvents(t, batchTestEvents(50))
 	boom := errors.New("connection reset")
 	d := NewBatchDecoder(io.MultiReader(
 		bytes.NewReader(full[:len(full)/2]),
@@ -260,3 +245,62 @@ func TestBatchDecoderTransportError(t *testing.T) {
 type failAfter struct{ err error }
 
 func (f *failAfter) Read([]byte) (int, error) { return 0, f.err }
+
+// TestBatchDecoderDictionaryCap streams more than maxDictEntries distinct
+// literals. The writer stops interning at the cap and re-emits later
+// strings literally; the decoder must stop retaining at the same point,
+// so its memory is bounded by the cap and the ids on both sides stay
+// aligned: references to interned strings still decode after the cap.
+func TestBatchDecoderDictionaryCap(t *testing.T) {
+	const total = maxDictEntries + 3
+	name := func(i int) string { return "n" + strconv.Itoa(i) }
+	var buf bytes.Buffer
+	w := NewBinaryWriter(&buf)
+	for i := 0; i < total; i++ {
+		w.Emit(Event{Seq: uint64(i), Name: name(i)})
+	}
+	// After the cap: a reference to the first interned name, a reference
+	// to the last one, and a repeat of a name the writer never interned.
+	tail := []int{0, maxDictEntries - 1, total - 1}
+	for _, i := range tail {
+		w.Emit(Event{Name: name(i)})
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	d := NewBatchDecoder(bytes.NewReader(buf.Bytes()))
+	var ev Event
+	for i := 0; i < total; i++ {
+		id, err := d.Next(&ev)
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		want := i
+		if i >= maxDictEntries {
+			want = -1 // a literal past the cap has no ordinal
+		}
+		if ev.Name != name(i) || id != want {
+			t.Fatalf("event %d: name %q ordinal %d, want %q ordinal %d", i, ev.Name, id, name(i), want)
+		}
+	}
+	if len(d.dict) != maxDictEntries {
+		t.Fatalf("decoder retained %d dictionary entries, cap is %d", len(d.dict), maxDictEntries)
+	}
+	for _, i := range tail {
+		id, err := d.Next(&ev)
+		if err != nil {
+			t.Fatalf("tail reference to %d: %v", i, err)
+		}
+		want := i
+		if i >= maxDictEntries {
+			want = -1
+		}
+		if ev.Name != name(i) || id != want {
+			t.Fatalf("tail reference: name %q ordinal %d, want %q ordinal %d", ev.Name, id, name(i), want)
+		}
+	}
+	if _, err := d.Next(&ev); err != io.EOF {
+		t.Fatalf("after tail: err = %v, want EOF", err)
+	}
+}

@@ -2,22 +2,19 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-
-	"iocov/internal/sys"
 )
 
 // The binary trace format is the compact counterpart of the text format,
 // playing the role of LTTng's CTF stream (the text format corresponds to
 // babeltrace's pretty-printed view). Layout:
 //
-//	magic "IOCV" + version byte (1 or 2)
+//	magic "IOCV" + version byte 2
 //	per event:
-//	  uvarint seq           (v1)  /  zigzag varint seq delta (v2)
+//	  zigzag  seq delta     (against the previous event's seq, from 0)
 //	  uvarint pid
 //	  string  name          (dictionary-compressed, see below)
 //	  uvarint nStrs, then nStrs x (string key, string value)
@@ -32,25 +29,23 @@ import (
 // The event's Path is reconstructed from the standard path keys, exactly
 // like the text parser does.
 //
-// Format v2 differs from v1 in exactly one field: the per-event sequence
-// number is delta-encoded as a zigzag varint against the previous event's
-// seq (starting from 0). Kernel emitters assign monotonically increasing
-// sequence numbers, so the delta is almost always +1 and encodes in one
-// byte forever, where the absolute v1 encoding grows with the stream. The
-// delta is computed in the uint64 domain, so every (prev, seq) pair —
-// including regressions — round-trips exactly. Readers in this package
-// (BinaryParser and BatchDecoder) accept both versions transparently; v1
-// is supported forever.
+// Kernel emitters assign monotonically increasing sequence numbers, so the
+// seq delta is almost always +1 and encodes in one byte. The delta is
+// computed in the uint64 domain, so every (prev, seq) pair — including
+// regressions — round-trips exactly. Version 1 (absolute uvarint seq) is
+// retired: its magic is rejected as ErrMalformed with a message saying so.
 
 const (
 	binaryMagicPrefix = "IOCV"
-	binaryMagic       = binaryMagicPrefix + "\x01"
-	binaryMagicV2     = binaryMagicPrefix + "\x02"
+	binaryMagic       = binaryMagicPrefix + "\x02"
+	// binaryVersion is the only format version this package reads or
+	// writes.
+	binaryVersion = 2
 )
 
 // ErrMalformed marks structural decode failures: bad magic, dangling or
 // out-of-range dictionary references, and declared sizes over the hard caps
-// below. The ingest daemon exposes BinaryParser to untrusted bytes, so every
+// below. The ingest daemon exposes BatchDecoder to untrusted bytes, so every
 // limit violation must surface as a typed error (never a panic or an
 // unbounded allocation); callers distinguish a malformed stream
 // (errors.Is(err, ErrMalformed)) from a merely truncated one
@@ -84,23 +79,14 @@ type BinaryWriter struct {
 	dict    map[string]uint64
 	err     error
 	tmp     []byte
-	version int
 	prevSeq uint64
 }
 
-// NewBinaryWriter creates a format-v1 writer and emits the stream header.
-func NewBinaryWriter(w io.Writer) *BinaryWriter { return newBinaryWriter(w, binaryMagic, 1) }
-
-// NewBinaryWriterV2 creates a format-v2 writer (delta-encoded sequence
-// numbers) and emits the stream header. V2 is what the remote harness
-// streams by default; v1 remains fully supported on the read side.
-func NewBinaryWriterV2(w io.Writer) *BinaryWriter { return newBinaryWriter(w, binaryMagicV2, 2) }
-
-func newBinaryWriter(w io.Writer, magic string, version int) *BinaryWriter {
+// NewBinaryWriter creates a writer and emits the stream header.
+func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	out := &BinaryWriter{bw: bw, dict: make(map[string]uint64),
-		tmp: make([]byte, binary.MaxVarintLen64), version: version}
-	_, out.err = bw.WriteString(magic)
+	out := &BinaryWriter{bw: bw, dict: make(map[string]uint64), tmp: make([]byte, binary.MaxVarintLen64)}
+	_, out.err = bw.WriteString(binaryMagic)
 	return out
 }
 
@@ -140,14 +126,10 @@ func (w *BinaryWriter) str(s string) {
 
 // Emit writes one event. Errors are sticky and reported by Flush.
 func (w *BinaryWriter) Emit(ev Event) {
-	if w.version >= 2 {
-		// uint64 subtraction wraps, and the reader adds it back in the
-		// same domain, so any seq sequence round-trips exactly.
-		w.varint(int64(ev.Seq - w.prevSeq))
-		w.prevSeq = ev.Seq
-	} else {
-		w.uvarint(ev.Seq)
-	}
+	// uint64 subtraction wraps, and the reader adds it back in the same
+	// domain, so any seq sequence round-trips exactly.
+	w.varint(int64(ev.Seq - w.prevSeq))
+	w.prevSeq = ev.Seq
 	w.uvarint(uint64(ev.PID))
 	w.str(ev.Name)
 	w.uvarint(uint64(ev.numStrs()))
@@ -174,224 +156,41 @@ func (w *BinaryWriter) Flush() error {
 	return w.bw.Flush()
 }
 
-// BinaryParser reads events back from the binary format (either version).
-// It is hardened against adversarial input (see ErrMalformed): string
-// lengths, pair counts, dictionary size, and per-event byte budgets are all
-// capped, and dictionary references are validated in the uint64 domain
-// before any indexing. It is the reference decoder; BatchDecoder is its
-// allocation-free twin for the ingest hot path, and the two are fuzzed
-// against each other.
+// BinaryParser reads events back from the binary format, one Event value
+// at a time. It is a thin adapter over BatchDecoder, so it shares the
+// decoder's adversarial-input budgets and error classification.
 type BinaryParser struct {
-	br      *bufio.Reader
-	dict    []string
-	read    bool
-	version int
-	prevSeq uint64
-	// evBytes tracks the literal string bytes the current event has
-	// introduced, enforcing maxEventBytes.
-	evBytes int
+	d *BatchDecoder
 }
 
 // NewBinaryParser creates a parser over r; the header is validated on the
 // first Next call.
 func NewBinaryParser(r io.Reader) *BinaryParser {
-	return &BinaryParser{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-func (p *BinaryParser) header() error {
-	buf := make([]byte, len(binaryMagic))
-	n, err := io.ReadFull(p.br, buf)
-	if err != nil {
-		if n == 0 {
-			// A zero-byte stream is not an empty trace: the header is
-			// mandatory, so its absence is a malformed stream, not EOF.
-			// (Before this was typed, POST /ingest with an empty body
-			// passed as a valid session.)
-			return fmt.Errorf("trace: missing binary header: %w", ErrMalformed)
-		}
-		return fmt.Errorf("trace: short binary header: %w", unexpectedEOF(err))
-	}
-	version, err := binaryVersion(buf)
-	if err != nil {
-		return err
-	}
-	p.version = version
-	p.read = true
-	return nil
-}
-
-// binaryVersion validates a 5-byte header and returns the format version.
-func binaryVersion(buf []byte) (int, error) {
-	if len(buf) != len(binaryMagic) || string(buf[:len(binaryMagicPrefix)]) != binaryMagicPrefix {
-		return 0, fmt.Errorf("trace: bad binary magic %q: %w", buf, ErrMalformed)
-	}
-	v := int(buf[len(binaryMagicPrefix)])
-	if v < 1 || v > 2 {
-		return 0, fmt.Errorf("trace: unsupported binary format version %d: %w", v, ErrMalformed)
-	}
-	return v, nil
-}
-
-// Version returns the stream's negotiated format version: 0 before the
-// header has been read, then 1 or 2.
-func (p *BinaryParser) Version() int { return p.version }
-
-// errVarintOverflow captures encoding/binary's unexported overflow sentinel
-// by probing it once, so the parser can classify overlong varints as
-// malformed input by identity rather than by message matching.
-var errVarintOverflow = func() error {
-	overlong := bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64)
-	_, err := binary.ReadUvarint(bytes.NewReader(overlong))
-	return err
-}()
-
-// varintErr types a varint decode failure: EOF and transport errors pass
-// through untouched; the stdlib overflow sentinel becomes ErrMalformed.
-func varintErr(err error) error {
-	if err == errVarintOverflow {
-		return fmt.Errorf("trace: varint overflows 64 bits: %w", ErrMalformed)
-	}
-	return err
-}
-
-// uvarint reads one unsigned varint with typed error classification.
-func (p *BinaryParser) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(p.br)
-	return v, varintErr(err)
-}
-
-// varint reads one zigzag varint with typed error classification.
-func (p *BinaryParser) varint() (int64, error) {
-	v, err := binary.ReadVarint(p.br)
-	return v, varintErr(err)
-}
-
-func (p *BinaryParser) str() (string, error) {
-	id, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if id != 0 {
-		// Validate in the uint64 domain: a 64-bit id converted to int
-		// first could wrap negative and index out of bounds.
-		if id > uint64(len(p.dict)) {
-			return "", fmt.Errorf("trace: dangling dictionary reference %d: %w", id, ErrMalformed)
-		}
-		return p.dict[id-1], nil
-	}
-	n, err := p.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > maxStringLen {
-		return "", fmt.Errorf("trace: unreasonable string length %d: %w", n, ErrMalformed)
-	}
-	if p.evBytes += int(n); p.evBytes > maxEventBytes {
-		return "", fmt.Errorf("trace: event exceeds %d-byte string budget: %w", maxEventBytes, ErrMalformed)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(p.br, buf); err != nil {
-		return "", fmt.Errorf("trace: truncated string: %w", unexpectedEOF(err))
-	}
-	s := string(buf)
-	if len(p.dict) < maxDictEntries {
-		p.dict = append(p.dict, s)
-	}
-	return s, nil
+	return &BinaryParser{d: NewBatchDecoder(r)}
 }
 
 // Next returns the next event or io.EOF at a clean end of stream.
 func (p *BinaryParser) Next() (Event, error) {
-	if !p.read {
-		if err := p.header(); err != nil {
-			return Event{}, err
-		}
-	}
 	var ev Event
-	p.evBytes = 0
-	var seq uint64
-	var err error
-	if p.version >= 2 {
-		var delta int64
-		delta, err = p.varint()
-		seq = p.prevSeq + uint64(delta)
-	} else {
-		seq, err = p.uvarint()
-	}
-	if err != nil {
-		if err == io.EOF {
-			return Event{}, io.EOF
-		}
+	if _, err := p.d.Next(&ev); err != nil {
 		return Event{}, err
 	}
-	p.prevSeq = seq
-	ev.Seq = seq
-	pid, err := p.uvarint()
-	if err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	// Validate in the uint64 domain: a pid >= 2^63 would wrap negative
-	// through the int conversion and flow downstream as a nonsense process.
-	if pid > maxIntValue {
-		return Event{}, fmt.Errorf("trace: pid %d overflows int: %w", pid, ErrMalformed)
-	}
-	ev.PID = int(pid)
-	if ev.Name, err = p.str(); err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	nStrs, err := p.uvarint()
-	if err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	if nStrs > maxPairs {
-		return Event{}, fmt.Errorf("trace: unreasonable string-arg count %d: %w", nStrs, ErrMalformed)
-	}
-	// Arguments route through the event's inline storage (AddStr/AddArg),
-	// exactly like hot-path producers: a typical syscall event decodes with
-	// no per-event map allocation, spilling to the maps only past the
-	// inline capacity.
-	for i := uint64(0); i < nStrs; i++ {
-		k, err := p.str()
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		v, err := p.str()
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		ev.AddStr(k, v)
-	}
-	nArgs, err := p.uvarint()
-	if err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	if nArgs > maxPairs {
-		return Event{}, fmt.Errorf("trace: unreasonable arg count %d: %w", nArgs, ErrMalformed)
-	}
-	for i := uint64(0); i < nArgs; i++ {
-		k, err := p.str()
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		v, err := p.varint()
-		if err != nil {
-			return Event{}, unexpectedEOF(err)
-		}
-		ev.AddArg(k, v)
-	}
-	if ev.Ret, err = p.varint(); err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	errno, err := p.uvarint()
-	if err != nil {
-		return Event{}, unexpectedEOF(err)
-	}
-	if errno > maxIntValue {
-		return Event{}, fmt.Errorf("trace: errno %d overflows int: %w", errno, ErrMalformed)
-	}
-	ev.Err = sys.Errno(errno)
-	ev.Path = ev.primaryPathArg()
 	return ev, nil
+}
+
+// checkMagic validates a 5-byte stream header.
+func checkMagic(buf []byte) error {
+	if len(buf) != len(binaryMagic) || string(buf[:len(binaryMagicPrefix)]) != binaryMagicPrefix {
+		return fmt.Errorf("trace: bad binary magic %q: %w", buf, ErrMalformed)
+	}
+	switch v := buf[len(binaryMagicPrefix)]; v {
+	case binaryVersion:
+		return nil
+	case 1:
+		return fmt.Errorf("trace: binary format version 1 is retired, only version %d is read: %w", binaryVersion, ErrMalformed)
+	default:
+		return fmt.Errorf("trace: unsupported binary format version %d: %w", v, ErrMalformed)
+	}
 }
 
 // maxIntValue is the largest uvarint that converts to int without wrapping

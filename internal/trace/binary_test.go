@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"iocov/internal/sys"
@@ -155,7 +156,7 @@ func TestBinaryTruncatedEvent(t *testing.T) {
 func TestBinaryDanglingDictRef(t *testing.T) {
 	var buf bytes.Buffer
 	buf.WriteString(binaryMagic)
-	// seq=1, pid=1, name = dictionary ref 5 (never introduced).
+	// seq delta=-1, pid=1, name = dictionary ref 5 (never introduced).
 	buf.Write([]byte{1, 1, 5})
 	if _, err := ParseAllBinary(&buf); err == nil {
 		t.Error("dangling dictionary reference accepted")
@@ -222,27 +223,16 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	w := NewBinaryWriterV2(&buf)
+	w := NewBinaryWriter(&buf)
 	for _, ev := range events {
 		w.Emit(ev)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	p := NewBinaryParser(bytes.NewReader(buf.Bytes()))
-	var got []Event
-	for {
-		ev, err := p.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ev)
-	}
-	if p.Version() != 2 {
-		t.Errorf("Version() = %d, want 2", p.Version())
+	got, err := ParseAllBinary(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != len(events) {
 		t.Fatalf("parsed %d, want %d", len(got), len(events))
@@ -254,30 +244,27 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryV2SmallerThanV1(t *testing.T) {
-	// Large absolute sequence numbers cost ~1 varint byte per event in v2
-	// (delta 1) versus many in v1 — the reason v2 exists.
-	var v1, v2 bytes.Buffer
-	w1, w2 := NewBinaryWriter(&v1), NewBinaryWriterV2(&v2)
-	for i := 0; i < 1000; i++ {
-		ev := Event{Seq: uint64(1<<56 + i), PID: 1, Name: "sync"}
-		w1.Emit(ev)
-		w2.Emit(ev)
-	}
-	if err := w1.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if v2.Len() >= v1.Len() {
-		t.Errorf("v2 stream %d bytes not smaller than v1 %d", v2.Len(), v1.Len())
-	}
-}
-
+// TestBinaryUnknownVersion: only format v2 is read. An unknown version and
+// the retired v1 (absolute seq), even in an otherwise well-formed stream,
+// are malformed, and the error says which.
 func TestBinaryUnknownVersion(t *testing.T) {
-	if _, err := ParseAllBinary(bytes.NewReader([]byte(binaryMagicPrefix + "\x03"))); !errors.Is(err, ErrMalformed) {
-		t.Errorf("unknown version: err = %v, want ErrMalformed", err)
+	v1 := []byte(binaryMagicPrefix + "\x01")
+	v1 = binary.AppendUvarint(v1, 7) // absolute seq
+	v1 = binary.AppendUvarint(v1, 1) // pid
+	v1 = append(v1, 0, 4)            // name: new dict entry, 4 bytes
+	v1 = append(v1, "sync"...)
+	v1 = append(v1, 0, 0, 0, 0) // no strs, no args, ret 0, errno 0
+	for _, c := range []struct {
+		stream []byte
+		msg    string
+	}{
+		{[]byte(binaryMagicPrefix + "\x03"), "unsupported binary format version 3"},
+		{v1, "version 1 is retired"},
+	} {
+		_, err := ParseAllBinary(bytes.NewReader(c.stream))
+		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), c.msg) {
+			t.Errorf("%q: err = %v, want ErrMalformed saying %q", c.stream[:5], err, c.msg)
+		}
 	}
 }
 
@@ -286,7 +273,7 @@ func TestBinaryPIDOverflowRejected(t *testing.T) {
 	// decoders must now reject it as malformed.
 	var buf bytes.Buffer
 	buf.WriteString(binaryMagic)
-	seqPid := binary.AppendUvarint(nil, 1)       // seq
+	seqPid := binary.AppendVarint(nil, 1)        // seq delta
 	seqPid = binary.AppendUvarint(seqPid, 1<<63) // pid: wraps negative as int
 	buf.Write(seqPid)
 	if _, err := ParseAllBinary(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrMalformed) {

@@ -13,8 +13,9 @@ import (
 // FuzzBinaryRoundTrip pins the codec's round-trip contract: any event the
 // writer can serialize — whether built through the Args/Strs maps or the
 // inline AddArg/AddStr storage — must come back from the parser semantically
-// identical. The ingest daemon depends on this equivalence: clients stream
-// inline-built kernel events, the daemon analyzes the parsed map-built form.
+// identical, from both the reference decoder and BatchDecoder. The ingest
+// daemon depends on this equivalence: clients stream inline-built kernel
+// events, the daemon analyzes the decoded form.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 7, "open", "pathname", "/mnt/test/a", "flags", int64(0x42), int64(3), uint16(0), true)
 	f.Add(uint64(99), 1, "write", "", "", "count", int64(-9000), int64(-28), uint16(28), false)
@@ -31,65 +32,58 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			ev.Strs = map[string]string{sk: sv}
 			ev.Args = map[string]int64{ak: av}
 		}
-		check := func(version string, g *Event) {
+		check := func(decoder string, g *Event) {
 			t.Helper()
 			if g.Seq != seq || g.PID != pid || g.Name != name || g.Ret != ret || g.Err != sys.Errno(errno) {
-				t.Errorf("%s scalar fields: got %+v", version, g)
+				t.Errorf("%s scalar fields: got %+v", decoder, g)
 			}
 			if v, ok := g.Str(sk); !ok || v != sv {
-				t.Errorf("%s Str(%q) = %q, %v; want %q", version, sk, v, ok, sv)
+				t.Errorf("%s Str(%q) = %q, %v; want %q", decoder, sk, v, ok, sv)
 			}
 			if v, ok := g.Arg(ak); !ok || v != av {
-				t.Errorf("%s Arg(%q) = %d, %v; want %d", version, ak, v, ok, av)
+				t.Errorf("%s Arg(%q) = %d, %v; want %d", decoder, ak, v, ok, av)
 			}
 			if g.numStrs() != 1 || g.numArgs() != 1 {
-				t.Errorf("%s pair counts: %d strs, %d args; want 1, 1", version, g.numStrs(), g.numArgs())
+				t.Errorf("%s pair counts: %d strs, %d args; want 1, 1", decoder, g.numStrs(), g.numArgs())
 			}
 			if want := ev.primaryPathArg(); g.Path != want {
-				t.Errorf("%s Path = %q, want %q", version, g.Path, want)
+				t.Errorf("%s Path = %q, want %q", decoder, g.Path, want)
 			}
 		}
-		for _, tc := range []struct {
-			version string
-			write   func(*bytes.Buffer) *BinaryWriter
-		}{
-			{"v1", func(b *bytes.Buffer) *BinaryWriter { return NewBinaryWriter(b) }},
-			{"v2", func(b *bytes.Buffer) *BinaryWriter { return NewBinaryWriterV2(b) }},
-		} {
-			var buf bytes.Buffer
-			w := tc.write(&buf)
-			w.Emit(ev)
-			if err := w.Flush(); err != nil {
-				t.Fatalf("%s Flush: %v", tc.version, err)
-			}
-			// The reference decoder.
-			got, err := ParseAllBinary(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("%s parse back: %v", tc.version, err)
-			}
-			if len(got) != 1 {
-				t.Fatalf("%s parsed %d events, want 1", tc.version, len(got))
-			}
-			check(tc.version, &got[0])
-			// The batch decoder must agree byte for byte.
-			d := NewBatchDecoder(bytes.NewReader(buf.Bytes()))
-			var bev Event
-			if _, err := d.Next(&bev); err != nil {
-				t.Fatalf("%s batch decode: %v", tc.version, err)
-			}
-			check(tc.version+"-batch", &bev)
-			if _, err := d.Next(&bev); err != io.EOF {
-				t.Fatalf("%s batch decode tail: err = %v, want EOF", tc.version, err)
-			}
+		var buf bytes.Buffer
+		w := NewBinaryWriter(&buf)
+		w.Emit(ev)
+		if err := w.Flush(); err != nil {
+			t.Fatalf("Flush: %v", err)
+		}
+		// The reference decoder.
+		ref, err := parseAllRef(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("reference parse back: %v", err)
+		}
+		if len(ref) != 1 {
+			t.Fatalf("reference parsed %d events, want 1", len(ref))
+		}
+		check("reference", &ref[0])
+		// The batch decoder must agree byte for byte.
+		d := NewBatchDecoder(bytes.NewReader(buf.Bytes()))
+		var bev Event
+		if _, err := d.Next(&bev); err != nil {
+			t.Fatalf("batch decode: %v", err)
+		}
+		check("batch", &bev)
+		if _, err := d.Next(&bev); err != io.EOF {
+			t.Fatalf("batch decode tail: err = %v, want EOF", err)
 		}
 	})
 }
 
-// FuzzBinaryReaderMalformed feeds the parser raw untrusted bytes — the exact
-// exposure of the daemon's /ingest endpoint — and requires that it never
-// panics and always terminates with a clean event or a typed error. The
-// seeds include the pre-hardening crasher: a dictionary reference whose
-// 64-bit id wrapped negative when converted to int.
+// FuzzBinaryReaderMalformed feeds the decoders raw untrusted bytes — the
+// exact exposure of the daemon's /ingest endpoint — and requires that they
+// never panic, always terminate with a clean event or a typed error, and
+// agree with each other. The seeds include the pre-hardening crasher: a
+// dictionary reference whose 64-bit id wrapped negative when converted to
+// int.
 func FuzzBinaryReaderMalformed(f *testing.F) {
 	// A small valid stream.
 	var valid bytes.Buffer
@@ -107,14 +101,14 @@ func FuzzBinaryReaderMalformed(f *testing.F) {
 
 	// The old int-overflow crasher: seq, pid, then name = dict ref 1<<63.
 	evil := []byte(binaryMagic)
-	evil = binary.AppendUvarint(evil, 1)     // seq
+	evil = binary.AppendVarint(evil, 1)      // seq delta
 	evil = binary.AppendUvarint(evil, 1)     // pid
 	evil = binary.AppendUvarint(evil, 1<<63) // name: huge dictionary id
 	f.Add(evil)
 
 	// A declared string length just over the cap, with no data behind it.
 	huge := []byte(binaryMagic)
-	huge = binary.AppendUvarint(huge, 1)              // seq
+	huge = binary.AppendVarint(huge, 1)               // seq delta
 	huge = binary.AppendUvarint(huge, 1)              // pid
 	huge = binary.AppendUvarint(huge, 0)              // name: new dict entry
 	huge = binary.AppendUvarint(huge, maxStringLen+1) // declared length over cap
@@ -122,61 +116,56 @@ func FuzzBinaryReaderMalformed(f *testing.F) {
 
 	// A pid that wraps negative when converted to int unchecked.
 	bigpid := []byte(binaryMagic)
-	bigpid = binary.AppendUvarint(bigpid, 1)     // seq
+	bigpid = binary.AppendVarint(bigpid, 1)      // seq delta
 	bigpid = binary.AppendUvarint(bigpid, 1<<63) // pid: overflows int
 	f.Add(bigpid)
 
-	// A v2 header over an otherwise-v1-shaped body, and an unknown version.
-	f.Add(append([]byte(binaryMagicV2), valid.Bytes()[len(binaryMagic):]...))
+	// The retired v1 header over a valid body, and an unknown version.
+	f.Add(append([]byte(binaryMagicPrefix+"\x01"), valid.Bytes()[len(binaryMagic):]...))
 	f.Add([]byte(binaryMagicPrefix + "\x07"))
 	// The zero-byte stream: must be ErrMalformed, never a silent empty trace.
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// The reference decoder: never panics, always terminates with a
-		// typed error or a clean EOF.
-		refEvents, refErr := 0, error(nil)
-		p := NewBinaryParser(bytes.NewReader(data))
-		for i := 0; i < 1<<12; i++ {
-			_, err := p.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Any other error must be a typed decode failure, not
-				// an unclassified one.
-				if !errors.Is(err, ErrMalformed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("untyped parse error: %v", err)
+		// Both decoders: never panic, always terminate with a typed error
+		// or a clean EOF.
+		drain := func(decoder string, next func() (Event, error)) ([]Event, error) {
+			var evs []Event
+			for i := 0; i < 1<<12; i++ {
+				ev, err := next()
+				if err == io.EOF {
+					return evs, nil
 				}
-				refErr = err
-				break
+				if err != nil {
+					// Any other error must be a typed decode failure, not
+					// an unclassified one.
+					if !errors.Is(err, ErrMalformed) && !errors.Is(err, io.ErrUnexpectedEOF) {
+						t.Fatalf("untyped %s decode error: %v", decoder, err)
+					}
+					return evs, err
+				}
+				evs = append(evs, ev)
 			}
-			refEvents++
+			return evs, nil
 		}
-
-		// The batch decoder: same exposure, same obligations — and it must
-		// agree with the reference decoder on how many events the prefix
-		// holds and on accept-vs-reject.
-		var ev Event
-		batchEvents, batchErr := 0, error(nil)
+		ref, refErr := drain("reference", newRefParser(bytes.NewReader(data)).Next)
 		d := NewBatchDecoder(bytes.NewReader(data))
-		for i := 0; i < 1<<12; i++ {
+		got, batchErr := drain("batch", func() (Event, error) {
+			var ev Event
 			_, err := d.Next(&ev)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				if !errors.Is(err, ErrMalformed) && !errors.Is(err, io.ErrUnexpectedEOF) {
-					t.Fatalf("untyped batch decode error: %v", err)
-				}
-				batchErr = err
-				break
-			}
-			batchEvents++
-		}
-		if refEvents != batchEvents || (refErr == nil) != (batchErr == nil) {
+			return ev, err
+		})
+
+		// The batch decoder must agree with the reference decoder on every
+		// event the prefix holds and on accept-vs-reject.
+		if len(ref) != len(got) || (refErr == nil) != (batchErr == nil) {
 			t.Fatalf("decoder divergence: reference %d events (err %v), batch %d events (err %v)",
-				refEvents, refErr, batchEvents, batchErr)
+				len(ref), refErr, len(got), batchErr)
+		}
+		for i := range ref {
+			if !eventsEquivalent(&got[i], &ref[i]) {
+				t.Fatalf("event %d differs:\n batch %+v\n  ref  %+v", i, got[i], ref[i])
+			}
 		}
 	})
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -83,7 +85,7 @@ func TestBinaryParserNeverPanics(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		garbage := make([]byte, rng.Intn(200))
 		rng.Read(garbage)
-		check(append([]byte("IOCV\x01"), garbage...))
+		check(append([]byte(binaryMagic), garbage...))
 	}
 }
 
@@ -93,10 +95,63 @@ func TestBinaryParserBoundsHostileLengths(t *testing.T) {
 	// Header + seq=1 + pid=1 + new string with a 2^40 length claim.
 	var buf bytes.Buffer
 	buf.WriteString(binaryMagic)
-	buf.Write([]byte{1, 1, 0})                            // seq, pid, dict-intro
+	buf.Write([]byte{2, 1, 0})                            // seq delta 1, pid, dict-intro
 	buf.Write([]byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x20}) // uvarint 2^40-ish
 	if _, err := ParseAllBinary(&buf); err == nil {
 		t.Error("hostile string length accepted")
+	}
+}
+
+// budgetStream encodes one event whose string pairs are fresh literals of
+// the given lengths (pairs of key, value), each filled with its own byte so
+// no two are equal and none resolves through the dictionary.
+func budgetStream(lens ...int) []byte {
+	b := []byte(binaryMagic)
+	b = binary.AppendVarint(b, 1)  // seq delta
+	b = binary.AppendUvarint(b, 1) // pid
+	b = append(b, 0, 0)            // name: new empty literal
+	b = binary.AppendUvarint(b, uint64(len(lens)/2))
+	for i, n := range lens {
+		b = append(b, 0) // new literal
+		b = binary.AppendUvarint(b, uint64(n))
+		b = append(b, bytes.Repeat([]byte{byte('a' + i)}, n)...)
+	}
+	return append(b, 0, 0, 0) // no args, ret 0, errno 0
+}
+
+// TestBinaryDecoderBudgets pins both allocation caps at their boundaries,
+// in BatchDecoder and in the reference decoder: one string may declare up
+// to maxStringLen bytes, and one event may introduce up to maxEventBytes
+// literal bytes in total, even when every single string is under its cap.
+func TestBinaryDecoderBudgets(t *testing.T) {
+	m := maxStringLen
+	cases := []struct {
+		name string
+		lens []int
+		ok   bool
+	}{
+		{"string-at-cap", []int{m, 1}, true},
+		{"string-over-cap", []int{m + 1, 1}, false},
+		{"event-at-budget", []int{m, m, m, m}, true},
+		{"event-over-budget", []int{m, m, m, m, 1, 1}, false},
+	}
+	for _, c := range cases {
+		data := budgetStream(c.lens...)
+		for _, dec := range []struct {
+			name  string
+			parse func([]byte) ([]Event, error)
+		}{
+			{"batch", func(b []byte) ([]Event, error) { return ParseAllBinary(bytes.NewReader(b)) }},
+			{"reference", func(b []byte) ([]Event, error) { return parseAllRef(bytes.NewReader(b)) }},
+		} {
+			evs, err := dec.parse(data)
+			if c.ok && (err != nil || len(evs) != 1) {
+				t.Errorf("%s/%s: %d events, err %v; want 1 event", c.name, dec.name, len(evs), err)
+			}
+			if !c.ok && !errors.Is(err, ErrMalformed) {
+				t.Errorf("%s/%s: err = %v, want ErrMalformed", c.name, dec.name, err)
+			}
+		}
 	}
 }
 

@@ -10,4 +10,4 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 echo "smoke_parallel: GOMAXPROCS-aware wall-clock check (nproc=$(nproc 2>/dev/null || echo '?'))"
-IOCOV_SCALING_SMOKE=1 exec go test -count=1 -run TestParallelScalingSmoke -v ./internal/harness/
+IOCOV_SCALING_SMOKE=1 exec go test -timeout 5m -count=1 -run TestParallelScalingSmoke -v ./internal/harness/
