@@ -10,7 +10,8 @@
 #                   determcheck, boundcheck (eleven passes) over the whole
 #                   repository (exit 1 on any finding); -v prints per-pass
 #                   analysis times
-#   make fuzz     - short fuzz passes over the binary trace codec
+#   make fuzz     - short fuzz passes over the binary trace codec and the
+#                   mount filter
 #
 # Every go test line carries -timeout, so an analysis or test that stops
 # terminating fails in minutes instead of the default ten.
@@ -49,6 +50,7 @@ lint:
 fuzz:
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryReaderMalformed -fuzztime 15s ./internal/trace/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzFilter -fuzztime 15s ./internal/trace/
 
 smoke:
 	./scripts/smoke_iocovd.sh

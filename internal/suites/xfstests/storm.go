@@ -2,6 +2,7 @@ package xfstests
 
 import (
 	"fmt"
+	"sync"
 
 	"iocov/internal/suites/workload"
 	"iocov/internal/sys"
@@ -159,9 +160,19 @@ func (r *runner) stormWrites(c, lo, hi int) {
 	r.check(p.Unlink(big))
 }
 
+// maxStormRead bounds the storm's read sizes.
+const maxStormRead = 1 << 20
+
+// readBufs recycles the storm's read buffers across chunks, runners and
+// shards, so a run allocates none in steady state and a parallel run no
+// more than a serial one. Reads write into the buffer, so it cannot be a
+// view of the shared zero arena that writes draw from; its contents never
+// reach the trace.
+var readBufs = sync.Pool{New: func() any { return new([maxStormRead]byte) }}
+
 func (r *runner) stormReads(c, lo, hi int) {
 	p := r.root
-	dist := workload.NewSizeDist(readSizes, 1<<20)
+	dist := workload.NewSizeDist(readSizes, maxStormRead)
 	f := fmt.Sprintf("%s/storm-r-c%02d", r.mnt, c)
 	wfd, e := p.Open(f, sys.O_CREAT|sys.O_WRONLY|sys.O_TRUNC, 0o644)
 	r.check(e)
@@ -177,7 +188,9 @@ func (r *runner) stormReads(c, lo, hi int) {
 	if e != sys.OK {
 		return
 	}
-	rbuf := make([]byte, 1<<20)
+	rb := readBufs.Get().(*[maxStormRead]byte)
+	defer readBufs.Put(rb)
+	rbuf := rb[:]
 	var pos int64
 	for i := lo; i < hi; i++ {
 		size := dist.Pick(r.rng)

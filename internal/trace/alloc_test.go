@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"iocov/internal/raceflag"
@@ -10,8 +11,8 @@ import (
 
 // TestKeepSteadyStateAllocs pins the filter hot path: classifying events —
 // tracked and untracked descriptors, matching and non-matching paths, pids
-// the filter has never seen — must not allocate. The per-pid fd maps may
-// only be created when an open actually installs a descriptor.
+// the filter has never seen — must not allocate. The fd set may only grow
+// when an open actually installs a descriptor.
 func TestKeepSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are unreliable under -race")
@@ -54,6 +55,47 @@ func TestKeepSteadyStateAllocs(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("steady-state Keep allocates %.1f times per 5 events, want 0", n)
+	}
+}
+
+// TestFilterResetReplayAllocs pins pooled ingest sessions: a filter
+// recycled with Reset keeps its emptied fd set, so replaying a session of
+// the same shape — several pids, small and large descriptors, dup and
+// close — allocates nothing once the first session has sized the set.
+func TestFilterResetReplayAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	f, err := NewFilter(`^/mnt/test(/|$)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var session []Event
+	for pid := 1; pid <= 3; pid++ {
+		for _, fd := range []int64{3, 64, 4101} {
+			open := Event{PID: pid, Name: "openat", Path: "/mnt/test/f", Ret: fd}
+			open.AddStr("filename", "/mnt/test/f")
+			dup := Event{PID: pid, Name: "dup", Ret: fd + 1}
+			dup.AddArg("fildes", fd)
+			write := Event{PID: pid, Name: "write", Ret: 10}
+			write.AddArg("fd", fd+1)
+			closeEv := Event{PID: pid, Name: "close"}
+			closeEv.AddArg("fd", fd)
+			session = append(session, open, dup, write, closeEv)
+		}
+	}
+	replay := func() {
+		f.Reset()
+		for i := range session {
+			f.KeepRef(&session[i])
+		}
+	}
+	replay()
+	if kept, _ := f.Stats(); kept != int64(len(session)) {
+		t.Fatalf("session kept %d of %d events", kept, len(session))
+	}
+	if n := testing.AllocsPerRun(100, replay); n != 0 {
+		t.Fatalf("Reset plus session replay allocates %.1f times, want 0", n)
 	}
 }
 
@@ -119,5 +161,37 @@ func TestBatchDecodeSteadyStateAllocs(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("steady-state BatchDecoder.Next allocates %.1f per event, want 0", n)
+	}
+}
+
+// TestFilterBytesPerPid bounds the memory an untrusted stream can make the
+// filter hold per event: each in-mount open from a new pid returning a
+// high or huge descriptor costs one fd-set entry (about 107 B), not a
+// per-pid table sized by the descriptor or a per-pid map (328 B).
+func TestFilterBytesPerPid(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	const pids = 1 << 14
+	f, err := NewFilter(`^/mnt/test(/|$)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opens := make([]Event, pids)
+	for pid := range opens {
+		opens[pid] = Event{PID: pid, Name: "openat", Path: "/mnt/test/f", Ret: 4095 + int64(pid%2)*(1<<40)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range opens {
+		if !f.KeepRef(&opens[i]) {
+			t.Fatalf("in-mount open %d dropped", i)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / pids
+	t.Logf("%.1f B allocated per open", perEvent)
+	if perEvent > 192 {
+		t.Fatalf("filter allocates %.1f B per in-mount open from a new pid, want <= 192", perEvent)
 	}
 }

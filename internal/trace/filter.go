@@ -22,15 +22,29 @@ type Filter struct {
 	// skips the regexp machine on every event.
 	lit      string
 	litSlash string
-	// fds maps pid -> fd -> path for descriptors opened under the mount.
-	fds map[int]map[int64]string
-	// outside maps pid -> fd for descriptors opened elsewhere, so EBADF
-	// reuse after close doesn't leak foreign descriptors into the trace.
-	outside map[int]map[int64]bool
+	// fds holds the (pid, fd) pairs opened or duplicated from inside the
+	// mount and not yet closed. An out-of-mount open, dup or close merely
+	// deletes the pair, which is all EBADF reuse after close needs.
+	fds map[fdKey]struct{}
+	// peak is len(fds)'s high-water mark since the last Reset; a map never
+	// shrinks, so peak also measures the memory fds holds on to.
+	peak int
 
 	kept    int64
 	dropped int64
 }
+
+// fdKey names one process's descriptor.
+type fdKey struct {
+	pid int
+	fd  int64
+}
+
+// retainFDs bounds the descriptor set Reset keeps for reuse. Real traces
+// hold a handful of descriptors; a pooled filter that served a stream with
+// more (only an untrusted trace opens thousands without closing) drops its
+// map rather than pin that capacity for every later session.
+const retainFDs = 1024
 
 // NewFilter compiles the mount-point pattern. The pattern is matched with
 // regexp.MatchString semantics against the syscall's primary path argument,
@@ -40,11 +54,7 @@ func NewFilter(mountPattern string) (*Filter, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &Filter{
-		mount:   re,
-		fds:     make(map[int]map[int64]string),
-		outside: make(map[int]map[int64]bool),
-	}
+	f := &Filter{mount: re}
 	f.lit, f.litSlash = mountLiteral(mountPattern)
 	return f, nil
 }
@@ -52,23 +62,24 @@ func NewFilter(mountPattern string) (*Filter, error) {
 // Fresh returns a new filter over the same (already compiled) mount
 // pattern with empty descriptor-table and accounting state. The ingest
 // daemon keeps one compiled prototype and clones it per session, so the
-// per-stream setup cost is two map headers instead of a regexp compile.
+// per-stream setup cost is one struct instead of a regexp compile; the fd
+// set is created on the first in-mount open.
 func (f *Filter) Fresh() *Filter {
-	return &Filter{
-		mount:    f.mount,
-		lit:      f.lit,
-		litSlash: f.litSlash,
-		fds:      make(map[int]map[int64]string),
-		outside:  make(map[int]map[int64]bool),
-	}
+	return &Filter{mount: f.mount, lit: f.lit, litSlash: f.litSlash}
 }
 
 // Reset clears the filter's descriptor-table and accounting state, keeping
 // the compiled pattern, so a pooled session can reuse the filter with
-// fresh-filter semantics.
+// fresh-filter semantics. The fd set is emptied, not dropped, so a
+// recycled filter replays a similar stream without allocating; one grown
+// past retainFDs is dropped instead.
 func (f *Filter) Reset() {
-	clear(f.fds)
-	clear(f.outside)
+	if f.peak > retainFDs {
+		f.fds = nil
+	} else {
+		clear(f.fds)
+	}
+	f.peak = 0
 	f.kept, f.dropped = 0, 0
 }
 
@@ -103,21 +114,6 @@ func (f *Filter) matchMount(path string) bool {
 	return f.mount.MatchString(path)
 }
 
-// openFamily are the syscalls whose success installs a descriptor.
-var openFamily = map[string]bool{
-	"open": true, "openat": true, "creat": true, "openat2": true,
-}
-
-// fdSyscalls are the traced syscalls that operate on a descriptor argument.
-var fdSyscalls = map[string]bool{
-	"read": true, "pread64": true, "readv": true,
-	"write": true, "pwrite64": true, "writev": true,
-	"lseek": true, "ftruncate": true, "fchmod": true,
-	"close": true, "fchdir": true,
-	"fsetxattr": true, "fgetxattr": true, "fremovexattr": true,
-	"fsync": true, "fdatasync": true, "fallocate": true,
-}
-
 // Keep decides whether ev belongs to the filesystem under test, updating the
 // reconstructed fd table as a side effect. Events must be offered in trace
 // order.
@@ -146,22 +142,16 @@ func (f *Filter) KeepRef(ev *Event) bool {
 //
 //iocov:bounds-ok nstrs never exceeds len(istrs): AddStr spills to the Strs map once the inline array is full
 func (f *Filter) classify(ev *Event) bool {
-	if openFamily[ev.Name] {
+	switch ev.Name {
+	case "open", "openat", "creat", "openat2":
+		// Success installs a descriptor, in scope iff the path is.
 		match := ev.Path != "" && f.matchMount(ev.Path)
 		if !ev.Failed() && ev.Ret >= 0 {
-			if match {
-				f.pidFds(ev.PID)[ev.Ret] = ev.Path
-				delete(f.outside[ev.PID], ev.Ret)
-			} else {
-				f.pidOutside(ev.PID)[ev.Ret] = true
-				delete(f.fds[ev.PID], ev.Ret)
-			}
+			f.setFD(ev.PID, ev.Ret, match)
 		}
 		return match
-	}
-	// dup/dup2 propagate descriptor tracking: a duplicate of an in-mount
-	// descriptor is itself in scope.
-	if ev.Name == "dup" || ev.Name == "dup2" {
+	case "dup", "dup2":
+		// A duplicate of an in-mount descriptor is itself in scope.
 		src, ok := ev.Arg("fildes")
 		if !ok {
 			src, ok = ev.Arg("oldfd")
@@ -169,29 +159,28 @@ func (f *Filter) classify(ev *Event) bool {
 		if !ok {
 			return false
 		}
-		path, tracked := f.fds[ev.PID][src]
+		tracked := f.tracked(ev.PID, src)
 		if !ev.Failed() && ev.Ret >= 0 {
-			if tracked {
-				f.pidFds(ev.PID)[ev.Ret] = path
-				delete(f.outside[ev.PID], ev.Ret)
-			} else {
-				f.pidOutside(ev.PID)[ev.Ret] = true
-				delete(f.fds[ev.PID], ev.Ret)
-			}
+			f.setFD(ev.PID, ev.Ret, tracked)
 		}
 		return tracked
-	}
-	if fdSyscalls[ev.Name] {
+	case "close":
 		fd, ok := ev.Arg("fd")
 		if !ok {
 			return false
 		}
-		_, tracked := f.fds[ev.PID][fd]
-		if ev.Name == "close" && !ev.Failed() {
-			delete(f.fds[ev.PID], fd)
-			delete(f.outside[ev.PID], fd)
+		tracked := f.tracked(ev.PID, fd)
+		if !ev.Failed() {
+			f.setFD(ev.PID, fd, false)
 		}
 		return tracked
+	case "read", "pread64", "readv",
+		"write", "pwrite64", "writev",
+		"lseek", "ftruncate", "fchmod", "fchdir",
+		"fsetxattr", "fgetxattr", "fremovexattr",
+		"fsync", "fdatasync", "fallocate":
+		fd, ok := ev.Arg("fd")
+		return ok && f.tracked(ev.PID, fd)
 	}
 	// Path-based syscalls (truncate, mkdir, chmod, chdir, *xattr, ...).
 	// Two-path syscalls (rename, link, symlink) are in scope when either
@@ -227,22 +216,27 @@ func (f *Filter) Apply(events []Event) []Event {
 // Stats reports how many events were kept and dropped so far.
 func (f *Filter) Stats() (kept, dropped int64) { return f.kept, f.dropped }
 
-func (f *Filter) pidFds(pid int) map[int64]string {
-	m := f.fds[pid]
-	if m == nil {
-		m = make(map[int64]string)
-		f.fds[pid] = m
-	}
-	return m
+// tracked reports whether pid's fd was opened (or duplicated) from inside
+// the mount and is still open.
+func (f *Filter) tracked(pid int, fd int64) bool {
+	_, ok := f.fds[fdKey{pid, fd}]
+	return ok
 }
 
-func (f *Filter) pidOutside(pid int) map[int64]bool {
-	m := f.outside[pid]
-	if m == nil {
-		m = make(map[int64]bool)
-		f.outside[pid] = m
+// setFD records whether pid's fd refers to a file under the mount.
+func (f *Filter) setFD(pid int, fd int64, in bool) {
+	k := fdKey{pid, fd}
+	if !in {
+		delete(f.fds, k)
+		return
 	}
-	return m
+	if f.fds == nil {
+		f.fds = make(map[fdKey]struct{})
+	}
+	f.fds[k] = struct{}{}
+	if len(f.fds) > f.peak {
+		f.peak = len(f.fds)
+	}
 }
 
 // FilteringSink wraps a Sink, forwarding only events the Filter keeps. It

@@ -169,3 +169,158 @@ func FuzzBinaryReaderMalformed(f *testing.F) {
 		}
 	})
 }
+
+// fuzzFilterNames covers every branch of the filter's classifier: the
+// open family, dup, close, the descriptor syscalls, and path syscalls.
+var fuzzFilterNames = []string{
+	"open", "openat", "creat", "openat2", "dup", "dup2", "close",
+	"read", "write", "lseek", "fchdir", "fsync", "mkdir", "rename", "stat",
+}
+
+var fuzzFilterPaths = []string{
+	"", "/mnt/test", "/mnt/test/", "/mnt/test/a", "/mnt/testx", "/mnt",
+	"/tmp/a", "mnt/test/a", "/mnt/test/../etc",
+}
+
+var fuzzFilterPatterns = []string{`^/mnt/test(/|$)`, `^/mnt/te[s]t(/|$)`, `/mnt/test`}
+
+// FuzzFilter drives the mount filter with event streams built from fuzz
+// bytes — arbitrary pids, descriptors and return values, including
+// negative ones, ones around 4096 and ones past 2^31 — and requires
+// every Keep verdict and the final Stats to equal the map-based reference
+// in filter_reference_test.go. A reserved op recycles the filter with
+// Reset against a fresh reference.
+func FuzzFilter(f *testing.F) {
+	// Seeds spell out the descriptor lifecycles the reference tracks:
+	// tracking, reuse of a slot by an out-of-mount open, dup/dup2
+	// propagation (onto huge descriptors too), close, and Reset.
+	const (
+		in, out              = 3, 6 // fuzzFilterPaths: /mnt/test/a, /tmp/a
+		open, dup, dup2, cls = 0, 4, 5, 6
+		write, reset         = 8, 15
+		// Descriptor selectors (see num): 4096, -1, 2^31, then 8 raw bytes.
+		atCap, neg, big, raw = 4 | 2<<3, 5, 7, 6
+	)
+	small := func(v byte) byte { return v << 3 }
+	rec := func(op, pid, bits, arg, ret, p1, p2 byte) []byte {
+		return []byte{op, pid, bits, arg, ret, p1, p2}
+	}
+	var lifecycle, dups, recycle []byte
+	lifecycle = append(lifecycle, 0)
+	lifecycle = append(lifecycle, rec(open, 1, 0, 0, small(3), in, out)...)
+	lifecycle = append(lifecycle, rec(write, 1, 0, small(3), small(9), out, out)...)
+	lifecycle = append(lifecycle, rec(open, 1, 0, 0, small(3), out, out)...)
+	lifecycle = append(lifecycle, rec(write, 1, 0, small(3), small(9), out, out)...)
+	lifecycle = append(lifecycle, rec(open, 2, 1, 0, small(3), in, out)...)
+	lifecycle = append(lifecycle, rec(write, 2, 0, small(3), neg, out, out)...)
+	dups = append(dups, 1)
+	dups = append(dups, rec(open, 1, 0, 0, small(5), in, in)...)
+	dups = append(dups, rec(dup, 1, 0, small(5), atCap, out, out)...)
+	dups = append(dups, rec(dup2, 1, 4, small(5), big, out, out)...)
+	dups = append(dups, rec(cls, 1, 0, small(5), 0, out, out)...)
+	dups = append(dups, rec(write, 1, 0, atCap, 0, out, out)...)
+	dups = append(dups, rec(write, 1, 0, big, 0, out, out)...)
+	dups = append(dups, rec(dup, 1, 0, big, small(5), out, out)...)
+	dups = append(dups, rec(write, 1, 0, small(5), 0, out, out)...)
+	dups = append(dups, write, 3, 32, raw, 0, 0, 0, 1, 0, 0, 0, 0, 0, in, in) // fd 2^40
+	recycle = append(recycle, 2)
+	recycle = append(recycle, rec(open, 4, 0, 0, small(7), in, out)...)
+	recycle = append(recycle, reset)
+	recycle = append(recycle, rec(write, 4, 0, small(7), 0, out, out)...)
+	recycle = append(recycle, rec(open, 4, 0, 0, small(9), in, out)...)
+	recycle = append(recycle, rec(write, 4, 0, small(7), 0, out, out)...)
+	recycle = append(recycle, rec(write, 4, 0, small(9), 0, out, out)...)
+	f.Add(lifecycle)
+	f.Add(dups)
+	f.Add(recycle)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pos := 0
+		next := func() byte {
+			if pos >= len(data) {
+				return 0
+			}
+			b := data[pos]
+			pos++
+			return b
+		}
+		num := func() int64 {
+			sel := next()
+			switch sel % 8 {
+			case 4:
+				return 4094 + int64(sel>>3)%4
+			case 5:
+				return -1 - int64(sel>>3)
+			case 6:
+				var v uint64
+				for i := 0; i < 8; i++ {
+					v = v<<8 | uint64(next())
+				}
+				return int64(v)
+			case 7:
+				return 1<<31 + int64(sel>>3)
+			default:
+				return int64(sel >> 3)
+			}
+		}
+		pattern := fuzzFilterPatterns[int(next())%len(fuzzFilterPatterns)]
+		filter, err := NewFilter(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefFilter(pattern)
+		checkStats := func(when string) {
+			kept, dropped := filter.Stats()
+			rk, rd := ref.Stats()
+			if kept != rk || dropped != rd {
+				t.Fatalf("%s: Stats = %d/%d, reference %d/%d", when, kept, dropped, rk, rd)
+			}
+		}
+		for n := 0; pos < len(data) && n < 1<<12; n++ {
+			op := int(next()) % (len(fuzzFilterNames) + 1)
+			if op == len(fuzzFilterNames) {
+				checkStats("before Reset")
+				filter.Reset()
+				ref = newRefFilter(pattern)
+				continue
+			}
+			ev := Event{Seq: uint64(n), Name: fuzzFilterNames[op], PID: int(int8(next())) % 5}
+			bits := next()
+			if bits&1 != 0 {
+				ev.Err = sys.EBADF
+				ev.Ret = -int64(sys.EBADF)
+			}
+			arg := num()
+			if bits&2 == 0 {
+				ev.Ret = num()
+			}
+			switch ev.Name {
+			case "dup", "dup2":
+				if bits&4 != 0 {
+					ev.AddArg("oldfd", arg)
+				} else if bits&8 == 0 {
+					ev.AddArg("fildes", arg)
+				}
+			default:
+				if bits&8 == 0 {
+					ev.AddArg("fd", arg)
+				}
+			}
+			p1 := fuzzFilterPaths[int(next())%len(fuzzFilterPaths)]
+			p2 := fuzzFilterPaths[int(next())%len(fuzzFilterPaths)]
+			if bits&16 == 0 {
+				ev.Path = p1
+			}
+			ev.AddStr("oldname", p1)
+			ev.AddStr("newname", p2)
+			if bits&32 != 0 {
+				// A third string spills to the Strs map.
+				ev.AddStr("target", p2+"/b")
+			}
+			if got, want := filter.Keep(ev), ref.Keep(&ev); got != want {
+				t.Fatalf("event %d (%s pid %d ret %d arg %d path %q): Keep = %v, reference %v",
+					n, ev.Name, ev.PID, ev.Ret, arg, ev.Path, got, want)
+			}
+		}
+		checkStats("end of stream")
+	})
+}

@@ -42,27 +42,94 @@ func TestBatchDecoderReset(t *testing.T) {
 }
 
 // TestFilterReset: recycled filters must not leak descriptor tracking from
-// an earlier session.
+// an earlier session, for small descriptors and huge ones alike (a
+// negative return is an error and never installs a descriptor).
 func TestFilterReset(t *testing.T) {
 	f, err := NewFilter(`^/mnt/test(/|$)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	open := Event{Name: "open", PID: 9, Path: "/mnt/test/x", Ret: 7}
-	open.AddStr("filename", "/mnt/test/x")
-	open.AddArg("flags", 0)
-	if !f.Keep(open) {
-		t.Fatal("in-mount open not kept")
+	fds := []int64{0, 7, 4095, 4096, 1 << 40}
+	for _, fd := range fds {
+		if !f.Keep(resetOpen(9, fd)) {
+			t.Fatalf("in-mount open of fd %d not kept", fd)
+		}
+		if !f.Keep(resetWrite(9, fd)) {
+			t.Fatalf("write to tracked fd %d dropped", fd)
+		}
 	}
 	f.Reset()
 	if kept, dropped := f.Stats(); kept != 0 || dropped != 0 {
 		t.Errorf("stats after reset = %d/%d", kept, dropped)
 	}
-	// fd 7 of pid 9 was tracked before Reset; a fresh filter drops it.
-	wr := Event{Name: "write", PID: 9, Ret: 4, Err: sys.OK}
-	wr.AddArg("fd", 7)
-	wr.AddArg("count", 4)
-	if f.Keep(wr) {
-		t.Error("stale fd table survived Reset")
+	// Every fd of pid 9 was tracked before Reset; a fresh filter drops
+	// them all, including once the emptied set is in use again.
+	for _, fd := range fds {
+		if f.Keep(resetWrite(9, fd)) {
+			t.Errorf("stale fd %d survived Reset", fd)
+		}
 	}
+	if !f.Keep(resetOpen(4, 5)) {
+		t.Fatal("in-mount open after Reset not kept")
+	}
+	for _, fd := range fds {
+		if f.Keep(resetWrite(4, fd)) != (fd == 5) {
+			t.Errorf("pid 4 fd %d: reused set reports stale tracking", fd)
+		}
+	}
+}
+
+// TestFilterResetDropsLargeSet: a session that grew the fd set past
+// retainFDs leaves a recycled filter with no set at all, so a pooled
+// filter does not keep a hostile stream's capacity; a smaller session's
+// set is kept for reuse.
+func TestFilterResetDropsLargeSet(t *testing.T) {
+	f, err := NewFilter(`^/mnt/test(/|$)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pid := 0; pid <= retainFDs; pid++ {
+		f.Keep(resetOpen(pid, 3))
+	}
+	// Closing everything empties the set but not its capacity.
+	for pid := 0; pid <= retainFDs; pid++ {
+		f.Keep(resetClose(pid, 3))
+	}
+	f.Reset()
+	if f.fds != nil {
+		t.Fatalf("Reset kept a set that held %d descriptors", retainFDs+1)
+	}
+	for pid := 0; pid < retainFDs; pid++ {
+		f.Keep(resetOpen(pid, 3))
+	}
+	f.Reset()
+	if f.fds == nil || len(f.fds) != 0 {
+		t.Fatalf("Reset after %d descriptors: set %v, want kept and empty", retainFDs, f.fds)
+	}
+	if f.Keep(resetWrite(1, 3)) {
+		t.Error("stale fd survived Reset")
+	}
+}
+
+// resetOpen is a successful in-mount open returning fd.
+func resetOpen(pid int, fd int64) Event {
+	ev := Event{Name: "open", PID: pid, Path: "/mnt/test/x", Ret: fd}
+	ev.AddStr("filename", "/mnt/test/x")
+	ev.AddArg("flags", 0)
+	return ev
+}
+
+// resetClose is a successful close of fd.
+func resetClose(pid int, fd int64) Event {
+	ev := Event{Name: "close", PID: pid}
+	ev.AddArg("fd", fd)
+	return ev
+}
+
+// resetWrite is a successful write to fd.
+func resetWrite(pid int, fd int64) Event {
+	ev := Event{Name: "write", PID: pid, Ret: 4, Err: sys.OK}
+	ev.AddArg("fd", fd)
+	ev.AddArg("count", 4)
+	return ev
 }

@@ -236,7 +236,9 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 		}
 	}
 	if ino.blocks == nil {
-		ino.blocks = make(map[int64][]byte)
+		// Size the map for the blocks this write spans, so a large first
+		// write does not grow it one rehash at a time.
+		ino.blocks = make(map[int64][]byte, lastBlk-firstBlk+1)
 	}
 	var copied int64
 	for copied < int64(len(buf)) {

@@ -36,6 +36,8 @@ func (fs *FS) validatePath(path string) sys.Errno {
 // resolve walks path starting at base (the process cwd or an openat dirfd
 // directory), enforcing permission, name-length, and symlink-depth rules.
 // It must be called with fs.mu held.
+//
+//iocov:hotpath
 func (fs *FS) resolve(base *Inode, cred Cred, path string, opt resolveOpts) (resolved, sys.Errno) {
 	if e := fs.validatePath(path); e != sys.OK {
 		return resolved{}, e
@@ -47,15 +49,20 @@ func (fs *FS) resolve(base *Inode, cred Cred, path string, opt resolveOpts) (res
 	return fs.walk(base, cred, path, opt, &depth)
 }
 
+// walk resolves path component by component, slicing each name out of
+// path in place, so resolution allocates nothing. A symlink met
+// mid-path is resolved on its own, as a directory, and the walk carries on
+// from its target over the rest of path, so the original path's trailing
+// slash still applies at the end.
 func (fs *FS) walk(base *Inode, cred Cred, path string, opt resolveOpts, depth *int) (resolved, sys.Errno) {
 	cur := base
 	if strings.HasPrefix(path, "/") {
 		cur = fs.root
 	}
-	components := splitPath(path)
 	trailingSlash := strings.HasSuffix(path, "/") && path != "/"
 
-	if len(components) == 0 {
+	rest := strings.TrimLeft(path, "/")
+	if rest == "" {
 		// Path was "/" (or equivalent).
 		if opt.wantParent {
 			return resolved{}, sys.EEXIST
@@ -63,8 +70,14 @@ func (fs *FS) walk(base *Inode, cred Cred, path string, opt resolveOpts, depth *
 		return resolved{ino: cur}, sys.OK
 	}
 
-	for idx, comp := range components {
-		last := idx == len(components)-1
+	for rest != "" {
+		comp := rest
+		if j := strings.IndexByte(rest, '/'); j >= 0 {
+			comp, rest = rest[:j], strings.TrimLeft(rest[j:], "/")
+		} else {
+			rest = ""
+		}
+		last := rest == ""
 		if len(comp) > fs.cfg.MaxNameLen {
 			return resolved{}, sys.ENAMETOOLONG
 		}
@@ -114,14 +127,14 @@ func (fs *FS) walk(base *Inode, cred Cred, path string, opt resolveOpts, depth *
 				if *depth > fs.cfg.MaxSymlinkDepth {
 					return resolved{}, sys.ELOOP
 				}
-				target := next.target
-				rest := strings.Join(components[idx+1:], "/")
-				if rest != "" {
-					target = target + "/" + rest
-				} else if trailingSlash {
-					target += "/"
+				// The target is followed through its own final symlink:
+				// it is either a directory the walk continues in or the
+				// path's (followed or slash-terminated) last component.
+				res, e := fs.walk(cur, cred, next.target, resolveOpts{followLast: true}, depth)
+				if e != sys.OK {
+					return resolved{}, e
 				}
-				return fs.walk(cur, cred, target, opt, depth)
+				next = res.ino
 			}
 		}
 		cur = next
@@ -140,17 +153,6 @@ func (fs *FS) followSymlink(dir *Inode, cred Cred, link *Inode, opt resolveOpts,
 		return resolved{}, sys.ELOOP
 	}
 	return fs.walk(dir, cred, link.target, opt, depth)
-}
-
-func splitPath(path string) []string {
-	raw := strings.Split(path, "/")
-	out := raw[:0]
-	for _, c := range raw {
-		if c != "" {
-			out = append(out, c)
-		}
-	}
-	return out
 }
 
 // Lookup resolves path relative to base and returns the inode's metadata.
