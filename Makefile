@@ -5,13 +5,12 @@
 #                   worker-pool path (harness.RunParallel) makes this the
 #                   gate for shard-isolation regressions
 #   make vet      - the standard go vet checks
-#   make lint     - iocovlint: domaincheck, speccheck, shardcheck, errcheck,
-#                   httpcheck, lockcheck, alloccheck, leakcheck, atomcheck,
-#                   determcheck, boundcheck (eleven passes) over the whole
-#                   repository (exit 1 on any finding); -v prints per-pass
-#                   analysis times
-#   make fuzz     - short fuzz passes over the binary trace codec and the
-#                   mount filter
+#   make lint     - iocovlint: speccheck, shardcheck, errcheck, lockcheck,
+#                   alloccheck, leakcheck, determcheck (seven passes) over
+#                   the whole repository (exit 1 on any finding); -v prints
+#                   per-pass analysis times
+#   make fuzz     - short fuzz passes over the binary trace codec, the text
+#                   trace parser and the mount filter
 #
 # Every go test line carries -timeout, so an analysis or test that stops
 # terminating fails in minutes instead of the default ten.
@@ -50,6 +49,7 @@ lint:
 fuzz:
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryReaderMalformed -fuzztime 15s ./internal/trace/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzTextParser -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzFilter -fuzztime 15s ./internal/trace/
 
 smoke:

@@ -444,10 +444,10 @@ func BenchmarkTraceWriteParse(b *testing.B) {
 	}
 }
 
-// BenchmarkLintSuite runs the full twelve-pass static-analysis suite over
+// BenchmarkLintSuite runs the full seven-pass static-analysis suite over
 // the repository, including the load and type-check, the way `make lint`
-// pays for it; the per-pass engines (call graph, CFGs, value lattice) are
-// rebuilt each iteration.
+// pays for it; the per-pass engines (call graph, CFGs) are rebuilt each
+// iteration.
 func BenchmarkLintSuite(b *testing.B) {
 	var findings int
 	for i := 0; i < b.N; i++ {

@@ -5,20 +5,15 @@
 //
 // Passes (default: all, see internal/lint):
 //
-//	domaincheck  partition labels vs declared domains (static + probes)
 //	speccheck    sysspec tables vs kernel dispatch
 //	shardcheck   worker-path purity for the parallel snapshot contract
 //	             (plus no-global-writes in the iocovd daemon's packages)
 //	errcheck     silently dropped error returns in internal/ and cmd/
-//	httpcheck    HTTP handler error paths must set an explicit status code
 //	lockcheck    CFG/dataflow lock-discipline proof for guarded fields
 //	alloccheck   //iocov:hotpath reachability proof of zero allocation
 //	leakcheck    every goroutine launch must have a provable exit path
-//	atomcheck    sync/atomic objects must never be accessed plainly
 //	determcheck  //iocov:deterministic roots stay clock-, RNG-, goroutine-
 //	             and map-order-free
-//	boundcheck   //iocov:hotpath index expressions proven in-bounds by the
-//	             value lattice, or carrying a reasoned //iocov:bounds-ok
 //
 // -pass NAME runs a single pass; -passes takes a comma-separated subset.
 // -json emits one JSON object per finding ({"pass","file","line","col",

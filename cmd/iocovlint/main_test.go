@@ -18,7 +18,7 @@ func TestExitCodes(t *testing.T) {
 		{"clean module", []string{"-root", "testdata/cleanmod"}, 0},
 		{"findings", []string{"-root", "testdata/badmod"}, 1},
 		{"unknown pass", []string{"-root", "testdata/cleanmod", "-pass", "nosuchpass"}, 2},
-		{"pass and passes", []string{"-root", "testdata/cleanmod", "-pass", "atomcheck", "-passes", "errcheck"}, 2},
+		{"pass and passes", []string{"-root", "testdata/cleanmod", "-pass", "errcheck", "-passes", "lockcheck"}, 2},
 		{"bad root", []string{"-root", "testdata/nosuchdir"}, 2},
 		{"bad flag", []string{"-nosuchflag"}, 2},
 	}
@@ -41,8 +41,8 @@ func TestFindingOutput(t *testing.T) {
 	if got := realMain([]string{"-root", "testdata/badmod"}, &stdout, &stderr); got != 1 {
 		t.Fatalf("exit = %d, want 1\nstderr:\n%s", got, stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "[atomcheck]") {
-		t.Errorf("text output missing atomcheck finding:\n%s", stdout.String())
+	if !strings.Contains(stdout.String(), "[errcheck]") {
+		t.Errorf("text output missing errcheck finding:\n%s", stdout.String())
 	}
 
 	stdout.Reset()
@@ -61,7 +61,7 @@ func TestFindingOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(line), &jf); err != nil {
 		t.Fatalf("json output not decodable: %v\n%s", err, stdout.String())
 	}
-	if jf.Pass != "atomcheck" || jf.Line == 0 || !strings.Contains(jf.File, "badmod") {
+	if jf.Pass != "errcheck" || jf.Line == 0 || !strings.Contains(jf.File, "badmod") {
 		t.Errorf("json finding = %+v", jf)
 	}
 
@@ -78,8 +78,8 @@ func TestFindingOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(last), &tr); err != nil {
 		t.Fatalf("timing trailer not decodable: %v\n%s", err, last)
 	}
-	if len(tr.Timings) != 11 {
-		t.Errorf("trailer has %d timings, want one per pass (11):\n%s", len(tr.Timings), last)
+	if len(tr.Timings) != 7 {
+		t.Errorf("trailer has %d timings, want one per pass (7):\n%s", len(tr.Timings), last)
 	}
 	for _, pt := range tr.Timings {
 		if pt.Pass == "" {

@@ -1,14 +1,19 @@
 // Package pkg is a minimal dirty module for the iocovlint exit-code test:
-// hits mixes atomic and plain access, so atomcheck must report a finding
-// and the CLI must exit 1.
+// Reset drops validate's error return, so errcheck must report a finding
+// and the CLI must exit 1. The module path sits under iocov/cmd because
+// errcheck is scoped to iocov/internal and iocov/cmd.
 package pkg
 
-import "sync/atomic"
+type negativeError struct{}
 
-var hits int64
+func (negativeError) Error() string { return "negative count" }
 
-// Hit records one hit.
-func Hit() { atomic.AddInt64(&hits, 1) }
+func validate(n int) error {
+	if n < 0 {
+		return negativeError{}
+	}
+	return nil
+}
 
-// Count reads the counter without going through sync/atomic.
-func Count() int64 { return hits }
+// Reset validates n and silently drops the result.
+func Reset(n int) { validate(n) }

@@ -252,8 +252,11 @@ func (a *Analyzer) Add(ev trace.Event) {
 // dispatch entry is already resolved (nil marks an out-of-scope syscall),
 // and the event arrives by pointer so the batch path never copies it.
 //
+// Every ord is in bounds: dense counters are allocated len(Domain()) long
+// and every ord comes from PartitionIndices/Index over that same domain
+// (partition's domain-invariant tests keep Partitions inside Domain()).
+//
 //iocov:hotpath
-//iocov:bounds-ok dense counters are allocated len(Domain()) long and every ord comes from PartitionIndices/Index over the same domain, whose exhaustiveness domaincheck probes
 func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 	if e == nil {
 		a.skipped++

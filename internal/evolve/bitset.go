@@ -10,36 +10,36 @@ func newBitset(n int) []uint64 {
 	return make([]uint64, (n+63)/64)
 }
 
-// setBit marks bit i.
+// setBit marks bit i. i is a layout bit index < layout.total, and the
+// bitset is allocated newBitset(layout.total) words.
 //
 //iocov:hotpath
-//iocov:bounds-ok i is a layout bit index < layout.total and the bitset is allocated newBitset(layout.total) words
 func setBit(bs []uint64, i int) {
 	bs[i/64] |= 1 << uint(i%64)
 }
 
-// hasBit reports bit i.
+// hasBit reports bit i. i is a layout bit index < layout.total, and the
+// bitset is allocated newBitset(layout.total) words.
 //
 //iocov:hotpath
-//iocov:bounds-ok i is a layout bit index < layout.total and the bitset is allocated newBitset(layout.total) words
 func hasBit(bs []uint64, i int) bool {
 	return bs[i/64]&(1<<uint(i%64)) != 0
 }
 
-// orInto folds src into dst (dst |= src).
+// orInto folds src into dst (dst |= src). dst and src are both
+// newBitset(layout.total) words of the same layout.
 //
 //iocov:hotpath
-//iocov:bounds-ok dst and src are both newBitset(layout.total) words of the same layout
 func orInto(dst, src []uint64) {
 	for i := range src {
 		dst[i] |= src[i]
 	}
 }
 
-// anyNew reports whether cand covers a bit outside covered.
+// anyNew reports whether cand covers a bit outside covered. covered and
+// cand are both newBitset(layout.total) words of the same layout.
 //
 //iocov:hotpath
-//iocov:bounds-ok covered and cand are both newBitset(layout.total) words of the same layout
 func anyNew(covered, cand []uint64) bool {
 	for i := range cand {
 		if cand[i]&^covered[i] != 0 {
@@ -49,10 +49,10 @@ func anyNew(covered, cand []uint64) bool {
 	return false
 }
 
-// countNew counts cand's bits outside covered.
+// countNew counts cand's bits outside covered. covered and cand are both
+// newBitset(layout.total) words of the same layout.
 //
 //iocov:hotpath
-//iocov:bounds-ok covered and cand are both newBitset(layout.total) words of the same layout
 func countNew(covered, cand []uint64) int {
 	n := 0
 	for i := range cand {

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"iocov/internal/sys"
 )
@@ -32,16 +31,21 @@ type FaultRule struct {
 	// Remaining bounds the number of injections; negative means unlimited.
 	Remaining int64
 
+	// set is the FaultSet the rule was added to; its mutex guards calls
+	// and fired, because Check updates them while Fired is a public
+	// accessor harness code polls from other goroutines.
+	set   *FaultSet
 	calls int64
-	// fired is accessed atomically (not an atomic.Int64: rules are passed
-	// to Add by value, and the wrapper's noCopy would forbid that): Check
-	// increments it under the set's lock, but Fired is a public accessor
-	// harness code polls from other goroutines.
 	fired int64
 }
 
-// Fired reports how many times the rule has injected a failure.
-func (r *FaultRule) Fired() int64 { return atomic.LoadInt64(&r.fired) }
+// Fired reports how many times the rule, as returned by FaultSet.Add, has
+// injected a failure.
+func (r *FaultRule) Fired() int64 {
+	r.set.mu.Lock()
+	defer r.set.mu.Unlock()
+	return r.fired
+}
 
 // NewFaultSet returns an empty rule set.
 func NewFaultSet() *FaultSet { return &FaultSet{} }
@@ -54,6 +58,7 @@ func (fs *FaultSet) Add(rule FaultRule) *FaultRule {
 	if rule.Remaining == 0 {
 		rule.Remaining = -1
 	}
+	rule.set = fs
 	r := &rule
 	fs.mu.Lock()
 	fs.rules = append(fs.rules, r)
@@ -86,7 +91,7 @@ func (fs *FaultSet) Check(name string) (sys.Errno, bool) {
 		if r.Remaining > 0 {
 			r.Remaining--
 		}
-		atomic.AddInt64(&r.fired, 1)
+		r.fired++
 		return r.Errno, true
 	}
 	return sys.OK, false

@@ -538,9 +538,10 @@ func TestTraceEventSequence(t *testing.T) {
 	}
 }
 
-// TestFaultFiredConcurrent pins FaultRule.Fired's atomicity: harness code
-// polls Fired from other goroutines while syscalls inject, so the old plain
-// field read raced with Check's increment under -race.
+// TestFaultFiredConcurrent pins FaultRule.Fired's synchronization: harness
+// code polls Fired from other goroutines while syscalls inject, so Fired
+// must read the counter under the owning set's lock that Check increments
+// it under; a plain read races with the increment under -race.
 func TestFaultFiredConcurrent(t *testing.T) {
 	p, _ := newProc(t)
 	rule := p.k.Faults().Add(FaultRule{Syscall: "write", Errno: sys.EINTR, EveryN: 2})

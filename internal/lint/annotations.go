@@ -6,7 +6,7 @@ import (
 )
 
 // The //iocov: annotation grammar ties source comments to the flow-sensitive
-// passes. Eight forms exist; shared-ok is parsed by shardcheck directly,
+// passes. Seven forms exist; shared-ok is parsed by shardcheck directly,
 // the rest here:
 //
 //	//iocov:guarded-by <mutexField>   on a struct field: the field may only
@@ -39,17 +39,6 @@ import (
 //	                                  parallel-vs-serial contract (e.g. a
 //	                                  sync.Once write of a value derived only
 //	                                  from constants) and is mandatory.
-//	//iocov:bounds-ok <reason>        on a function reachable from a hotpath
-//	                                  root: index expressions boundcheck's
-//	                                  interval lattice cannot prove in-bounds
-//	                                  are sanctioned by the stated invariant
-//	                                  (e.g. "ord < len(dense) by the Domain()
-//	                                  ordinal contract, probed by
-//	                                  domaincheck"). The reason is mandatory,
-//	                                  and the annotation must be removable:
-//	                                  if every index in the function becomes
-//	                                  provable, boundcheck reports the stale
-//	                                  annotation.
 //	//iocov:deterministic             on a function: a determinism root. The
 //	                                  function and everything statically
 //	                                  reachable from it must be byte-stable —
@@ -89,11 +78,6 @@ type funcAnnotations struct {
 	// boundedBy holds the reason text of an //iocov:bounded-by directive;
 	// empty means the function carries none.
 	boundedBy string
-	// boundsOK / boundsOKReason record an //iocov:bounds-ok directive: the
-	// presence flag is separate from the reason so boundcheck can flag a
-	// reasonless annotation instead of silently ignoring it.
-	boundsOK       bool
-	boundsOKReason string
 	// locked holds the lock expressions from //iocov:locked directives,
 	// e.g. "fs.mu" (one directive per lock).
 	locked []string
@@ -115,9 +99,6 @@ func parseFuncAnnotations(fd *ast.FuncDecl) funcAnnotations {
 			if arg = strings.TrimSpace(arg); arg != "" {
 				fa.boundedBy = arg
 			}
-		case "bounds-ok":
-			fa.boundsOK = true
-			fa.boundsOKReason = strings.TrimSpace(arg)
 		case "locked":
 			if arg = strings.TrimSpace(arg); arg != "" {
 				fa.locked = append(fa.locked, arg)

@@ -35,20 +35,6 @@ type Block struct {
 	Succs []*Block
 	// Preds are the predecessor blocks (filled after construction).
 	Preds []*Block
-
-	// Branch metadata for edge-aware analyses (the value lattice refines
-	// facts differently along the two sides of a conditional). When the
-	// block ends in a two-way branch lowered from an if or for condition,
-	// Cond is that condition and TrueSucc/FalseSucc are the successors
-	// taken when it evaluates true/false. When the block is a range head,
-	// Range is the statement and TrueSucc/FalseSucc are the body/join
-	// successors (the body edge binds the iteration variables). All nil
-	// for blocks that end in switches, selects, jumps, or plain
-	// fall-through.
-	Cond      ast.Expr
-	Range     *ast.RangeStmt
-	TrueSucc  *Block
-	FalseSucc *Block
 }
 
 // CFG is the control-flow graph of one function body.
@@ -156,19 +142,15 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		head := b.cur
 		join := b.newBlock("if.join")
 		then := b.newBlock("if.then")
-		head.Cond = st.Cond
-		head.TrueSucc = then
 		b.startBlock(then, head)
 		b.stmtList(st.Body.List)
 		b.edge(b.cur, join)
 		if st.Else != nil {
 			els := b.newBlock("if.else")
-			head.FalseSucc = els
 			b.startBlock(els, head)
 			b.stmt(st.Else)
 			b.edge(b.cur, join)
 		} else {
-			head.FalseSucc = join
 			b.edge(head, join)
 		}
 		b.cur = join
@@ -196,9 +178,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.edge(b.cur, post)
 		b.popLoop(frame)
 		if st.Cond != nil {
-			head.Cond = st.Cond
-			head.TrueSucc = body
-			head.FalseSucc = join
 			b.edge(head, join)
 		}
 		// A cond-less for only reaches join via break; join may be
@@ -223,9 +202,6 @@ func (b *cfgBuilder) stmt(s ast.Stmt) {
 		b.edge(head, join) // empty collection
 		frame := b.pushLoop(join, head)
 		body := b.newBlock("range.body")
-		head.Range = st
-		head.TrueSucc = body
-		head.FalseSucc = join
 		b.startBlock(body, head)
 		b.stmtList(st.Body.List)
 		b.edge(b.cur, head)

@@ -28,31 +28,6 @@ type Fact interface {
 // emit findings exactly once.
 type TransferFunc func(b *Block, in Fact, report bool) Fact
 
-// EdgeRefiner sharpens a fact as it flows along one specific CFG edge.
-// It receives the edge's source and destination blocks plus a fresh clone
-// of the source's exit fact, and may mutate and return it (the solver does
-// not retain the input). The value lattice uses this to apply branch
-// conditions: along from.TrueSucc the condition holds, along from.FalseSucc
-// its negation holds, and along a range head's body edge the iteration
-// variable is bound to the collection's index range.
-type EdgeRefiner func(from, to *Block, f Fact) Fact
-
-// widener is an optional Fact extension: lattices of unbounded height (the
-// interval lattice, where a loop counter's upper bound can grow forever)
-// implement Widen to jump ahead when the solver sees a block's entry fact
-// still growing after repeated visits. prev is the block's previous entry
-// fact; the receiver is the newly joined one. Widen returns a fact that is
-// an upper bound of both, chosen from a finite set so iteration terminates.
-type widener interface {
-	Widen(prev Fact) Fact
-}
-
-// widenAfterVisits is how many times a block's entry fact may change before
-// the solver starts widening it. Small enough to terminate quickly on
-// counting loops, large enough that straight-line if/else ladders (which
-// revisit join blocks a handful of times) keep exact facts.
-const widenAfterVisits = 6
-
 // SolveForward runs a forward dataflow analysis: starting from entry at
 // Blocks[0], block entry facts are joined over predecessor exit facts and
 // transfer is applied until nothing changes. It returns the fixpoint entry
@@ -62,19 +37,10 @@ const widenAfterVisits = 6
 // Termination: facts must form a finite-height lattice (Join monotone);
 // every client here joins finite sets derived from the function's source,
 // so height is bounded by the lock/annotation vocabulary of the function.
-// Lattices that cannot bound their own height implement widener instead.
 func SolveForward(g *CFG, entry Fact, transfer TransferFunc) []Fact {
-	return SolveForwardEdges(g, entry, transfer, nil)
-}
-
-// SolveForwardEdges is SolveForward with an optional per-edge refiner
-// applied to each predecessor's exit fact before it joins a successor's
-// entry fact. A nil refine degenerates to the edge-blind SolveForward.
-func SolveForwardEdges(g *CFG, entry Fact, transfer TransferFunc, refine EdgeRefiner) []Fact {
 	n := len(g.Blocks)
 	in := make([]Fact, n)
 	out := make([]Fact, n)
-	changes := make([]int, n)
 	in[0] = entry
 
 	// Worklist seeded with the entry block; indices, deduplicated.
@@ -102,25 +68,13 @@ func SolveForwardEdges(g *CFG, entry Fact, transfer TransferFunc, refine EdgeRef
 		out[i] = newOut
 		for _, s := range b.Succs {
 			j := s.Index
-			flowed := newOut.Clone()
-			if refine != nil {
-				flowed = refine(b, s, flowed)
-			}
 			var joined Fact
 			if in[j] == nil {
-				joined = flowed
+				joined = newOut.Clone()
 			} else {
-				joined = in[j].Join(flowed)
+				joined = in[j].Join(newOut)
 			}
 			if in[j] == nil || !in[j].Equal(joined) {
-				if in[j] != nil {
-					changes[j]++
-					if changes[j] > widenAfterVisits {
-						if w, ok := joined.(widener); ok {
-							joined = w.Widen(in[j])
-						}
-					}
-				}
 				in[j] = joined
 				push(j)
 			}

@@ -22,17 +22,13 @@ func TestJSONGolden(t *testing.T) {
 	// their constructors; point them at the fixture packages instead, the
 	// way their own fixture tests do.
 	passes := []Pass{
-		NewDomainCheck(),
 		&SpecCheck{KernelPaths: []string{"speccheck_bad"}},
 		&ShardCheck{Paths: []string{"shardcheck_bad"}},
 		&ErrCheck{Paths: []string{"errcheck_bad"}},
-		&HTTPCheck{Paths: []string{"httpcheck_bad"}},
 		NewLockCheck(),
 		NewAllocCheck(),
 		NewLeakCheck(),
-		NewAtomCheck(),
 		NewDetermCheck(),
-		NewBoundCheck(),
 	}
 	// The golden suite must cover exactly the canonical pass list, in order,
 	// so a new pass cannot ship without a schema golden.

@@ -2,10 +2,6 @@
 // by construction rather than by review, the invariants the coverage
 // pipeline silently depends on:
 //
-//   - domaincheck: every partition label a scheme's Partitions() can emit is
-//     declared by its Domain(), domains are duplicate-free, and numeric and
-//     output domains are canonically ordered (the pre-PR-1 BytesScheme bug
-//     class, caught mechanically);
 //   - speccheck: the sysspec base/extended tables are internally consistent
 //     and every syscall the kernel dispatch emits has a spec entry;
 //   - shardcheck: worker-path packages (internal/harness, internal/suites)
@@ -13,9 +9,6 @@
 //     RNG calls, either of which would break the byte-identical
 //     RunParallel-vs-Run snapshot contract;
 //   - errcheck: no error return is silently dropped in internal/ or cmd/;
-//   - httpcheck: every HTTP handler error path in internal/ and cmd/ sets
-//     an explicit status code on the ResponseWriter — an early return that
-//     never touches the writer becomes an implicit 200 with an empty body;
 //   - lockcheck: flow-sensitive lock-discipline verification over a
 //     per-function CFG (see cfg.go, dataflow.go): fields guarded by an
 //     adjacent mutex or an //iocov:guarded-by annotation are only touched
@@ -30,39 +23,29 @@
 //     carries an //iocov:bounded-by annotation; sends on unbuffered local
 //     channels whose every receive sits in a multi-case select are flagged
 //     as abandonable;
-//   - atomcheck: an object accessed through sync/atomic package-level calls
-//     anywhere must be accessed that way everywhere — one plain read beside
-//     an atomic increment is a data race the race detector only catches
-//     when the schedule cooperates;
 //   - determcheck: functions statically reachable from //iocov:deterministic
 //     roots must not read the wall clock, use the global RNG, launch
 //     goroutines, or leak map iteration order into their results (append
-//     inside a map range is tainted until a subsequent sort washes it);
-//   - boundcheck: every index expression reachable from an //iocov:hotpath
-//     root is proven in-bounds by the value lattice, or the function carries
-//     a reasoned //iocov:bounds-ok annotation — and a stale annotation on a
-//     fully proven function is itself a finding.
+//     inside a map range is tainted until a subsequent sort washes it).
 //
 // shardcheck additionally holds internal/server (the iocovd daemon) to its
 // no-package-level-writes rule, with the wall-clock rules relaxed.
 //
-// The interprocedural passes (alloccheck, leakcheck, determcheck,
-// boundcheck) share one lazily built package-spanning call graph (see
-// callgraph.go): static edges from resolved callees, conservative edges from
-// interface method sets and func-value flow, condensed into SCCs for
-// fixpoint analyses. boundcheck and domaincheck additionally share a
-// per-target value-analysis engine (see values.go): a
-// constant/interval lattice with relational length facts, propagated to a
-// fixpoint over each function's CFG and seeded interprocedurally through
-// return-value summaries and never-mutated constant tables.
+// The interprocedural passes (alloccheck, leakcheck, determcheck) share one
+// lazily built package-spanning call graph (see callgraph.go): static edges
+// from resolved callees, conservative edges from interface method sets and
+// func-value flow, condensed into SCCs for fixpoint analyses.
+//
+// Invariants a test already guards are left to the test: the partition
+// domain contract to internal/partition's domain-invariant tests, HTTP
+// status codes to internal/server's handler tests, and index bounds to Go's
+// run-time checks plus the trace fuzzers (DESIGN.md §16).
 //
 // The suite is built only on the standard library's go/parser, go/ast,
 // go/token and go/types packages; repository packages are type-checked
 // against a source importer, so passes reason about resolved objects and
-// folded constants, not token spellings. Passes are hybrid where a purely
-// static proof is impossible: domaincheck and speccheck also probe the live
-// partition and sysspec registries exhaustively (see ProbeScheme and
-// ProbeOutputDomain).
+// folded constants, not token spellings. speccheck is hybrid where a purely
+// static proof is impossible: it also checks the compiled-in sysspec tables.
 package lint
 
 import (
@@ -104,17 +87,13 @@ type Pass interface {
 // repository's layout.
 func AllPasses() []Pass {
 	return []Pass{
-		NewDomainCheck(),
 		NewSpecCheck(),
 		NewShardCheck(),
 		NewErrCheck(),
-		NewHTTPCheck(),
 		NewLockCheck(),
 		NewAllocCheck(),
 		NewLeakCheck(),
-		NewAtomCheck(),
 		NewDetermCheck(),
-		NewBoundCheck(),
 	}
 }
 

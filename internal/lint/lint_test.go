@@ -81,11 +81,11 @@ func TestRepoSelfCheck(t *testing.T) {
 
 func TestSelectPasses(t *testing.T) {
 	all, err := SelectPasses("")
-	if err != nil || len(all) != 11 {
-		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want 11, nil", len(all), err)
+	if err != nil || len(all) != 7 {
+		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want 7, nil", len(all), err)
 	}
-	if last := all[len(all)-1].Name(); last != "boundcheck" {
-		t.Fatalf("last pass = %s, want boundcheck", last)
+	if last := all[len(all)-1].Name(); last != "determcheck" {
+		t.Fatalf("last pass = %s, want determcheck", last)
 	}
 	two, err := SelectPasses("lockcheck, errcheck")
 	if err != nil || len(two) != 2 || two[0].Name() != "lockcheck" || two[1].Name() != "errcheck" {

@@ -38,9 +38,6 @@ type Target struct {
 	// cg is the lazily built module call graph (see callgraph.go), shared
 	// by every whole-program pass of one run.
 	cg *CallGraph
-	// ve is the lazily built value-analysis engine (see values.go), sharing
-	// per-function interval analyses and return summaries across passes.
-	ve *valueEngine
 }
 
 // Package returns the loaded package with the given import path, or nil.

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 	"sort"
@@ -396,6 +397,16 @@ func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
 	default:
 		return nil
 	}
+}
+
+// constString reports the folded string value of an expression, when the
+// type checker proved it constant.
+func constString(pkg *Package, expr ast.Expr) (string, bool) {
+	tv, ok := pkg.Info.Types[expr]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return "", false
+	}
+	return constant.StringVal(tv.Value), true
 }
 
 // matchesAny reports whether path equals or is nested under any prefix.

@@ -26,8 +26,8 @@ import (
 
 // MaxLog2 is the largest power-of-two bucket reachable for numeric values:
 // the largest positive int64, 2^63-1, rounds down to bucket 2^62. (The
-// domain used to end at an unreachable 2^63 bucket; iocovlint's domaincheck
-// completeness probe flags such dead entries.)
+// domain used to end at an unreachable 2^63 bucket; the reachability check
+// in TestEverySchemeDomainInvariants flags such dead entries.)
 const MaxLog2 = 62
 
 // Labels for the boundary partitions of numeric schemes.
@@ -232,7 +232,7 @@ func (openFlagsScheme) Domain() []string {
 	}
 	// DecodeOpenFlags emits this label for a flags word whose access-mode
 	// bits are the invalid 0b11 combination; the domain must declare it like
-	// any other reachable label (found by iocovlint's domaincheck probe).
+	// any other reachable label (TestEverySchemeDomainInvariants checks it).
 	return append(out, sys.AccModeInvalidName)
 }
 

@@ -272,28 +272,3 @@ func TestHasRdonly(t *testing.T) {
 		t.Error("non-RDONLY accmode misdetected")
 	}
 }
-
-func TestEveryInputSchemeHasConsistentDomain(t *testing.T) {
-	// Property: every label a scheme emits for representative values is in
-	// its declared domain.
-	schemes := []string{
-		sysspec.SchemeOpenFlags, sysspec.SchemeModeBits, sysspec.SchemeBytes,
-		sysspec.SchemeOffset, sysspec.SchemeWhence, sysspec.SchemeXattrFlags,
-	}
-	values := []int64{-100, -1, 0, 1, 2, 3, 4, 5, 7, 64, 0o644, 0o777, 4096,
-		int64(sys.O_RDWR | sys.O_CREAT | sys.O_SYNC), 1 << 30, math.MaxInt64}
-	for _, name := range schemes {
-		s := ForScheme(name)
-		domain := make(map[string]bool)
-		for _, l := range s.Domain() {
-			domain[l] = true
-		}
-		for _, v := range values {
-			for _, l := range s.Partitions(v) {
-				if !domain[l] && l != LabelInvalid && l != "O_ACCMODE_INVALID" {
-					t.Errorf("scheme %s: label %q for %d outside domain", name, l, v)
-				}
-			}
-		}
-	}
-}

@@ -257,7 +257,10 @@ type TCDResult struct {
 
 // httpError writes an error response with an explicit status code. Every
 // handler error path funnels through it (or WriteHeader directly); the
-// iocovlint httpcheck pass enforces this.
+// handler tests pin each path's status (TestHealthzAndMethods,
+// TestTCDEndpoint, TestIngestBackpressure, TestIngestBodyTooLarge,
+// TestIngestEmptyBodyRejected, TestIngestFormatNegotiation,
+// TestIngestErrorStatus).
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -96,10 +96,11 @@ func (e *Event) AddStr(name, v string) {
 	e.Strs[name] = v
 }
 
-// Arg returns a numeric argument and whether it was recorded.
+// Arg returns a numeric argument and whether it was recorded. nargs never
+// exceeds len(iargs): AddArg spills to the Args map once the inline array
+// is full.
 //
 //iocov:hotpath
-//iocov:bounds-ok nargs never exceeds len(iargs): AddArg spills to the Args map once the inline array is full
 func (e *Event) Arg(name string) (int64, bool) {
 	for i := 0; i < int(e.nargs); i++ {
 		if e.iargs[i].name == name {
@@ -110,10 +111,11 @@ func (e *Event) Arg(name string) (int64, bool) {
 	return v, ok
 }
 
-// Str returns a string argument and whether it was recorded.
+// Str returns a string argument and whether it was recorded. nstrs never
+// exceeds len(istrs): AddStr spills to the Strs map once the inline array
+// is full.
 //
 //iocov:hotpath
-//iocov:bounds-ok nstrs never exceeds len(istrs): AddStr spills to the Strs map once the inline array is full
 func (e *Event) Str(name string) (string, bool) {
 	for i := 0; i < int(e.nstrs); i++ {
 		if e.istrs[i].name == name {

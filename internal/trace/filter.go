@@ -138,9 +138,8 @@ func (f *Filter) KeepRef(ev *Event) bool {
 
 // classify decides scope from first principles: open-family path match,
 // descriptor propagation through dup, then any absolute string argument
-// under the mount.
-//
-//iocov:bounds-ok nstrs never exceeds len(istrs): AddStr spills to the Strs map once the inline array is full
+// under the mount. Indexing istrs below nstrs is in bounds: AddStr spills
+// to the Strs map once the inline array is full.
 func (f *Filter) classify(ev *Event) bool {
 	switch ev.Name {
 	case "open", "openat", "creat", "openat2":

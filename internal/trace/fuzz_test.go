@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
+	"strings"
 	"testing"
 
 	"iocov/internal/sys"
@@ -322,5 +324,41 @@ func FuzzFilter(f *testing.F) {
 			}
 		}
 		checkStats("end of stream")
+	})
+}
+
+// FuzzTextParser pins the text format's round-trip contract on untrusted
+// input (`iocov convert`, `iocov analyze -trace`): whatever the parser
+// accepts, WriteEvent must write back as lines the parser reads as the same
+// events. Seeds include two former round-trip failures: an empty argument
+// name, which WriteEvent wrote as an unparseable `{  = "" }`, and a bare
+// negative return for an errno with no name, which WriteEvent wrote with a
+// placeholder name the parser rejects.
+func FuzzTextParser(f *testing.F) {
+	f.Add("[00000042] syscall_exit_openat: pid = 7 { dirfd = -100, filename = \"/mnt/test/f0\", flags = 577, mode = 420 } ret = 3\n" +
+		"[00000043] syscall_exit_write: pid = 7 { fd = 3, count = 4096 } ret = -28 (ENOSPC)\n")
+	f.Add("# comment\n\n[1] syscall_exit_lseek: pid = 2 { fd = 3, offset = -1, whence = 9 } ret = -22\n")
+	f.Add("[2] syscall_exit_setxattr: pid = 1 { path = \"a\\x00b\", name = \"user.\\\"q\\\"\", size = 0 } ret = 0\n")
+	f.Add(`[1] syscall_exit_x: pid = 1 { a = 1, ,b = 2, c = 3,, ,d = 4 } ret = 0`)
+	f.Add(`[] syscall_exit_: pid = 0 {, = ""} ret = 0`)
+	f.Add(`[1] syscall_exit_x: pid = 1 { } ret = -99999`)
+	f.Fuzz(func(t *testing.T, input string) {
+		events, err := ParseAll(strings.NewReader(input))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		for _, ev := range events {
+			if err := WriteEvent(&buf, ev); err != nil {
+				t.Fatalf("WriteEvent: %v", err)
+			}
+		}
+		again, err := ParseAll(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-parse of written events: %v\nwritten:\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(again, events) {
+			t.Fatalf("round trip changed the events:\n got %+v\nwant %+v\nwritten:\n%s", again, events, buf.String())
+		}
 	})
 }

@@ -72,8 +72,12 @@ func WriteEvent(w io.Writer, ev Event) error {
 	b.WriteString(" }")
 	if ev.Err == sys.OK {
 		fmt.Fprintf(&b, " ret = %d", ev.Ret)
-	} else {
+	} else if _, known := sys.ErrnoByName(ev.Err.Name()); known {
 		fmt.Fprintf(&b, " ret = %d (%s)", -int64(ev.Err), ev.Err.Name())
+	} else {
+		// The parser reads a bare negative return as that errno, and would
+		// reject the placeholder name an unknown errno renders as.
+		fmt.Fprintf(&b, " ret = %d", -int64(ev.Err))
 	}
 	b.WriteString("\n")
 	_, err := io.WriteString(w, b.String())
@@ -162,6 +166,9 @@ func parseLine(text string) (Event, error) {
 	if !ok {
 		return ev, fmt.Errorf("missing pid")
 	}
+	if name == "" {
+		return ev, fmt.Errorf("empty syscall name")
+	}
 	ev.Name = name
 
 	pidStr, rest, ok := strings.Cut(rest, " {")
@@ -207,7 +214,12 @@ func parseArgs(block string, ev *Event) error {
 		if eq < 0 {
 			return fmt.Errorf("malformed argument block near %q", block)
 		}
+		// WriteEvent separates arguments with commas, so a name that is
+		// empty or holds one could not be written back unambiguously.
 		key := strings.TrimSpace(strings.TrimPrefix(block[:eq], ","))
+		if key == "" || strings.Contains(key, ",") {
+			return fmt.Errorf("bad argument name %q", key)
+		}
 		val := block[eq+3:]
 		if strings.HasPrefix(val, "\"") {
 			str, rest, err := scanQuoted(val)

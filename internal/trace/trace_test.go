@@ -141,6 +141,9 @@ func TestParserErrors(t *testing.T) {
 		`[00000001] syscall_exit_open: pid = 1 { } ret = -2 (EBOGUS)`,
 		`[00000001] syscall_exit_open: pid = 1 { } ret = -2 (EACCES)`, // mismatched errno
 		`[00000001] syscall_exit_open: pid = 1 { filename = "unterminated } ret = 0`,
+		`[] syscall_exit_: pid = 0 { } ret = 0`,                            // empty syscall name
+		`[00000001] syscall_exit_open: pid = 1 {, = ""} ret = 0`,           // empty argument name
+		`[00000001] syscall_exit_open: pid = 1 { a = 1,, ,b = 2 } ret = 0`, // comma in a name
 	}
 	for _, line := range bad {
 		if _, err := ParseAll(strings.NewReader(line)); err == nil {
