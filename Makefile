@@ -10,7 +10,7 @@
 #                   the whole repository (exit 1 on any finding); -v prints
 #                   per-pass analysis times
 #   make fuzz     - short fuzz passes over the binary trace codec, the text
-#                   trace parser and the mount filter
+#                   trace parser, the mount filter and checkpoint restore
 #
 # Every go test line carries -timeout, so an analysis or test that stops
 # terminating fails in minutes instead of the default ten.
@@ -20,16 +20,14 @@
 #   make evolve-smoke - fixed-seed evolve run: untested count strictly
 #                   decreases, replay verifies, and corpus + snapshot are
 #                   byte-stable across two runs
-#   make bench    - serial-vs-parallel suite benchmarks
-#   make bench-json - full benchmark suite, parsed to BENCH_$(LABEL).json
-#                   (ns/op, B/op, allocs/op per benchmark) for the perf
-#                   trajectory across PRs
+#   make bench    - serial-vs-parallel suite benchmarks (the benchmark of
+#                   record, with every sample and a per-layer breakdown, is
+#                   bench/run.sh; see bench/README.md)
 #   make figures  - regenerate the paper's evaluation figures
 
 GO ?= go
-LABEL ?= dev
 
-.PHONY: verify race vet lint fuzz smoke evolve-smoke bench bench-json figures
+.PHONY: verify race vet lint fuzz smoke evolve-smoke bench figures
 
 verify:
 	$(GO) build ./...
@@ -51,6 +49,7 @@ fuzz:
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzBinaryReaderMalformed -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzTextParser -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzFilter -fuzztime 15s ./internal/trace/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzSnapshotRestore -fuzztime 15s ./internal/coverage/
 
 smoke:
 	./scripts/smoke_iocovd.sh
@@ -61,10 +60,6 @@ evolve-smoke:
 
 bench:
 	$(GO) test -timeout 10m -run xxx -bench SuiteSerialVsParallel -benchtime 3x .
-
-bench-json:
-	$(GO) test -timeout 10m -run xxx -bench . -benchtime 2x -benchmem . \
-		| $(GO) run ./cmd/benchjson -label $(LABEL) -o BENCH_$(LABEL).json
 
 figures:
 	$(GO) run ./cmd/figures

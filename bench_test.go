@@ -24,6 +24,7 @@ import (
 	"iocov/internal/partition"
 	"iocov/internal/suites/crashmonkey"
 	"iocov/internal/sys"
+	"iocov/internal/sysspec"
 	"iocov/internal/syz"
 	"iocov/internal/trace"
 	"iocov/internal/vfs"
@@ -242,10 +243,11 @@ func BenchmarkAblationNumericPartitioning(b *testing.B) {
 		sizes[i] = base + (int64(i)*7919)%base // spread within the bucket
 	}
 	b.Run("log2", func(b *testing.B) {
-		s := partition.BytesScheme{}
+		s := partition.ForScheme(sysspec.SchemeBytes)
+		scratch := make([]int, 0, 1)
 		for i := 0; i < b.N; i++ {
 			for _, v := range sizes {
-				_ = s.Partitions(v)
+				scratch = s.PartitionIndices(v, scratch[:0])
 			}
 		}
 	})

@@ -690,16 +690,9 @@ func cmdUntested(args []string) error {
 			return err
 		}
 		defer f.Close()
-		filter, err := trace.NewFilter(*mount)
-		if err != nil {
+		if an, _, _, err = iocov.AnalyzeTrace(f, *mount); err != nil {
 			return err
 		}
-		an = coverage.NewAnalyzer(coverage.DefaultOptions())
-		events, err := trace.ParseAll(f)
-		if err != nil {
-			return err
-		}
-		an.AddAll(filter.Apply(events))
 	case *suite != "":
 		var err error
 		an, err = harness.RunParallel(*suite, *scale, *seed, *workers, coverage.DefaultOptions())

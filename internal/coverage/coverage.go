@@ -64,7 +64,7 @@ type Analyzer struct {
 	// steady-state path: the resolved spec, the argument counters that apply
 	// to this variant, and the output counter. A nil entry marks an
 	// out-of-scope name so repeat offenders cost one map hit. scratch is the
-	// reused ordinal buffer handed to partition.Indexer.
+	// reused ordinal buffer handed to partition.Input.
 	compiled map[string]*compiledEntry
 	scratch  []int
 
@@ -116,8 +116,7 @@ type ArgCounter struct {
 	// hot path itself never touches it.
 	Counts map[string]int64
 
-	part   partition.Input
-	idx    partition.Indexer
+	idx    partition.Input
 	labels []string // Domain(), cached once
 	dense  []int64  // per-ordinal frequencies, indexed like labels
 	dirty  bool     // dense changed since Counts was last materialized
@@ -176,7 +175,7 @@ var (
 )
 
 type schemeIndexer struct {
-	idx    partition.Indexer
+	idx    partition.Input
 	labels []string
 }
 
@@ -201,7 +200,7 @@ func sharedSchemeIndexer(scheme string) schemeIndexer {
 	if si, ok := schemeIndexers.Load(scheme); ok {
 		return si.(schemeIndexer)
 	}
-	idx := partition.IndexerForScheme(scheme)
+	idx := partition.ForScheme(scheme)
 	si, _ := schemeIndexers.LoadOrStore(scheme, schemeIndexer{idx: idx, labels: idx.Domain()})
 	return si.(schemeIndexer)
 }
@@ -254,7 +253,7 @@ func (a *Analyzer) Add(ev trace.Event) {
 //
 // Every ord is in bounds: dense counters are allocated len(Domain()) long
 // and every ord comes from PartitionIndices/Index over that same domain
-// (partition's domain-invariant tests keep Partitions inside Domain()).
+// (partition's domain-invariant tests keep every ordinal inside Domain()).
 //
 //iocov:hotpath
 func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
@@ -377,7 +376,6 @@ func (a *Analyzer) argCounter(name string, arg *sysspec.ArgSpec) *ArgCounter {
 			Arg:     arg.Name,
 			Class:   arg.Class,
 			Scheme:  arg.Scheme,
-			part:    si.idx,
 			idx:     si.idx,
 			labels:  si.labels,
 			dense:   a.denseFor(len(si.labels)),

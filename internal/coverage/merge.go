@@ -48,7 +48,6 @@ func (a *Analyzer) Merge(b *Analyzer) error {
 				Arg:     bc.Arg,
 				Class:   bc.Class,
 				Scheme:  bc.Scheme,
-				part:    bc.part,
 				idx:     bc.idx,
 				labels:  bc.labels,
 				dense:   a.denseFor(len(bc.dense)),

@@ -249,59 +249,46 @@ func (t *Tester) guidedOp(i int) {
 		t.opOpen(i, t.randFlags(), 0o644)
 	case 1:
 		// Untested write-size bucket: write exactly at its lower boundary.
-		if rep := t.an.InputReport("write", "count"); rep != nil {
-			for _, label := range rep.Untested() {
-				if size, ok := boundaryFromLabel(label, 24); ok {
-					t.opWrite(i, size)
-					return
-				}
-			}
+		if size, ok := untestedBoundary(t.an, "write", "count", 1<<24); ok {
+			t.opWrite(i, size)
+			return
 		}
 		t.opWrite(i, 0) // the zero boundary
 	case 2:
 		// Untested truncate-length bucket, up to the 2^32 boundary; the
 		// 2^31 probe crosses the large-file limit, the partition whose
 		// untestedness hides the O_LARGEFILE bug class.
-		if rep := t.an.InputReport("truncate", "length"); rep != nil {
-			for _, label := range rep.Untested() {
-				if length, ok := boundaryFromLabel(label, 32); ok {
-					t.opTruncate(i, length)
-					return
-				}
-			}
+		if length, ok := untestedBoundary(t.an, "truncate", "length", 1<<32); ok {
+			t.opTruncate(i, length)
+			return
 		}
 		t.opTruncate(i, 1<<31)
 	default:
 		// Untested setxattr-size bucket, capped at the legal maximum —
 		// exactly the probe that exposes Figure 1's bug.
 		maxV := int64(t.model.maxXattrValue)
-		if rep := t.an.InputReport("setxattr", "size"); rep != nil {
-			for _, label := range rep.Untested() {
-				if size, ok := boundaryFromLabel(label, 16); ok && size <= maxV {
-					t.opXattr(i, int(size))
-					return
-				}
-			}
+		if size, ok := untestedBoundary(t.an, "setxattr", "size", min(1<<16, maxV)); ok {
+			t.opXattr(i, int(size))
+			return
 		}
 		t.opXattr(i, int(maxV))
 	}
 }
 
-// boundaryFromLabel converts an untested numeric partition label back to
-// its boundary value ("2^12" -> 4096, "=0" -> 0), rejecting buckets above
-// maxLog2 (untestably large).
-func boundaryFromLabel(label string, maxLog2 int) (int64, bool) {
-	if label == partition.LabelZero {
-		return 0, true
-	}
-	var k int
-	if _, err := fmt.Sscanf(label, "2^%d", &k); err != nil {
+// untestedBoundary returns the lower boundary of the first untested numeric
+// partition of syscall.arg ("2^12" -> 4096, "=0" -> 0), skipping "<0" and
+// buckets whose boundary exceeds limit (untestably large).
+func untestedBoundary(an *coverage.Analyzer, syscall, arg string, limit int64) (int64, bool) {
+	rep := an.InputReport(syscall, arg)
+	if rep == nil {
 		return 0, false
 	}
-	if k < 0 || k > maxLog2 {
-		return 0, false
+	for _, label := range rep.Untested() {
+		if v, ok := partition.NumericValue(label); ok && v >= 0 && v <= limit {
+			return v, true
+		}
 	}
-	return int64(1) << uint(k), true
+	return 0, false
 }
 
 func (t *Tester) opOpen(i int, flags int, mode uint32) {

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"iocov/internal/coverage"
 	"iocov/internal/sys"
+	"iocov/internal/trace"
 	"iocov/internal/vfs"
 )
 
@@ -139,21 +141,38 @@ func TestGuidanceImprovesInputCoverage(t *testing.T) {
 	}
 }
 
+// TestBoundaryFromLabel pins how guidance turns an untested write-size
+// label back into a probe: the first untested bucket's lower boundary,
+// never "<0", and nothing above the cap.
 func TestBoundaryFromLabel(t *testing.T) {
-	cases := []struct {
-		label string
-		want  int64
-		ok    bool
-	}{
-		{"=0", 0, true}, {"2^0", 1, true}, {"2^12", 4096, true},
-		{"2^24", 1 << 24, true}, {"2^25", 0, false}, {"O_SYNC", 0, false},
-		{"<0", 0, false},
+	an := coverage.NewAnalyzer(coverage.DefaultOptions())
+	write := func(count int64) {
+		an.Add(trace.Event{Name: "write", PID: 1, Args: map[string]int64{"fd": 3, "count": count}})
 	}
-	for _, c := range cases {
-		got, ok := boundaryFromLabel(c.label, 24)
-		if ok != c.ok || (ok && got != c.want) {
-			t.Errorf("boundaryFromLabel(%q) = %d,%v want %d,%v", c.label, got, ok, c.want, c.ok)
-		}
+	boundary := func() (int64, bool) { return untestedBoundary(an, "write", "count", 1<<24) }
+	if _, ok := boundary(); ok {
+		t.Fatal("boundary found before any write was seen")
+	}
+	write(1) // "<0" stays untested: it leads the domain but is never a probe
+	if got, ok := boundary(); !ok || got != 0 {
+		t.Errorf("after 2^0: boundary = %d,%v, want 0 (\"=0\")", got, ok)
+	}
+	write(0)
+	for k := 1; k < 12; k++ {
+		write(1 << k)
+	}
+	if got, ok := boundary(); !ok || got != 4096 {
+		t.Errorf("after 2^0..2^11: boundary = %d,%v, want 4096 (\"2^12\")", got, ok)
+	}
+	for k := 12; k < 24; k++ {
+		write(1 << k)
+	}
+	if got, ok := boundary(); !ok || got != 1<<24 {
+		t.Errorf("after 2^0..2^23: boundary = %d,%v, want 2^24 (the cap)", got, ok)
+	}
+	write(1 << 24)
+	if got, ok := boundary(); ok {
+		t.Errorf("every bucket up to the cap covered: boundary = %d, want none (2^25 is above the cap)", got)
 	}
 }
 

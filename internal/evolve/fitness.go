@@ -14,8 +14,6 @@ package evolve
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"iocov/internal/coverage"
 	"iocov/internal/metrics"
@@ -143,43 +141,10 @@ func floorFor(s Space, labels []string) []bool {
 		return floor
 	}
 	for i, lab := range labels {
-		if lab == partition.LabelNegative {
-			floor[i] = true
-			continue
-		}
-		if k, ok := log2Exp(lab); ok && k > 0 && int64(1)<<uint(k) > syz.MaxDataLen {
-			floor[i] = true
-		}
+		v, ok := partition.NumericValue(lab)
+		floor[i] = ok && (v < 0 || v > syz.MaxDataLen)
 	}
 	return floor
-}
-
-// log2Exp parses a numeric-domain bucket label "2^k".
-func log2Exp(label string) (int, bool) {
-	rest, found := strings.CutPrefix(label, "2^")
-	if !found {
-		return 0, false
-	}
-	k, err := strconv.Atoi(rest)
-	if err != nil {
-		return 0, false
-	}
-	return k, true
-}
-
-// labelValue maps a numeric-domain partition label to a representative
-// argument value inside that partition.
-func labelValue(label string) (int64, bool) {
-	switch label {
-	case partition.LabelZero:
-		return 0, true
-	case partition.LabelNegative:
-		return -1, true
-	}
-	if k, ok := log2Exp(label); ok && k >= 0 && k <= partition.MaxLog2 {
-		return int64(1) << uint(k), true
-	}
-	return 0, false
 }
 
 // hitsOf reads a candidate analyzer's covered ordinals into a fresh global

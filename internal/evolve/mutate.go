@@ -103,7 +103,7 @@ func openModeProbe(label, dir string) (syz.Program, bool) {
 // labeled bucket. Labels beyond the executor's arena bound are the
 // irreducible floor and never become probes (the layout filters them).
 func countProbe(call, label, dir string) (syz.Program, bool) {
-	size, ok := labelValue(label)
+	size, ok := partition.NumericValue(label)
 	if !ok || size > syz.MaxDataLen {
 		return syz.Program{}, false
 	}
@@ -121,7 +121,7 @@ func countProbe(call, label, dir string) (syz.Program, bool) {
 // raw — emitted even when the call fails — and the simulated filesystem is
 // sparse, so the whole offset domain up to 2^62 is reachable.
 func posProbe(call, label, dir string) (syz.Program, bool) {
-	pos, ok := labelValue(label)
+	pos, ok := partition.NumericValue(label)
 	if !ok {
 		return syz.Program{}, false
 	}

@@ -16,8 +16,8 @@ import (
 // list Domain() in order:
 //
 //   - the domain is non-empty and duplicate-free;
-//   - every label Partitions (or Output) emits over the probe set is in the
-//     domain (the original BytesScheme bug: "<0" reachable but undeclared);
+//   - every label the reference labeller emits over the probe set is in the
+//     domain (the original bytes-scheme bug: "<0" reachable but undeclared);
 //   - every domain label is reached by some probe (a dead entry, like the
 //     unreachable 2^63 bucket the domain once ended with, is an untested
 //     partition no workload can ever cover);
@@ -117,12 +117,13 @@ func checkDomain(name string, domain []string, emit func(hit func(label, cause s
 	return msgs
 }
 
-// checkScheme checks one input scheme over the probe set.
+// checkScheme checks one input scheme's domain over the probe set, against
+// the labels the reference labeller gives its scheme name.
 func checkScheme(in Input, probes []int64) []string {
 	return checkDomain("scheme "+in.Scheme(), in.Domain(), func(hit func(string, string)) {
 		for _, v := range probes {
-			for _, lbl := range in.Partitions(v) {
-				hit(lbl, fmt.Sprintf("Partitions(%d)", v))
+			for _, lbl := range referenceLabels(in.Scheme(), v) {
+				hit(lbl, fmt.Sprintf("value %d", v))
 			}
 		}
 	})
@@ -137,7 +138,7 @@ func checkOutput(spec *sysspec.Spec, domain []string, probes []int64) []string {
 	msgs := checkOutputOrder(name, domain)
 	return append(msgs, checkDomain(name, domain, func(hit func(string, string)) {
 		out := func(ret int64, err sys.Errno) {
-			hit(Output(spec.Ret, ret, err), fmt.Sprintf("Output(ret=%d, err=%s)", ret, err.Name()))
+			hit(referenceOutput(spec.Ret, ret, err), fmt.Sprintf("outcome (ret=%d, err=%s)", ret, err.Name()))
 		}
 		for _, v := range probes {
 			out(v, sys.OK)
@@ -156,7 +157,7 @@ func checkOutputOrder(name string, domain []string) []string {
 	inErrnos := false
 	var prevErrno string
 	for _, lbl := range domain {
-		if IsSuccess(lbl) {
+		if isSuccess(lbl) {
 			if inErrnos {
 				msgs = append(msgs, fmt.Sprintf("%s: success label %q appears after errno labels", name, lbl))
 			}
@@ -237,9 +238,9 @@ func TestOutputDomainCoversOutput(t *testing.T) {
 	}
 }
 
-// noNegativeBytesScheme reproduces the original BytesScheme.Domain bug: the
+// noNegativeBytesScheme reproduces the original bytes-scheme Domain bug: the
 // "<0" partition is reachable but undeclared.
-type noNegativeBytesScheme struct{ BytesScheme }
+type noNegativeBytesScheme struct{ numericScheme }
 
 func (noNegativeBytesScheme) Domain() []string {
 	out := []string{LabelZero}
@@ -251,14 +252,14 @@ func (noNegativeBytesScheme) Domain() []string {
 
 // deadBucketScheme declares the unreachable 2^63 bucket the bytes domain
 // used to end with.
-type deadBucketScheme struct{ BytesScheme }
+type deadBucketScheme struct{ numericScheme }
 
 func (deadBucketScheme) Domain() []string {
-	return append(BytesScheme{}.Domain(), Log2Label(MaxLog2+1))
+	return append(numericDomain(""), Log2Label(MaxLog2+1))
 }
 
 // noSeekEndScheme forgets SEEK_END, a label that never appears as a
-// constant in Partitions: it is reachable only through the WhenceNames
+// constant in the labeller: it is reachable only through the WhenceNames
 // table.
 type noSeekEndScheme struct{ whenceScheme }
 
@@ -288,13 +289,13 @@ func requireMsg(t *testing.T, msgs []string, want string) {
 func TestDomainCheckerFlagsKnownBugs(t *testing.T) {
 	probes := domainProbeValues()
 	t.Run("undeclared negative bucket", func(t *testing.T) {
-		requireMsg(t, checkScheme(noNegativeBytesScheme{}, probes), `emits "<0" outside the domain`)
+		requireMsg(t, checkScheme(noNegativeBytesScheme{sysspec.SchemeBytes}, probes), `emits "<0" outside the domain`)
 	})
 	t.Run("undeclared table label", func(t *testing.T) {
 		requireMsg(t, checkScheme(noSeekEndScheme{}, probes), `emits "SEEK_END" outside the domain`)
 	})
 	t.Run("dead 2^63 bucket", func(t *testing.T) {
-		requireMsg(t, checkScheme(deadBucketScheme{}, probes), `domain label "2^63" is unreachable`)
+		requireMsg(t, checkScheme(deadBucketScheme{sysspec.SchemeBytes}, probes), `domain label "2^63" is unreachable`)
 	})
 	t.Run("unsorted errnos", func(t *testing.T) {
 		spec := &sysspec.Spec{
@@ -329,7 +330,7 @@ func TestDomainCheckerFlagsKnownBugs(t *testing.T) {
 // no violations.
 func TestDomainCheckerPassesFixedTwins(t *testing.T) {
 	probes := domainProbeValues()
-	for _, in := range []Input{BytesScheme{}, whenceScheme{}} {
+	for _, in := range []Input{ForScheme(sysspec.SchemeBytes), whenceScheme{}} {
 		for _, m := range checkScheme(in, probes) {
 			t.Error(m)
 		}

@@ -3,6 +3,7 @@ package partition
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"iocov/internal/sys"
@@ -33,24 +34,25 @@ func indexProbeValues() []int64 {
 	return vals
 }
 
-// TestPartitionIndicesAgreeWithLabels is the dense-index twin invariant:
-// for every scheme and every probe value, mapping PartitionIndices through
-// Domain() must reproduce Partitions exactly — same partitions, same order.
+// TestPartitionIndicesAgreeWithLabels is the reference invariant: for
+// every scheme and every probe value, mapping PartitionIndices through
+// Domain() must reproduce the reference labeller exactly — same
+// partitions, same order.
 func TestPartitionIndicesAgreeWithLabels(t *testing.T) {
 	schemes := []string{
 		sysspec.SchemeOpenFlags, sysspec.SchemeModeBits, sysspec.SchemeBytes,
 		sysspec.SchemeOffset, sysspec.SchemeWhence, sysspec.SchemeXattrFlags,
 	}
-	vals := indexProbeValues()
+	vals := append(indexProbeValues(), domainProbeValues()...)
 	var scratch []int
 	for _, scheme := range schemes {
-		ix := IndexerForScheme(scheme)
-		if ix == nil {
-			t.Fatalf("scheme %q has no Indexer", scheme)
+		in := ForScheme(scheme)
+		if in == nil {
+			t.Fatalf("scheme %q has no partitioner", scheme)
 		}
-		domain := ix.Domain()
+		domain := in.Domain()
 		for _, v := range vals {
-			scratch = ix.PartitionIndices(v, scratch[:0])
+			scratch = in.PartitionIndices(v, scratch[:0])
 			got := make([]string, len(scratch))
 			for i, ord := range scratch {
 				if ord < 0 || ord >= len(domain) {
@@ -59,29 +61,22 @@ func TestPartitionIndicesAgreeWithLabels(t *testing.T) {
 				}
 				got[i] = domain[ord]
 			}
-			want := ix.Partitions(v)
+			want := referenceLabels(scheme, v)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: value %d: indices map to %v, Partitions = %v",
+				t.Fatalf("%s: value %d: indices map to %v, reference = %v",
 					scheme, v, got, want)
 			}
 		}
 	}
 }
 
-// TestIndexerForSchemeIdentifier confirms identifier schemes stay
-// unpartitioned in the ordinal API too.
-func TestIndexerForSchemeIdentifier(t *testing.T) {
-	if ix := IndexerForScheme(sysspec.SchemePath); ix != nil {
-		t.Errorf("identifier scheme got an indexer: %v", ix)
-	}
-}
-
 // TestOutputIndexerAgreesWithOutput checks the compiled output domain against
-// the label path for every spec in the extended table, over all documented
+// the reference output labeller for every spec in the extended table, over all documented
 // errnos, undocumented errnos, and return-value boundaries.
 func TestOutputIndexerAgreesWithOutput(t *testing.T) {
 	tbl := sysspec.NewExtendedTable()
-	rets := []int64{-5, -1, 0, 1, 2, 1023, 1024, 1 << 30, 1<<62 - 1, 1<<63 - 1}
+	rets := append([]int64{-5, -1, 0, 1, 2, 1023, 1024, 1 << 30, 1<<62 - 1, 1<<63 - 1},
+		domainProbeValues()...)
 	for _, base := range tbl.Bases() {
 		spec := tbl.Spec(base)
 		x := NewOutputIndexer(spec)
@@ -95,8 +90,8 @@ func TestOutputIndexerAgreesWithOutput(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: success ret %d not indexable", base, ret)
 			}
-			if want := Output(spec.Ret, ret, sys.OK); domain[idx] != want {
-				t.Fatalf("%s: ret %d: index %d = %q, Output = %q",
+			if want := referenceOutput(spec.Ret, ret, sys.OK); domain[idx] != want {
+				t.Fatalf("%s: ret %d: index %d = %q, reference = %q",
 					base, ret, idx, domain[idx], want)
 			}
 		}
@@ -110,7 +105,7 @@ func TestOutputIndexerAgreesWithOutput(t *testing.T) {
 				t.Fatalf("%s: errno %s indexed into success ordinals", base, e.Name())
 			}
 		}
-		// An errno no spec documents must fall back to the label path.
+		// An errno no spec documents has no ordinal.
 		if _, ok := x.Index(0, sys.Errno(250)); ok {
 			t.Fatalf("%s: undocumented errno claimed indexable", base)
 		}
@@ -123,6 +118,48 @@ func TestFlagComboSizeMatchesDecode(t *testing.T) {
 	for _, v := range indexProbeValues() {
 		if got, want := FlagComboSize(v), len(sys.DecodeOpenFlags(int(v))); got != want {
 			t.Fatalf("FlagComboSize(%#o) = %d, len(DecodeOpenFlags) = %d", v, got, want)
+		}
+	}
+}
+
+// TestNumericValue checks that NumericValue inverts the numeric label
+// format: every label of every numeric domain (the bytes and offset schemes,
+// and the "OK:"-prefixed success outputs) maps to a value whose partition
+// is that label's ordinal, and nothing else parses.
+func TestNumericValue(t *testing.T) {
+	for _, scheme := range []string{sysspec.SchemeBytes, sysspec.SchemeOffset} {
+		in := ForScheme(scheme)
+		for ord, label := range in.Domain() {
+			v, ok := NumericValue(label)
+			if !ok {
+				t.Fatalf("%s: NumericValue(%q) not ok", scheme, label)
+			}
+			if got := in.PartitionIndices(v, nil); !reflect.DeepEqual(got, []int{ord}) {
+				t.Errorf("%s: NumericValue(%q) = %d, which partitions to %v, want [%d]",
+					scheme, label, v, got, ord)
+			}
+		}
+	}
+	for _, ret := range []sysspec.RetKind{sysspec.RetBytes, sysspec.RetOffset} {
+		x := NewOutputIndexer(&sysspec.Spec{Base: "fake", Variants: []string{"fake"}, Ret: ret})
+		for ord, label := range x.Domain() {
+			v, ok := NumericValue(strings.TrimPrefix(label, LabelOK+":"))
+			if !ok {
+				t.Fatalf("output: NumericValue(%q) not ok", label)
+			}
+			if got, _ := x.Index(v, sys.OK); got != ord {
+				t.Errorf("output: NumericValue(%q) = %d, which indexes %d, want %d", label, v, got, ord)
+			}
+		}
+	}
+	for label, want := range map[string]int64{"<0": -1, "=0": 0, "2^0": 1, "2^12": 4096, "2^62": 1 << 62} {
+		if v, ok := NumericValue(label); !ok || v != want {
+			t.Errorf("NumericValue(%q) = %d,%v, want %d", label, v, ok, want)
+		}
+	}
+	for _, label := range []string{"", "2^", "2^63", "2^-1", "2^05", "2^+5", "2^x", "OK:2^3", "O_SYNC", "invalid", "=1"} {
+		if v, ok := NumericValue(label); ok {
+			t.Errorf("NumericValue(%q) = %d, want not ok", label, v)
 		}
 	}
 }

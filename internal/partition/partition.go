@@ -19,6 +19,8 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+	"strconv"
+	"strings"
 
 	"iocov/internal/sys"
 	"iocov/internal/sysspec"
@@ -74,38 +76,20 @@ func Log2Bucket(v int64) int {
 	return bits.Len64(uint64(v)) - 1
 }
 
-// Input is a partitioning scheme for one argument class.
+// Input is a partitioning scheme for one argument class: it maps an observed
+// value to the partitions it hits, as ordinals into its Domain. Bitmap
+// schemes hit one partition per set flag; all other schemes hit exactly one.
+// The per-event hot path performs no allocation and no label formatting; the
+// label a report shows is Domain()[ordinal].
 type Input interface {
 	// Scheme returns the sysspec scheme name this partitioner implements.
 	Scheme() string
-	// Partitions returns the partition labels hit by one observed value.
-	// Bitmap schemes return one label per set flag; all other schemes
-	// return exactly one label.
-	Partitions(value int64) []string
 	// Domain returns every partition label in canonical report order.
 	Domain() []string
-}
-
-// Indexer is the ordinal counterpart of Input: PartitionIndices reports the
-// partitions hit by a value as indices into Domain(), appending them into a
-// caller-owned scratch buffer so the per-event hot path performs no
-// allocation and no label formatting. Every scheme in the registry
-// implements it; the indices agree with Partitions element-for-element
-// (same partitions, same order), an invariant the package tests verify over
-// the exhaustive probe corpus.
-type Indexer interface {
-	Input
 	// PartitionIndices appends the Domain() ordinals hit by value to
 	// scratch and returns the extended slice. Callers reuse the returned
 	// slice's backing array across events (pass scratch[:0]).
 	PartitionIndices(value int64, scratch []int) []int
-}
-
-// IndexerForScheme returns the Indexer for a sysspec scheme name, or nil for
-// identifier schemes.
-func IndexerForScheme(scheme string) Indexer {
-	in, _ := ForScheme(scheme).(Indexer)
-	return in
 }
 
 // ForScheme returns the Input partitioner for a sysspec scheme name, or nil
@@ -116,10 +100,8 @@ func ForScheme(scheme string) Input {
 		return openFlagsScheme{}
 	case sysspec.SchemeModeBits:
 		return modeBitsScheme{}
-	case sysspec.SchemeBytes:
-		return BytesScheme{}
-	case sysspec.SchemeOffset:
-		return OffsetScheme{}
+	case sysspec.SchemeBytes, sysspec.SchemeOffset:
+		return numericScheme(scheme)
 	case sysspec.SchemeWhence:
 		return whenceScheme{}
 	case sysspec.SchemeXattrFlags:
@@ -129,38 +111,40 @@ func ForScheme(scheme string) Input {
 	}
 }
 
-// BytesScheme partitions non-negative byte counts: "=0" then powers of two.
-// Negative values (which the kernel would reject) land in "<0" so malformed
-// traces remain visible rather than silently dropped.
-type BytesScheme struct{}
+// numericScheme partitions byte counts and offsets by powers of two, with
+// boundary partitions "=0" and "<0". A negative byte count (which the kernel
+// would reject) stays visible in "<0" rather than silently dropped; a
+// negative offset is a distinct corner case too (EINVAL for lseek below
+// zero, but legal relative seeks). The value is the scheme name it is
+// registered under.
+type numericScheme string
 
 // Scheme implements Input.
-func (BytesScheme) Scheme() string { return sysspec.SchemeBytes }
-
-// Partitions implements Input.
-func (BytesScheme) Partitions(v int64) []string {
-	switch {
-	case v < 0:
-		return []string{LabelNegative}
-	case v == 0:
-		return []string{LabelZero}
-	default:
-		return []string{Log2Label(Log2Bucket(v))}
-	}
-}
+func (s numericScheme) Scheme() string { return string(s) }
 
 // Domain implements Input.
-func (BytesScheme) Domain() []string {
+func (numericScheme) Domain() []string { return numericDomain("") }
+
+// PartitionIndices implements Input.
+//
+//iocov:hotpath
+func (numericScheme) PartitionIndices(v int64, scratch []int) []int {
+	return append(scratch, numericIndex(v))
+}
+
+// numericDomain is the numeric layout [<0, =0, 2^0 .. 2^MaxLog2], each label
+// carrying prefix: "" for input schemes, "OK:" for byte-count and offset
+// success outputs.
+func numericDomain(prefix string) []string {
 	out := make([]string, 0, MaxLog2+3)
-	out = append(out, LabelNegative, LabelZero)
+	out = append(out, prefix+LabelNegative, prefix+LabelZero)
 	for k := 0; k <= MaxLog2; k++ {
-		out = append(out, Log2Label(k))
+		out = append(out, prefix+Log2Label(k))
 	}
 	return out
 }
 
-// numericIndex is the shared ordinal formula for the numeric domains, whose
-// layout is [<0, =0, 2^0 .. 2^MaxLog2].
+// numericIndex is the ordinal of v in numericDomain.
 func numericIndex(v int64) int {
 	switch {
 	case v < 0:
@@ -172,58 +156,33 @@ func numericIndex(v int64) int {
 	}
 }
 
-// PartitionIndices implements Indexer.
-//
-//iocov:hotpath
-func (BytesScheme) PartitionIndices(v int64, scratch []int) []int {
-	return append(scratch, numericIndex(v))
-}
-
-// OffsetScheme partitions signed offsets: negative values get their own
-// boundary partition, since a negative offset is a distinct corner case
-// (EINVAL for lseek below zero, but legal relative seeks).
-type OffsetScheme struct{}
-
-// Scheme implements Input.
-func (OffsetScheme) Scheme() string { return sysspec.SchemeOffset }
-
-// Partitions implements Input.
-func (OffsetScheme) Partitions(v int64) []string {
-	switch {
-	case v < 0:
-		return []string{LabelNegative}
-	case v == 0:
-		return []string{LabelZero}
-	default:
-		return []string{Log2Label(Log2Bucket(v))}
+// NumericValue is the inverse of the numeric label format: it maps a
+// numericDomain label (without prefix) to the smallest value in that
+// partition, "<0" to -1, "=0" to 0 and "2^k" to 1<<k. Feedback loops use it
+// to turn an untested partition back into a probe value. ok is false for
+// any other label.
+func NumericValue(label string) (v int64, ok bool) {
+	switch label {
+	case LabelNegative:
+		return -1, true
+	case LabelZero:
+		return 0, true
 	}
-}
-
-// Domain implements Input.
-func (OffsetScheme) Domain() []string {
-	out := make([]string, 0, MaxLog2+3)
-	out = append(out, LabelNegative, LabelZero)
-	for k := 0; k <= MaxLog2; k++ {
-		out = append(out, Log2Label(k))
+	rest, found := strings.CutPrefix(label, "2^")
+	if !found {
+		return 0, false
 	}
-	return out
-}
-
-// PartitionIndices implements Indexer.
-//
-//iocov:hotpath
-func (OffsetScheme) PartitionIndices(v int64, scratch []int) []int {
-	return append(scratch, numericIndex(v))
+	k, err := strconv.Atoi(rest)
+	if err != nil || k < 0 || k > MaxLog2 || Log2Label(k) != label {
+		return 0, false
+	}
+	return int64(1) << k, true
 }
 
 // openFlagsScheme partitions the open flags bitmap per flag name.
 type openFlagsScheme struct{}
 
 func (openFlagsScheme) Scheme() string { return sysspec.SchemeOpenFlags }
-
-func (openFlagsScheme) Partitions(v int64) []string {
-	return sys.DecodeOpenFlags(int(v))
-}
 
 func (openFlagsScheme) Domain() []string {
 	out := make([]string, 0, len(sys.OpenFlagNames)+1)
@@ -252,28 +211,11 @@ var openFlagOrds = func() (t struct {
 	}
 	t.rdonly, t.wronly, t.rdwr = ord["O_RDONLY"], ord["O_WRONLY"], ord["O_RDWR"]
 	t.invalid = ord[sys.AccModeInvalidName]
-	// Same simple-flag order as sys.DecodeOpenFlags: PartitionIndices must
-	// emit ordinals in exactly the order Partitions emits labels, because
-	// TrackCombinations joins them into an order-sensitive combo label.
-	for _, f := range []struct {
-		bit  int
-		name string
-	}{
-		{sys.O_CREAT, "O_CREAT"},
-		{sys.O_EXCL, "O_EXCL"},
-		{sys.O_NOCTTY, "O_NOCTTY"},
-		{sys.O_TRUNC, "O_TRUNC"},
-		{sys.O_APPEND, "O_APPEND"},
-		{sys.O_NONBLOCK, "O_NONBLOCK"},
-		{sys.O_ASYNC, "O_ASYNC"},
-		{sys.O_DIRECT, "O_DIRECT"},
-		{sys.O_LARGEFILE, "O_LARGEFILE"},
-		{sys.O_NOFOLLOW, "O_NOFOLLOW"},
-		{sys.O_NOATIME, "O_NOATIME"},
-		{sys.O_CLOEXEC, "O_CLOEXEC"},
-		{sys.O_PATH, "O_PATH"},
-	} {
-		t.simple = append(t.simple, struct{ bit, ord int }{f.bit, ord[f.name]})
+	// The simple flags are emitted in sys.SimpleOpenFlags order, because
+	// TrackCombinations joins the ordinals into an order-sensitive combo
+	// label.
+	for _, f := range sys.SimpleOpenFlags {
+		t.simple = append(t.simple, struct{ bit, ord int }{f.Bit, ord[f.Name]})
 	}
 	t.syncOnly = sys.O_SYNC &^ sys.O_DSYNC
 	t.tmpOnly = sys.O_TMPFILE &^ sys.O_DIRECTORY
@@ -282,7 +224,7 @@ var openFlagOrds = func() (t struct {
 	return t
 }()
 
-// PartitionIndices implements Indexer, mirroring sys.DecodeOpenFlags without
+// PartitionIndices implements Input, mirroring sys.DecodeOpenFlags without
 // allocating label slices.
 //
 //iocov:hotpath
@@ -324,14 +266,6 @@ type modeBitsScheme struct{}
 
 func (modeBitsScheme) Scheme() string { return sysspec.SchemeModeBits }
 
-func (modeBitsScheme) Partitions(v int64) []string {
-	names := sys.DecodeModeBits(uint32(v))
-	if len(names) == 0 {
-		return []string{LabelZero}
-	}
-	return names
-}
-
 func (modeBitsScheme) Domain() []string {
 	out := make([]string, 0, len(sys.ModeBitNames)+1)
 	out = append(out, LabelZero)
@@ -341,9 +275,9 @@ func (modeBitsScheme) Domain() []string {
 	return out
 }
 
-// PartitionIndices implements Indexer: the domain is "=0" at ordinal 0
-// followed by sys.ModeBitNames in order, and sys.DecodeModeBits walks the
-// bits in that same order.
+// PartitionIndices implements Input: the domain is "=0" at ordinal 0
+// followed by sys.ModeBitNames in order, so each set bit's ordinal is its
+// table position plus one, and a mode with no tracked bit hits "=0".
 //
 //iocov:hotpath
 func (modeBitsScheme) PartitionIndices(v int64, scratch []int) []int {
@@ -364,18 +298,11 @@ type whenceScheme struct{}
 
 func (whenceScheme) Scheme() string { return sysspec.SchemeWhence }
 
-func (whenceScheme) Partitions(v int64) []string {
-	if v >= 0 && v < int64(len(sys.WhenceNames)) {
-		return []string{sys.WhenceNames[v]}
-	}
-	return []string{LabelInvalid}
-}
-
 func (whenceScheme) Domain() []string {
 	return append(append([]string(nil), sys.WhenceNames...), LabelInvalid)
 }
 
-// PartitionIndices implements Indexer: whence values index the domain
+// PartitionIndices implements Input: whence values index the domain
 // directly, with the trailing "invalid" ordinal for out-of-range values.
 //
 //iocov:hotpath
@@ -392,20 +319,11 @@ type xattrFlagsScheme struct{}
 
 func (xattrFlagsScheme) Scheme() string { return sysspec.SchemeXattrFlags }
 
-func (xattrFlagsScheme) Partitions(v int64) []string {
-	switch int(v) {
-	case 0, sys.XATTR_CREATE, sys.XATTR_REPLACE:
-		return []string{sys.XattrFlagName(int(v))}
-	default:
-		return []string{LabelInvalid}
-	}
-}
-
 func (xattrFlagsScheme) Domain() []string {
 	return []string{"0", "XATTR_CREATE", "XATTR_REPLACE", LabelInvalid}
 }
 
-// PartitionIndices implements Indexer: the three legal values index the
+// PartitionIndices implements Input: the three legal values index the
 // domain directly (XATTR_CREATE = 1, XATTR_REPLACE = 2).
 //
 //iocov:hotpath
@@ -418,42 +336,20 @@ func (xattrFlagsScheme) PartitionIndices(v int64, scratch []int) []int {
 	}
 }
 
-// Output partitions a syscall outcome. On failure the partition is the
-// errno name; on success it is "OK", refined to "OK:2^k" buckets when the
-// syscall returns a byte count or offset.
-func Output(ret sysspec.RetKind, retVal int64, err sys.Errno) string {
-	if err != sys.OK {
-		return err.Name()
-	}
-	switch ret {
-	case sysspec.RetBytes, sysspec.RetOffset:
-		// A success with a negative return value is a distinct corner
-		// (malformed trace, or a signed-offset return); keep it apart
-		// from the legitimate zero-byte result.
-		if retVal < 0 {
-			return LabelOK + ":" + LabelNegative
-		}
-		if retVal == 0 {
-			return LabelOK + ":" + LabelZero
-		}
-		return LabelOK + ":" + Log2Label(Log2Bucket(retVal))
-	default:
-		return LabelOK
-	}
-}
-
 // OutputDomain returns the canonical output partitions for a spec: the
-// success partitions followed by one per documented errno.
+// success partitions followed by one per documented errno. On failure the
+// partition is the errno name; on success it is "OK", refined to "OK:2^k"
+// buckets when the syscall returns a byte count or offset.
 func OutputDomain(spec *sysspec.Spec) []string {
 	var out []string
 	switch spec.Ret {
 	case sysspec.RetBytes, sysspec.RetOffset:
-		out = append(out, LabelOK+":"+LabelNegative, LabelOK+":"+LabelZero)
-		for k := 0; k <= MaxLog2; k++ {
-			out = append(out, LabelOK+":"+Log2Label(k))
-		}
+		// A success with a negative return value is a distinct corner
+		// (malformed trace, or a signed-offset return), kept apart from
+		// the legitimate zero-byte result.
+		out = numericDomain(LabelOK + ":")
 	default:
-		out = append(out, LabelOK)
+		out = []string{LabelOK}
 	}
 	for _, e := range spec.Errnos {
 		out = append(out, e.Name())
@@ -461,17 +357,10 @@ func OutputDomain(spec *sysspec.Spec) []string {
 	return out
 }
 
-// IsSuccess reports whether an output partition label is a success
-// partition.
-func IsSuccess(label string) bool {
-	return label == LabelOK || (len(label) > 3 && label[:3] == LabelOK+":")
-}
-
 // OutputIndexer is the compiled form of a spec's output space: it maps an
 // outcome to an ordinal in OutputDomain(spec) without formatting a label.
 // Errnos outside the spec's documented universe report ok=false; callers
-// fall back to the label path for those (they land in a report's Extra
-// section, exactly as before).
+// count those by errno name (they land in a report's Extra section).
 type OutputIndexer struct {
 	bytes   bool
 	success int // number of leading success ordinals in the domain
@@ -493,8 +382,8 @@ func NewOutputIndexer(spec *sysspec.Spec) *OutputIndexer {
 	return x
 }
 
-// Index returns the OutputDomain ordinal for one outcome, mirroring Output.
-// ok is false for an errno the spec does not document.
+// Index returns the OutputDomain ordinal for one outcome: the errno's
+// partition on failure, else the success partition of retVal. ok is false for an errno the spec does not document.
 //
 //iocov:hotpath
 func (x *OutputIndexer) Index(retVal int64, err sys.Errno) (idx int, ok bool) {

