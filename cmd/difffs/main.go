@@ -7,6 +7,9 @@
 // Inject a bug class with -bug to watch the tester find it:
 //
 //	difffs -bug xattr-overflow -ops 20000 -guide 25
+//
+// The exit status is 0 when the run met its expectation: no mismatch on a
+// clean filesystem, at least one with -bug. Otherwise it is 1.
 package main
 
 import (
@@ -67,8 +70,13 @@ func main() {
 			res.Analyzer.InputReport("write", "count").Covered(),
 			res.Analyzer.InputReport("write", "count").DomainSize())
 	}
-	if *bug != "" && len(res.Mismatches) == 0 {
+	switch {
+	case *bug != "" && len(res.Mismatches) == 0:
 		fmt.Println("injected bug NOT found — increase -ops or enable -guide")
+		os.Exit(1)
+	case *bug == "" && len(res.Mismatches) > 0:
+		// With no bug injected, every mismatch is a defect in the kernel
+		// or in the model.
 		os.Exit(1)
 	}
 }

@@ -299,17 +299,29 @@ func cmdSuggest(args []string) error {
 	if !*verify {
 		return nil
 	}
-	before := an.InputReport("open", "flags").Covered()
+	before := make(map[string]int)
+	for _, pr := range syz.Probes() {
+		if rep := an.InputReport(pr.Syscall, pr.Arg); rep != nil {
+			before[pr.Syscall+"."+pr.Arg] = rep.Covered()
+		}
+	}
 	k := kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{Sink: an})
 	p := k.NewProc(kernel.ProcOptions{Cred: vfs.Root})
 	for _, d := range []string{"/mnt", "/mnt/test", "/mnt/test/probe"} {
 		_ = p.Mkdir(d, 0o777)
 	}
 	res := syz.Execute(p, progs)
-	fmt.Printf("# verification: %d calls executed (%d failed); open flags covered %d -> %d of %d\n",
-		res.Executed, res.Failures, before,
-		an.InputReport("open", "flags").Covered(),
-		an.InputReport("open", "flags").DomainSize())
+	fmt.Printf("# verification: %d calls executed (%d failed)\n", res.Executed, res.Failures)
+	// One line per space the probe table serves; a space the suite never
+	// exercised has no report and got no probes.
+	for _, pr := range syz.Probes() {
+		rep := an.InputReport(pr.Syscall, pr.Arg)
+		if rep == nil {
+			continue
+		}
+		space := pr.Syscall + "." + pr.Arg
+		fmt.Printf("# %-16s covered %d -> %d of %d\n", space, before[space], rep.Covered(), rep.DomainSize())
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -52,6 +53,26 @@ func TestUntestedTextAndBinaryTraces(t *testing.T) {
 		got := captureStdout(t, func() error { return cmdUntested([]string{"-trace", path}) })
 		if got != want {
 			t.Errorf("untested -trace (%s trace) printed\n%s\nwant (untested -suite)\n%s", format, got, want)
+		}
+	}
+}
+
+// TestSuggestVerifyReportsEveryProbedSpace: suggest -verify prints covered
+// before -> after for every probed space the suite exercises, not only open
+// flags, and crashmonkey's open-flag gap closes completely, the invalid
+// access mode included.
+func TestSuggestVerifyReportsEveryProbedSpace(t *testing.T) {
+	out := captureStdout(t, func() error { return cmdSuggest([]string{"-suite", "crashmonkey", "-verify"}) })
+	for _, want := range []string{
+		"# open.flags       covered 9 -> 21 of 21\n",
+		"# open.mode        covered ",
+		"# write.count      covered ",
+		"# truncate.length  covered ",
+		"# setxattr.size    covered ",
+		"# lseek.whence     covered 3 -> 6 of 6\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("suggest -verify output lacks %q", want)
 		}
 	}
 }

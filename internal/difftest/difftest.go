@@ -2,12 +2,13 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"iocov/internal/coverage"
 	"iocov/internal/kernel"
-	"iocov/internal/partition"
 	"iocov/internal/sys"
+	"iocov/internal/syz"
 	"iocov/internal/vfs"
 )
 
@@ -86,6 +87,7 @@ func Run(cfg Config) *Result {
 		model: NewModel(fsCfg.MaxFileSize, fsCfg.MaxXattrValue, fsCfg.XattrCapacity),
 		an:    an,
 	}
+	t.model.maxFDs = t.p.MaxFDs()
 	t.res.Analyzer = an
 	for i := 0; i < 12; i++ {
 		t.files = append(t.files, fmt.Sprintf("/f%d", i))
@@ -248,17 +250,18 @@ func (t *Tester) guidedOp(i int) {
 		}
 		t.opOpen(i, t.randFlags(), 0o644)
 	case 1:
-		// Untested write-size bucket: write exactly at its lower boundary.
-		if size, ok := untestedBoundary(t.an, "write", "count", 1<<24); ok {
+		// Untested write-size bucket: write exactly at its lower boundary,
+		// up to the tester's 2^24 buffer cap.
+		if size, ok := guidedValue(t.an, "write", "count", 1<<24); ok {
 			t.opWrite(i, size)
 			return
 		}
 		t.opWrite(i, 0) // the zero boundary
 	case 2:
-		// Untested truncate-length bucket, up to the 2^32 boundary; the
-		// 2^31 probe crosses the large-file limit, the partition whose
-		// untestedness hides the O_LARGEFILE bug class.
-		if length, ok := untestedBoundary(t.an, "truncate", "length", 1<<32); ok {
+		// Untested truncate-length bucket; the 2^31 probe crosses the
+		// large-file limit, the partition whose untestedness hides the
+		// O_LARGEFILE bug class.
+		if length, ok := guidedValue(t.an, "truncate", "length", math.MaxInt64); ok {
 			t.opTruncate(i, length)
 			return
 		}
@@ -267,7 +270,7 @@ func (t *Tester) guidedOp(i int) {
 		// Untested setxattr-size bucket, capped at the legal maximum —
 		// exactly the probe that exposes Figure 1's bug.
 		maxV := int64(t.model.maxXattrValue)
-		if size, ok := untestedBoundary(t.an, "setxattr", "size", min(1<<16, maxV)); ok {
+		if size, ok := guidedValue(t.an, "setxattr", "size", maxV); ok {
 			t.opXattr(i, int(size))
 			return
 		}
@@ -275,16 +278,13 @@ func (t *Tester) guidedOp(i int) {
 	}
 }
 
-// untestedBoundary returns the lower boundary of the first untested numeric
-// partition of syscall.arg ("2^12" -> 4096, "=0" -> 0), skipping "<0" and
-// buckets whose boundary exceeds limit (untestably large).
-func untestedBoundary(an *coverage.Analyzer, syscall, arg string, limit int64) (int64, bool) {
-	rep := an.InputReport(syscall, arg)
-	if rep == nil {
-		return 0, false
-	}
-	for _, label := range rep.Untested() {
-		if v, ok := partition.NumericValue(label); ok && v >= 0 && v <= limit {
+// guidedValue returns the syz probe table's value for the first untested
+// partition of syscall.arg in an that is at most limit, the largest value
+// the tester passes there.
+func guidedValue(an *coverage.Analyzer, syscall, arg string, limit int64) (int64, bool) {
+	probe := syz.ProbeFor(syscall, arg)
+	for _, label := range probe.Untested(an) {
+		if v, _ := probe.Value(label); v <= limit {
 			return v, true
 		}
 	}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,20 +13,27 @@ import (
 
 // TestCleanFSNoMismatches: on a correct filesystem the kernel and the model
 // must agree on every generated op — any disagreement is a bug in one of
-// the two independent implementations.
+// the two independent implementations. The second input is difffs's
+// defaults: long enough to reach the kernel's descriptor limit.
 func TestCleanFSNoMismatches(t *testing.T) {
-	res := Run(Config{Ops: 8000, Seed: 42, GuideEvery: 50})
-	if len(res.Mismatches) != 0 {
-		for i, m := range res.Mismatches {
-			if i > 10 {
-				break
+	for _, cfg := range []Config{
+		{Ops: 8000, Seed: 42, GuideEvery: 50},
+		{Ops: 20000, Seed: 1, GuideEvery: 25},
+	} {
+		run := fmt.Sprintf("ops=%d seed=%d guide=%d", cfg.Ops, cfg.Seed, cfg.GuideEvery)
+		res := Run(cfg)
+		if len(res.Mismatches) != 0 {
+			for i, m := range res.Mismatches {
+				if i > 10 {
+					break
+				}
+				t.Errorf("%s: mismatch: %s", run, m)
 			}
-			t.Errorf("mismatch: %s", m)
+			t.Fatalf("%s: %d mismatches on a correct filesystem", run, len(res.Mismatches))
 		}
-		t.Fatalf("%d mismatches on a correct filesystem", len(res.Mismatches))
-	}
-	if res.Ops != 8000 || res.Guided == 0 {
-		t.Errorf("ops=%d guided=%d", res.Ops, res.Guided)
+		if res.Ops != cfg.Ops || res.Guided == 0 {
+			t.Errorf("%s: ops=%d guided=%d", run, res.Ops, res.Guided)
+		}
 	}
 }
 
@@ -149,7 +157,7 @@ func TestBoundaryFromLabel(t *testing.T) {
 	write := func(count int64) {
 		an.Add(trace.Event{Name: "write", PID: 1, Args: map[string]int64{"fd": 3, "count": count}})
 	}
-	boundary := func() (int64, bool) { return untestedBoundary(an, "write", "count", 1<<24) }
+	boundary := func() (int64, bool) { return guidedValue(an, "write", "count", 1<<24) }
 	if _, ok := boundary(); ok {
 		t.Fatal("boundary found before any write was seen")
 	}

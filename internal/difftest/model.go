@@ -49,6 +49,9 @@ type Model struct {
 	xattrCapacity int
 	largeFileLim  int64
 	xattrOverhead int
+	// maxFDs is the per-process descriptor limit (EMFILE); zero means
+	// unlimited.
+	maxFDs int
 }
 
 // NewModel builds a model with the given limits (matching vfs.Config).
@@ -77,8 +80,7 @@ func (m *Model) Open(fd int, path string, flags int, mode uint32) sys.Errno {
 		if accWrite {
 			return sys.EISDIR
 		}
-		m.fds[fd] = &mfd{path: path, flags: flags}
-		return sys.OK
+		return m.install(fd, &mfd{path: path, flags: flags})
 	}
 	f, exists := m.files[path]
 	switch {
@@ -111,7 +113,26 @@ func (m *Model) Open(fd int, path string, flags int, mode uint32) sys.Errno {
 	if flags&sys.O_APPEND != 0 {
 		pos = f.size
 	}
-	m.fds[fd] = &mfd{path: path, flags: flags, pos: pos}
+	return m.install(fd, &mfd{path: path, flags: flags, pos: pos})
+}
+
+// install registers an open descriptor, or fails with EMFILE at the
+// per-process descriptor limit. The kernel under test allocates the
+// descriptor after the open's effects on the file (creation, O_TRUNC), so
+// the limit is checked last here too.
+func (m *Model) install(fd int, f *mfd) sys.Errno {
+	if m.maxFDs > 0 {
+		open := 0
+		for _, d := range m.fds {
+			if !d.closed {
+				open++
+			}
+		}
+		if open >= m.maxFDs {
+			return sys.EMFILE
+		}
+	}
+	m.fds[fd] = f
 	return sys.OK
 }
 

@@ -114,11 +114,11 @@ type loop struct {
 
 // run executes the search: generation 0 accepts the whole seed corpus, then
 // each generation builds candidates (targeted probes for every wanted
-// partition, suggester immigrants, random mutants), evaluates them, and
-// greedily accepts — in candidate order — those covering at least one new
-// partition bit. Accepted analyzers merge into the cumulative one; counts
-// are additive, so the final analyzer is byte-identical to a serial replay
-// of the accepted corpus.
+// partition, random mutants), evaluates them, and greedily accepts — in
+// candidate order — those covering at least one new partition bit.
+// Accepted analyzers merge into the cumulative one; counts are additive, so
+// the final analyzer is byte-identical to a serial replay of the accepted
+// corpus.
 //
 //iocov:deterministic
 func (l *loop) run(seed []syz.Program) (*Result, error) {
@@ -153,7 +153,7 @@ func (l *loop) run(seed []syz.Program) (*Result, error) {
 		if l.lay.untestedInputs(covered) == 0 {
 			break
 		}
-		progs := l.nextGeneration(gen, res.Corpus, covered, res.Analyzer)
+		progs := l.nextGeneration(gen, res.Corpus, covered)
 		newly, acc := 0, 0
 		for _, c := range l.eval.eval(progs) {
 			if !anyNew(covered, c.hits) {
@@ -183,32 +183,28 @@ func (l *loop) run(seed []syz.Program) (*Result, error) {
 // nextGeneration assembles a generation's candidates:
 //
 //  1. one targeted probe per wanted partition (uncovered, reachable, in a
-//     target input space), constructed from the partition's domain label;
-//  2. immigrants from syz.Suggest against the cumulative coverage — probes
-//     for untested partitions outside the target spaces, which keep the
-//     corpus broad and feed the crossover operator;
-//  3. cfg.Explore random mutants of corpus members, each under its own
+//     target input space), built by the syz probe table from the
+//     partition's domain label; each hits its partition on the first try;
+//  2. cfg.Explore random mutants of corpus members, each under its own
 //     splitmix64 RNG keyed by (generation, index).
 //
 //iocov:deterministic
-func (l *loop) nextGeneration(gen int, corpus []syz.Program, covered []uint64, cum *coverage.Analyzer) []syz.Program {
+func (l *loop) nextGeneration(gen int, corpus []syz.Program, covered []uint64) []syz.Program {
 	var progs []syz.Program
 	for ti := range l.lay.targets {
 		t := &l.lay.targets[ti]
-		if t.space.Arg == "" {
+		if t.probe == nil {
 			continue
 		}
-		for ord := range t.labels {
-			if t.floor[ord] || hasBit(covered, t.offset+ord) {
+		for ord, label := range t.labels {
+			if hasBit(covered, t.offset+ord) {
 				continue
 			}
-			if p, ok := t.probe(ord, l.cfg.Dir); ok {
+			if p, ok := t.probe.Build(label, l.cfg.Dir); ok {
 				progs = append(progs, p)
 			}
 		}
 	}
-	sugg, _ := syz.Suggest(cum, l.cfg.Dir, 0)
-	progs = append(progs, sugg...)
 	for i := 0; i < l.cfg.Explore; i++ {
 		rng := rand.New(rand.NewSource(workload.ItemSeed(l.cfg.Seed, uint64(gen)<<32|uint64(i))))
 		progs = append(progs, mutate(rng, corpus, l.cfg.Dir))

@@ -1,5 +1,5 @@
 // Package evolve closes IOCov's feedback loop generatively: where
-// syz.Suggest prints probe programs for a human, evolve runs a
+// syz.Suggest prints the probe table's programs for a human, evolve runs a
 // coverage-guided evolutionary search that drives a corpus of syzkaller-style
 // programs toward zero untested input partitions (§5's "what coverage is
 // missing" turned into an optimization objective).
@@ -63,9 +63,11 @@ type target struct {
 	// ordinal i sets global bit offset+i.
 	labels []string
 	offset int
-	// floor marks domain ordinals no executor-driven program can reach
-	// (see floorFor); they are excluded from the untested metric and from
-	// targeted probing.
+	// probe is the space's row of the syz probe table, nil for output
+	// spaces and for input spaces the table does not serve.
+	probe *syz.Probe
+	// floor marks domain ordinals no program can reach: the labels the
+	// probe table declines. They are excluded from the untested metric.
 	floor []bool
 }
 
@@ -103,48 +105,18 @@ func newLayout(spaces []Space) (*layout, error) {
 			}
 			labels = in.Domain()
 		}
-		lay.targets = append(lay.targets, target{
-			space:  s,
-			labels: labels,
-			offset: lay.bits,
-			floor:  floorFor(s, labels),
-		})
+		t := target{space: s, labels: labels, offset: lay.bits,
+			probe: syz.ProbeFor(s.Syscall, s.Arg), floor: make([]bool, len(labels))}
+		if t.probe != nil {
+			for i, label := range labels {
+				_, ok := t.probe.Value(label)
+				t.floor[i] = !ok
+			}
+		}
+		lay.targets = append(lay.targets, t)
 		lay.bits += len(labels)
 	}
 	return lay, nil
-}
-
-// bufferLen reports whether a space's traced value is the length of an
-// allocated buffer rather than the raw program constant. The executor clamps
-// those lengths into [0, syz.MaxDataLen] before allocating, so the traced
-// value can never be negative or exceed the 2^26 bucket.
-func bufferLen(s Space) bool {
-	switch s {
-	case Space{Syscall: "read", Arg: "count"},
-		Space{Syscall: "write", Arg: "count"},
-		Space{Syscall: "getxattr", Arg: "size"},
-		Space{Syscall: "setxattr", Arg: "size"}:
-		return true
-	}
-	return false
-}
-
-// floorFor computes a space's irreducible untested floor: the domain
-// ordinals no executor-driven program can reach. Only buffer-length
-// arguments have one — "<0" and every bucket above 2^26 (the executor's
-// syz.MaxDataLen arena bound). Offset arguments are traced raw (pread64/
-// pwrite64 emit pos even on error) and so are flags, modes and whence
-// values, leaving those domains fully reachable.
-func floorFor(s Space, labels []string) []bool {
-	floor := make([]bool, len(labels))
-	if s.Arg == "" || !bufferLen(s) {
-		return floor
-	}
-	for i, lab := range labels {
-		v, ok := partition.NumericValue(lab)
-		floor[i] = ok && (v < 0 || v > syz.MaxDataLen)
-	}
-	return floor
 }
 
 // hitsOf reads a candidate analyzer's covered ordinals into a fresh global

@@ -53,39 +53,3 @@ func TestMutateLeavesCorpusIntact(t *testing.T) {
 		}
 	}
 }
-
-// TestTargetedProbesHitTheirPartition: every targeted probe the layout can
-// construct covers its own (space, ordinal) bit when executed in isolation.
-func TestTargetedProbesHitTheirPartition(t *testing.T) {
-	lay, err := newLayout(DefaultTargets())
-	if err != nil {
-		t.Fatal(err)
-	}
-	probes := 0
-	for ti := range lay.targets {
-		tg := &lay.targets[ti]
-		if tg.space.Arg == "" {
-			continue
-		}
-		for ord := range tg.labels {
-			if tg.floor[ord] {
-				continue
-			}
-			prog, ok := tg.probe(ord, "/evolve")
-			if !ok {
-				t.Errorf("%s: no probe for reachable partition %q",
-					tg.space, tg.labels[ord])
-				continue
-			}
-			probes++
-			c := evalOne(lay, "/evolve", prog)
-			if !hasBit(c.hits, tg.offset+ord) {
-				t.Errorf("%s probe for %q missed its partition\n%s",
-					tg.space, tg.labels[ord], prog.Format())
-			}
-		}
-	}
-	if probes == 0 {
-		t.Fatal("no probes constructed")
-	}
-}

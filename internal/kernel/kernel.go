@@ -129,6 +129,10 @@ func (k *Kernel) NewProc(opts ProcOptions) *Proc {
 	}
 }
 
+// MaxFDs returns the process's descriptor limit (EMFILE), defaults
+// resolved.
+func (p *Proc) MaxFDs() int { return p.maxFD }
+
 // PID returns the process id.
 func (p *Proc) PID() int { return p.pid }
 

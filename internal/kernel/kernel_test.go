@@ -105,6 +105,35 @@ func TestAppendMode(t *testing.T) {
 	}
 }
 
+// TestAppendZeroLengthWriteKeepsOffset: a zero-length write (or writev of
+// empty iovs) on an O_APPEND descriptor writes nothing and, as on Linux,
+// leaves the file offset where it was instead of moving it to EOF.
+func TestAppendZeroLengthWriteKeepsOffset(t *testing.T) {
+	p, _ := newProc(t)
+	fd, _ := p.Open("/f", sys.O_CREAT|sys.O_WRONLY|sys.O_APPEND, 0o644)
+	if n, e := p.Write(fd, []byte("base")); e != sys.OK || n != 4 {
+		t.Fatalf("write = %d, %v", n, e)
+	}
+	for _, c := range []struct {
+		name  string
+		write func() (int, sys.Errno)
+	}{
+		{"write", func() (int, sys.Errno) { return p.Write(fd, nil) }},
+		{"writev", func() (int, sys.Errno) { return p.Writev(fd, [][]byte{nil, {}}) }},
+	} {
+		name, write := c.name, c.write
+		if _, e := p.Lseek(fd, 1, sys.SEEK_SET); e != sys.OK {
+			t.Fatal(e)
+		}
+		if n, e := write(); e != sys.OK || n != 0 {
+			t.Fatalf("%s of nothing = %d, %v", name, n, e)
+		}
+		if pos, _ := p.Lseek(fd, 0, sys.SEEK_CUR); pos != 1 {
+			t.Errorf("offset after a zero-length %s = %d, want 1", name, pos)
+		}
+	}
+}
+
 func TestAccessModeEnforcement(t *testing.T) {
 	p, _ := newProc(t)
 	fd, _ := p.Open("/f", sys.O_CREAT|sys.O_WRONLY, 0o644)

@@ -189,7 +189,9 @@ func (p *Proc) writeInner(name string, fd int, buf []byte, off int64) (int, sys.
 	if e != sys.OK {
 		return 0, e
 	}
-	if advance {
+	// Linux moves the offset only when bytes were written: a zero-length
+	// write on an O_APPEND descriptor leaves it where it was.
+	if advance && n > 0 {
 		f.pos = pos + int64(n)
 	}
 	return n, sys.OK
@@ -219,7 +221,9 @@ func (p *Proc) writevInner(fd int, iovs [][]byte) (int, sys.Errno) {
 			}
 			return 0, e
 		}
-		f.pos = pos + int64(n)
+		if n > 0 {
+			f.pos = pos + int64(n)
+		}
 		total += n
 	}
 	return total, sys.OK

@@ -285,8 +285,8 @@ func executeCall(p *kernel.Proc, c Call, sig []string, bindings map[int]int) (in
 // arena bound): fuzzer-supplied counts above it — and negative counts,
 // which clamp to zero — cannot be expressed as an allocated buffer, so the
 // traced count of a buffer-length argument never exceeds the 2^26 bucket.
-// This is the irreducible untested-partition floor internal/evolve
-// documents for read.count/write.count-style spaces.
+// This is the irreducible untested-partition floor of buffer-length spaces,
+// the only labels the probe table declines.
 const MaxDataLen = 1 << 26 // 64 MiB arena
 
 // clampLen bounds fuzzer-supplied buffer sizes to something allocatable;

@@ -1,12 +1,15 @@
 package syz
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"iocov/internal/coverage"
 	"iocov/internal/kernel"
+	"iocov/internal/partition"
 	"iocov/internal/sys"
+	"iocov/internal/sysspec"
 	"iocov/internal/vfs"
 )
 
@@ -122,13 +125,65 @@ func TestSuggestClosesCoverageGaps(t *testing.T) {
 			t.Errorf("%s coverage did not improve: %d -> %d", dim, b, after[dim])
 		}
 	}
-	// Open flags become fully covered (every flag is generatable).
-	if got := an.InputReport("open", "flags").Covered(); got != 20 {
-		t.Errorf("open flags after probes = %d/20", got)
+	// Open flags and whence become fully covered, the invalid access mode
+	// and the invalid whence included: every label of theirs is reachable.
+	if got := an.InputReport("open", "flags").Covered(); got != 21 {
+		t.Errorf("open flags after probes = %d/21", got)
 	}
-	// Whence becomes fully covered except the invalid marker.
-	if got := an.InputReport("lseek", "whence").Covered(); got < 5 {
-		t.Errorf("whence after probes = %d", got)
+	if got := an.InputReport("lseek", "whence").Covered(); got != 6 {
+		t.Errorf("whence after probes = %d/6", got)
+	}
+}
+
+// TestTargetedProbesHitTheirPartition runs every probe the table builds,
+// for every (space, label) it serves, alone on a fresh kernel: each must
+// hit its own partition. The only labels the table may decline are the
+// buffer-length floor: "<0" and every bucket above MaxDataLen.
+func TestTargetedProbesHitTheirPartition(t *testing.T) {
+	table := sysspec.NewTable()
+	built := 0
+	for _, pr := range Probes() {
+		space := pr.Syscall + "." + pr.Arg
+		if ProbeFor(pr.Syscall, pr.Arg) == nil {
+			t.Errorf("%s: ProbeFor misses a table row", space)
+		}
+		var in partition.Input
+		for _, a := range table.Spec(pr.Syscall).TrackedArgs() {
+			if a.Name == pr.Arg {
+				in = partition.ForScheme(a.Scheme)
+			}
+		}
+		if in == nil {
+			t.Fatalf("%s: not a partitioned input space", space)
+		}
+		declined := 0
+		for ord, label := range in.Domain() {
+			prog, ok := pr.Build(label, "/probe")
+			if !ok {
+				declined++
+				if v, isNum := partition.NumericValue(label); !isNum || (v >= 0 && v <= MaxDataLen) {
+					t.Errorf("%s: no probe for reachable partition %q", space, label)
+				}
+				continue
+			}
+			built++
+			an, k := measuredAnalyzer(t, func(p *kernel.Proc) { _ = p.Mkdir("/probe", 0o777) })
+			Execute(k.NewProc(kernel.ProcOptions{Cred: vfs.Root}), []Program{prog})
+			if !slices.Contains(an.InputCoveredOrdinals(pr.Syscall, pr.Arg, nil), ord) {
+				t.Errorf("%s probe for %q missed its partition\n%s", space, label, prog.Format())
+			}
+		}
+		want := 0
+		switch space {
+		case "read.count", "write.count", "setxattr.size", "getxattr.size":
+			want = 1 + partition.MaxLog2 - 26 // "<0" and 2^27 .. 2^MaxLog2
+		}
+		if declined != want {
+			t.Errorf("%s: %d labels declined, want %d", space, declined, want)
+		}
+	}
+	if built == 0 {
+		t.Fatal("no probes built")
 	}
 }
 

@@ -19,7 +19,9 @@
 //     output coverage.
 //
 // A corpus generator (Generate) plays the role of the fuzzer itself, so the
-// whole fuzzer-evaluation pipeline can run hermetically.
+// whole fuzzer-evaluation pipeline can run hermetically. The probe table
+// (Probe, Suggest) runs the loop the other way: from an untested partition
+// to a program that covers it.
 package syz
 
 import (
