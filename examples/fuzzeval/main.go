@@ -61,10 +61,9 @@ func main() {
 		}
 	}
 	fmt.Println()
+	flags := exec.InputReport("open", "flags")
 	fmt.Printf("  untested flags the fuzzer did reach (vs. the suites): O_NOATIME=%d O_PATH=%d O_NOCTTY=%d\n",
-		exec.Input("open", "flags").Count("O_NOATIME"),
-		exec.Input("open", "flags").Count("O_PATH"),
-		exec.Input("open", "flags").Count("O_NOCTTY"))
+		flags.Count("O_NOATIME"), flags.Count("O_PATH"), flags.Count("O_NOCTTY"))
 }
 
 func corpusText(progs []syz.Program) string {

@@ -63,7 +63,7 @@ func main() {
 	out := an.OutputReport("open")
 	fmt.Printf("\nopen outputs: %d/%d partitions covered (OK=%d, ENOENT=%d)\n",
 		out.Covered(), out.DomainSize(),
-		an.Output("open").Count("OK"), an.Output("open").Count("ENOENT"))
+		out.Count("OK"), out.Count("ENOENT"))
 	fmt.Printf("TCD against a target of 10 tests per open flag: %.3f\n",
 		iocov.TCD(flags, 10))
 }

@@ -141,13 +141,13 @@ func TestUntestedPartitionsPredictBugTriggers(t *testing.T) {
 		}
 	}
 	// Bug 2 (largefile) needs O_LARGEFILE / >2GiB opens — flag untested.
-	if an.Input("open", "flags").Count("O_LARGEFILE") != 0 {
+	if an.InputReport("open", "flags").Count("O_LARGEFILE") != 0 {
 		t.Error("O_LARGEFILE tested; bug [62] class would be caught")
 	}
 	// Bug 3 (NOWAIT) needs O_NONBLOCK on an allocating write. The suite
 	// uses O_NONBLOCK on opens but never writes through those descriptors
 	// (they are O_RDONLY combos) — verify no write ENOSPC was recorded.
-	if an.Output("write").Count("ENOSPC") != 0 {
+	if an.OutputReport("write").Count("ENOSPC") != 0 {
 		t.Error("write ENOSPC exercised; NOWAIT bug would surface")
 	}
 }

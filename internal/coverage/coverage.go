@@ -54,8 +54,8 @@ type Analyzer struct {
 	table *sysspec.Table
 	opts  Options
 
-	inputs    map[argKey]*ArgCounter
-	outputs   map[string]*OutputCounter
+	inputs    map[argKey]*argCounter
+	outputs   map[string]*outputCounter
 	idents    map[argKey]*identCounter
 	combos    ComboStats
 	bitCombos map[argKey]map[string]int64
@@ -83,13 +83,13 @@ type compiledEntry struct {
 	spec   *sysspec.Spec
 	args   []compiledArg
 	idents []*sysspec.ArgSpec
-	out    *OutputCounter
+	out    *outputCounter
 	isOpen bool
 }
 
 // compiledArg pairs a pre-resolved counter with its event key.
 type compiledArg struct {
-	counter  *ArgCounter
+	counter  *argCounter
 	key      string
 	combo    bool // TrackCombinations && bitmap class
 	comboKey argKey
@@ -100,44 +100,21 @@ type argKey struct {
 	arg     string
 }
 
-// ArgCounter holds the per-partition frequencies for one tracked argument.
-type ArgCounter struct {
-	// Syscall is the (merged) syscall name.
-	Syscall string
-	// Arg is the argument name from the spec.
-	Arg string
-	// Class is the paper's argument class.
-	Class sysspec.ArgClass
-	// Scheme names the partitioning scheme.
-	Scheme string
-	// Counts maps partition label to observed frequency. It is a lazily
-	// materialized view over the dense ordinal counters, rebuilt by the
-	// Analyzer.Input accessor (and by Count) after new events arrive; the
-	// hot path itself never touches it.
-	Counts map[string]int64
-
+// argCounter holds the per-partition frequencies for one tracked argument,
+// one dense counter per ordinal of the scheme's domain.
+type argCounter struct {
 	idx    partition.Input
 	labels []string // Domain(), cached once
 	dense  []int64  // per-ordinal frequencies, indexed like labels
-	dirty  bool     // dense changed since Counts was last materialized
 }
 
-// OutputCounter holds per-partition output frequencies for one syscall.
-type OutputCounter struct {
-	// Syscall is the (merged) syscall name.
-	Syscall string
-	// Counts maps output partition label to frequency. Like
-	// ArgCounter.Counts it is a lazily materialized view (see
-	// Analyzer.Output).
-	Counts map[string]int64
-
-	spec  *sysspec.Spec
+// outputCounter holds the per-partition output frequencies for one syscall.
+type outputCounter struct {
 	out   *partition.OutputIndexer
-	dense []int64
+	dense []int64 // per-ordinal frequencies, indexed like out.Domain()
 	// extra counts errnos outside the spec's documented universe, which
 	// have no ordinal; reports surface them in their Extra section.
 	extra map[string]int64
-	dirty bool
 }
 
 // identCounter tracks distinct identifier values (future-work extension).
@@ -169,8 +146,8 @@ var (
 	// pointers are themselves process-wide statics from sysspec).
 	outputIndexers sync.Map // *sysspec.Spec -> *partition.OutputIndexer
 
-	// schemeIndexers caches the per-scheme indexer and its materialized
-	// label domain.
+	// schemeIndexers caches the per-scheme indexer and its label domain,
+	// built once.
 	schemeIndexers sync.Map // scheme string -> schemeIndexer
 )
 
@@ -213,8 +190,8 @@ func NewAnalyzer(opts Options) *Analyzer {
 	return &Analyzer{
 		table:     table,
 		opts:      opts,
-		inputs:    make(map[argKey]*ArgCounter),
-		outputs:   make(map[string]*OutputCounter),
+		inputs:    make(map[argKey]*argCounter),
+		outputs:   make(map[string]*outputCounter),
 		idents:    make(map[argKey]*identCounter),
 		combos:    ComboStats{All: make(map[int]int64), Rdonly: make(map[int]int64)},
 		bitCombos: make(map[argKey]map[string]int64),
@@ -275,7 +252,6 @@ func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 		for _, ord := range idxs {
 			c.dense[ord]++
 		}
-		c.dirty = true
 		if ca.combo {
 			a.addCombination(ca.comboKey, c.labels, idxs)
 		}
@@ -304,7 +280,6 @@ func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 	} else {
 		oc.addExtra(ev)
 	}
-	oc.dirty = true
 }
 
 // addExtra counts an errno outside the documented universe: no ordinal, so
@@ -314,7 +289,7 @@ func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 // format, so the hot path must not inline it.
 //
 //iocov:coldpath
-func (oc *OutputCounter) addExtra(ev *trace.Event) {
+func (oc *outputCounter) addExtra(ev *trace.Event) {
 	if oc.extra == nil {
 		oc.extra = make(map[string]int64)
 	}
@@ -348,13 +323,13 @@ func (a *Analyzer) compile(raw string) *compiledEntry {
 			continue
 		}
 		e.args = append(e.args, compiledArg{
-			counter:  a.argCounter(name, arg),
+			counter:  a.inputFor(name, arg),
 			key:      arg.Key,
 			combo:    a.opts.TrackCombinations && arg.Class == sysspec.Bitmap,
 			comboKey: argKey{name, arg.Name},
 		})
 	}
-	e.out = a.outputCounter(name, spec)
+	e.out = a.outputFor(name, spec)
 	a.compiled[raw] = e
 	return e
 }
@@ -366,20 +341,13 @@ func (a *Analyzer) AddAll(events []trace.Event) {
 	}
 }
 
-func (a *Analyzer) argCounter(name string, arg *sysspec.ArgSpec) *ArgCounter {
+// inputFor returns (creating on demand) the input counter for one argument.
+func (a *Analyzer) inputFor(name string, arg *sysspec.ArgSpec) *argCounter {
 	k := argKey{name, arg.Name}
 	c := a.inputs[k]
 	if c == nil {
 		si := sharedSchemeIndexer(arg.Scheme)
-		c = &ArgCounter{
-			Syscall: name,
-			Arg:     arg.Name,
-			Class:   arg.Class,
-			Scheme:  arg.Scheme,
-			idx:     si.idx,
-			labels:  si.labels,
-			dense:   a.denseFor(len(si.labels)),
-		}
+		c = &argCounter{idx: si.idx, labels: si.labels, dense: a.denseFor(len(si.labels))}
 		a.inputs[k] = c
 	}
 	return c
@@ -396,55 +364,15 @@ func (a *Analyzer) denseFor(n int) []int64 {
 	return make([]int64, n)
 }
 
-// outputCounter returns (creating on demand) the output counter for name.
-func (a *Analyzer) outputCounter(name string, spec *sysspec.Spec) *OutputCounter {
+// outputFor returns (creating on demand) the output counter for name.
+func (a *Analyzer) outputFor(name string, spec *sysspec.Spec) *outputCounter {
 	oc := a.outputs[name]
 	if oc == nil {
 		out := sharedOutputIndexer(spec)
-		oc = &OutputCounter{
-			Syscall: name,
-			spec:    spec,
-			out:     out,
-			dense:   a.denseFor(len(out.Domain())),
-		}
+		oc = &outputCounter{out: out, dense: a.denseFor(len(out.Domain()))}
 		a.outputs[name] = oc
 	}
 	return oc
-}
-
-// materialize rebuilds the public Counts view from the dense counters when
-// new events have arrived since the last build. Only labels with non-zero
-// counts appear, matching the map the per-event path used to maintain.
-func (c *ArgCounter) materialize() {
-	if !c.dirty && c.Counts != nil {
-		return
-	}
-	m := make(map[string]int64)
-	for ord, n := range c.dense {
-		if n != 0 {
-			m[c.labels[ord]] = n
-		}
-	}
-	c.Counts = m
-	c.dirty = false
-}
-
-func (c *OutputCounter) materialize() {
-	if !c.dirty && c.Counts != nil {
-		return
-	}
-	domain := c.out.Domain()
-	m := make(map[string]int64)
-	for ord, n := range c.dense {
-		if n != 0 {
-			m[domain[ord]] = n
-		}
-	}
-	for label, n := range c.extra {
-		m[label] += n
-	}
-	c.Counts = m
-	c.dirty = false
 }
 
 //iocov:coldpath
@@ -539,17 +467,17 @@ func (a *Analyzer) DistinctCombinations(syscall, arg string) int {
 func (a *Analyzer) PartitionHits() map[string]int64 {
 	out := make(map[string]int64)
 	for k, c := range a.inputs {
-		out[k.syscall] += c.Total()
+		for _, n := range c.dense {
+			out[k.syscall] += n
+		}
 	}
 	for name, c := range a.outputs {
-		var t int64
 		for _, n := range c.dense {
-			t += n
+			out[name] += n
 		}
 		for _, n := range c.extra {
-			t += n
+			out[name] += n
 		}
-		out[name] += t
 	}
 	return out
 }
@@ -588,74 +516,4 @@ func (a *Analyzer) Syscalls() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Input returns the counter for one argument, or nil when nothing was
-// recorded for it. The returned counter's Counts view reflects every event
-// added so far.
-func (a *Analyzer) Input(syscall, arg string) *ArgCounter {
-	c := a.inputs[argKey{syscall, arg}]
-	if c != nil {
-		c.materialize()
-	}
-	return c
-}
-
-// Output returns the output counter for a syscall, or nil. The returned
-// counter's Counts view reflects every event added so far.
-func (a *Analyzer) Output(syscall string) *OutputCounter {
-	c := a.outputs[syscall]
-	if c != nil {
-		c.materialize()
-	}
-	return c
-}
-
-// Count returns the frequency of one input partition (0 when untested).
-func (c *ArgCounter) Count(label string) int64 {
-	c.materialize()
-	return c.Counts[label]
-}
-
-// Domain returns the argument's full partition domain.
-func (c *ArgCounter) Domain() []string { return c.labels }
-
-// Total returns the sum of all partition counts.
-func (c *ArgCounter) Total() int64 {
-	var t int64
-	for _, n := range c.dense {
-		t += n
-	}
-	return t
-}
-
-// Count returns the frequency of one output partition.
-func (c *OutputCounter) Count(label string) int64 {
-	c.materialize()
-	return c.Counts[label]
-}
-
-// Domain returns the syscall's full output partition domain.
-func (c *OutputCounter) Domain() []string { return c.out.Domain() }
-
-// SuccessCount sums the success partitions.
-func (c *OutputCounter) SuccessCount() int64 {
-	var t int64
-	for _, n := range c.dense[:c.out.SuccessOrdinals()] {
-		t += n
-	}
-	return t
-}
-
-// ErrorCount sums the failure partitions. Extra (undocumented) errnos are
-// failures by construction: every success partition has an ordinal.
-func (c *OutputCounter) ErrorCount() int64 {
-	var t int64
-	for _, n := range c.dense[c.out.SuccessOrdinals():] {
-		t += n
-	}
-	for _, n := range c.extra {
-		t += n
-	}
-	return t
 }

@@ -30,12 +30,12 @@ func TestInputCoverageOpenFlags(t *testing.T) {
 	a.Add(openEvent(0, 0, 3, sys.OK))                                             // O_RDONLY
 	a.Add(openEvent(int64(sys.O_WRONLY|sys.O_CREAT), 0o644, 4, sys.OK))           // 2 flags
 	a.Add(openEvent(int64(sys.O_RDWR|sys.O_CREAT|sys.O_TRUNC), 0o644, 5, sys.OK)) // 3 flags
-	c := a.Input("open", "flags")
+	c := a.InputReport("open", "flags")
 	if c == nil {
 		t.Fatal("no open flags coverage")
 	}
 	if c.Count("O_RDONLY") != 1 || c.Count("O_CREAT") != 2 || c.Count("O_TRUNC") != 1 {
-		t.Errorf("counts = %v", c.Counts)
+		t.Errorf("counts = %v", c.Rows)
 	}
 	if c.Count("O_SYNC") != 0 {
 		t.Errorf("O_SYNC = %d, want 0", c.Count("O_SYNC"))
@@ -65,13 +65,13 @@ func TestVariantMerging(t *testing.T) {
 	a.Add(trace.Event{Name: "creat", Path: "/f", PID: 1,
 		Args: map[string]int64{"mode": 0o644}, Ret: 4})
 	a.Add(openEvent(0, 0, 5, sys.OK))
-	c := a.Input("open", "flags")
+	c := a.InputReport("open", "flags")
 	// creat has no flags argument, so only openat + open contribute.
 	if c.Count("O_RDONLY") != 2 {
 		t.Errorf("merged O_RDONLY = %d, want 2", c.Count("O_RDONLY"))
 	}
 	// But all three land in open's output space.
-	oc := a.Output("open")
+	oc := a.OutputReport("open")
 	if oc.Count("OK") != 3 {
 		t.Errorf("merged OK = %d, want 3", oc.Count("OK"))
 	}
@@ -82,11 +82,11 @@ func TestMergingDisabled(t *testing.T) {
 	a.Add(trace.Event{Name: "openat", Path: "/f", PID: 1,
 		Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3})
 	a.Add(openEvent(0, 0, 4, sys.OK))
-	if a.Output("open").Count("OK") != 1 {
-		t.Errorf("open OK = %d, want 1", a.Output("open").Count("OK"))
+	if a.OutputReport("open").Count("OK") != 1 {
+		t.Errorf("open OK = %d, want 1", a.OutputReport("open").Count("OK"))
 	}
-	if a.Output("openat").Count("OK") != 1 {
-		t.Errorf("openat OK = %d, want 1", a.Output("openat").Count("OK"))
+	if a.OutputReport("openat").Count("OK") != 1 {
+		t.Errorf("openat OK = %d, want 1", a.OutputReport("openat").Count("OK"))
 	}
 }
 
@@ -97,9 +97,9 @@ func TestWriteSizePartitions(t *testing.T) {
 	a.Add(writeEvent(1024, 1024, sys.OK))
 	a.Add(writeEvent(2000, 2000, sys.OK))
 	a.Add(writeEvent(1<<28, 1<<28, sys.OK))
-	c := a.Input("write", "count")
+	c := a.InputReport("write", "count")
 	if c.Count("=0") != 1 || c.Count("2^0") != 1 || c.Count("2^10") != 2 || c.Count("2^28") != 1 {
-		t.Errorf("counts = %v", c.Counts)
+		t.Errorf("counts = %v", c.Rows)
 	}
 }
 
@@ -109,12 +109,17 @@ func TestOutputCoverage(t *testing.T) {
 	a.Add(openEvent(0, 0, -2, sys.ENOENT))
 	a.Add(openEvent(0, 0, -13, sys.EACCES))
 	a.Add(openEvent(0, 0, -2, sys.ENOENT))
-	oc := a.Output("open")
+	oc := a.OutputReport("open")
 	if oc.Count("OK") != 1 || oc.Count("ENOENT") != 2 || oc.Count("EACCES") != 1 {
-		t.Errorf("output counts = %v", oc.Counts)
+		t.Errorf("output counts = %v", oc.Rows)
 	}
-	if oc.SuccessCount() != 1 || oc.ErrorCount() != 3 {
-		t.Errorf("success/error = %d/%d", oc.SuccessCount(), oc.ErrorCount())
+	// open's one success partition is row 0; every later row is an errno.
+	var errs int64
+	for _, row := range oc.Rows[1:] {
+		errs += row.Count
+	}
+	if oc.Rows[0].Count != 1 || errs != 3 {
+		t.Errorf("success/error = %d/%d", oc.Rows[0].Count, errs)
 	}
 	rep := a.OutputReport("open")
 	if rep.DomainSize() != 28 {
@@ -130,9 +135,9 @@ func TestWriteOutputByteBuckets(t *testing.T) {
 	a.Add(writeEvent(4096, 4096, sys.OK))
 	a.Add(writeEvent(10, 10, sys.OK))
 	a.Add(writeEvent(10, 0, sys.ENOSPC))
-	oc := a.Output("write")
+	oc := a.OutputReport("write")
 	if oc.Count("OK:2^12") != 1 || oc.Count("OK:2^3") != 1 || oc.Count("ENOSPC") != 1 {
-		t.Errorf("write output = %v", oc.Counts)
+		t.Errorf("write output = %v", oc.Rows)
 	}
 }
 
@@ -190,12 +195,12 @@ func TestPreadOffsetOnlyForPread(t *testing.T) {
 	// because the spec restricts the pos argument to pread64.
 	a.Add(trace.Event{Name: "read", PID: 1,
 		Args: map[string]int64{"fd": 3, "count": 10, "pos": 5}, Ret: 10})
-	if c := a.Input("read", "pos"); c != nil {
-		t.Errorf("read pos counted: %v", c.Counts)
+	if c := a.InputReport("read", "pos"); c != nil {
+		t.Errorf("read pos counted: %v", c.Rows)
 	}
 	a.Add(trace.Event{Name: "pread64", PID: 1,
 		Args: map[string]int64{"fd": 3, "count": 10, "pos": 5}, Ret: 10})
-	c := a.Input("read", "pos")
+	c := a.InputReport("read", "pos")
 	if c == nil || c.Count("2^2") != 1 {
 		t.Errorf("pread pos missing: %+v", c)
 	}

@@ -68,12 +68,12 @@ func TestExtendedSyscalls(t *testing.T) {
 	if a.Skipped() != 0 {
 		t.Errorf("extended analyzer skipped %d", a.Skipped())
 	}
-	if a.Output("unlink").Count("OK") != 1 {
-		t.Errorf("unlink outputs = %v", a.Output("unlink").Counts)
+	if a.OutputReport("unlink").Count("OK") != 1 {
+		t.Errorf("unlink outputs = %v", a.OutputReport("unlink").Rows)
 	}
 	// renameat2 merges into rename.
-	if a.Output("rename").Count("OK") != 1 || a.Output("rename").Count("ENOENT") != 1 {
-		t.Errorf("rename outputs = %v", a.Output("rename").Counts)
+	if a.OutputReport("rename").Count("OK") != 1 || a.OutputReport("rename").Count("ENOENT") != 1 {
+		t.Errorf("rename outputs = %v", a.OutputReport("rename").Rows)
 	}
 	rep := a.OutputReport("rename")
 	if rep.DomainSize() < 10 {

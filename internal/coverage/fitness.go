@@ -3,56 +3,13 @@ package coverage
 // Fitness accessors for the evolutionary workload generator (internal/
 // evolve). The evolve loop inspects coverage once per candidate program and
 // once per generation; going through InputReport/Snapshot for that would
-// materialize label-keyed count maps and build report rows thousands of
-// times per run. These accessors read the dense ordinal counters directly —
-// no map materialization, no report construction, no label formatting — so
-// a fitness probe costs one map lookup plus a slice walk.
+// build labelled report rows thousands of times per run. These accessors
+// read the dense ordinal counters directly — no report construction, no
+// label formatting — so a fitness probe costs one map lookup plus a slice
+// walk.
 //
 // All of them are order-independent slice folds over per-ordinal state, so
 // they are safe to call from //iocov:deterministic roots.
-
-// SpaceStat is the cheap per-space fitness view: how many of a space's
-// domain partitions have been hit.
-type SpaceStat struct {
-	// Domain is the number of partitions in the space's declared domain.
-	Domain int
-	// Covered is the number of partitions with a non-zero count.
-	Covered int
-}
-
-// InputStat returns the covered/domain counts for one input argument space
-// straight off the dense counters. ok is false when the syscall has never
-// been observed (no counter exists yet).
-func (a *Analyzer) InputStat(syscall, arg string) (SpaceStat, bool) {
-	c := a.inputs[argKey{syscall, arg}]
-	if c == nil {
-		return SpaceStat{}, false
-	}
-	st := SpaceStat{Domain: len(c.dense)}
-	for _, n := range c.dense {
-		if n != 0 {
-			st.Covered++
-		}
-	}
-	return st, true
-}
-
-// OutputStat is InputStat for a syscall's output space. Errnos outside the
-// documented universe (the report's Extra section) have no ordinal and are
-// not part of Domain or Covered.
-func (a *Analyzer) OutputStat(syscall string) (SpaceStat, bool) {
-	c := a.outputs[syscall]
-	if c == nil {
-		return SpaceStat{}, false
-	}
-	st := SpaceStat{Domain: len(c.dense)}
-	for _, n := range c.dense {
-		if n != 0 {
-			st.Covered++
-		}
-	}
-	return st, true
-}
 
 // InputCoveredOrdinals appends the domain ordinals with non-zero counts for
 // one input space to scratch and returns the extended slice (ordinals index

@@ -10,9 +10,10 @@ import (
 
 // FuzzSnapshotRestore fuzzes checkpoint restore, the one snapshot input the
 // ingest daemon reads from disk at startup: LoadSnapshot on arbitrary bytes,
-// then MergeSnapshots of the loaded snapshot with a real one in both orders
-// and with itself. Nothing may panic, and every merge result must encode
-// with WriteJSON and load back with the event totals intact.
+// Restore into a fresh analyzer, Merge a live analyzer into it, Snapshot.
+// Nothing may panic, and whenever Restore accepts the input the result must
+// encode to the bytes of the label-keyed reference,
+// MergeSnapshots(restored.Snapshot(0), live.Snapshot(0)).
 func FuzzSnapshotRestore(f *testing.F) {
 	an := NewAnalyzer(DefaultOptions())
 	an.Add(openEvent(int64(sys.O_WRONLY|sys.O_CREAT|sys.O_SYNC), 0o644, 3, sys.OK))
@@ -31,25 +32,26 @@ func FuzzSnapshotRestore(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"analyzed":1,"inputs":[{"syscall":"open","arg":"flags","domain":2,"covered":1,"counts":{"O_RDONLY":1},"untested":["O_RDONLY","O_RDONLY"]},{"syscall":"open","arg":"flags","domain":-3}],"outputs":[{"syscall":"zz"},{"syscall":"open","extra":{"E":9223372036854775807}}],"open_combos":{"all":{"-1":1},"rdonly":null}}`))
+	for _, body := range corruptCheckpoints {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := LoadSnapshot(bytes.NewReader(data))
+		snap, err := LoadSnapshot(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		for _, pair := range [][2]*Snapshot{{restored, live}, {live, restored}, {restored, restored}} {
-			merged := MergeSnapshots(pair[0], pair[1])
-			var buf bytes.Buffer
-			if err := merged.WriteJSON(&buf); err != nil {
-				t.Fatalf("WriteJSON of a merge: %v", err)
-			}
-			back, err := LoadSnapshot(&buf)
-			if err != nil {
-				t.Fatalf("merge result does not reload: %v\n%s", err, buf.Bytes())
-			}
-			if back.Analyzed != pair[0].Analyzed+pair[1].Analyzed || back.Skipped != pair[0].Skipped+pair[1].Skipped {
-				t.Fatalf("reloaded totals %d/%d, want %d/%d", back.Analyzed, back.Skipped,
-					pair[0].Analyzed+pair[1].Analyzed, pair[0].Skipped+pair[1].Skipped)
-			}
+		restored := NewAnalyzer(DefaultOptions())
+		restoreErr := restored.Restore(snap)
+		var want []byte
+		if restoreErr == nil {
+			want = snapshotBytes(t, MergeSnapshots(restored.Snapshot(0), live))
+		}
+		if err := restored.Merge(an); err != nil {
+			t.Fatalf("Merge: %v", err)
+		}
+		got := snapshotBytes(t, restored.Snapshot(0))
+		if restoreErr == nil && !bytes.Equal(got, want) {
+			t.Fatalf("restore+merge differs from MergeSnapshots\n got: %s\nwant: %s", got, want)
 		}
 	})
 }

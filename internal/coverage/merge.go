@@ -43,28 +43,18 @@ func (a *Analyzer) Merge(b *Analyzer) error {
 	for k, bc := range b.inputs {
 		ac := a.inputs[k]
 		if ac == nil {
-			ac = &ArgCounter{
-				Syscall: bc.Syscall,
-				Arg:     bc.Arg,
-				Class:   bc.Class,
-				Scheme:  bc.Scheme,
-				idx:     bc.idx,
-				labels:  bc.labels,
-				dense:   a.denseFor(len(bc.dense)),
-			}
+			ac = &argCounter{idx: bc.idx, labels: bc.labels, dense: a.denseFor(len(bc.dense))}
 			a.inputs[k] = ac
 		}
 		for ord, n := range bc.dense {
 			ac.dense[ord] += n
 		}
-		ac.dirty = true
 	}
 
 	for name, bc := range b.outputs {
 		ac := a.outputs[name]
 		if ac == nil {
-			ac = &OutputCounter{Syscall: bc.Syscall, spec: bc.spec, out: bc.out,
-				dense: a.denseFor(len(bc.dense))}
+			ac = &outputCounter{out: bc.out, dense: a.denseFor(len(bc.dense))}
 			a.outputs[name] = ac
 		}
 		for ord, n := range bc.dense {
@@ -76,7 +66,6 @@ func (a *Analyzer) Merge(b *Analyzer) error {
 			}
 			ac.extra[label] += n
 		}
-		ac.dirty = true
 	}
 
 	for k, bn := range b.combos.All {

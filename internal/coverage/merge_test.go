@@ -63,13 +63,13 @@ func TestMergeDisjointKeys(t *testing.T) {
 	if a.Analyzed() != 2 || a.Skipped() != 1 {
 		t.Errorf("analyzed/skipped = %d/%d, want 2/1", a.Analyzed(), a.Skipped())
 	}
-	if c := a.Input("open", "flags"); c == nil || c.Count("O_CREAT") != 1 {
+	if c := a.InputReport("open", "flags"); c == nil || c.Count("O_CREAT") != 1 {
 		t.Errorf("open flags lost in merge: %+v", c)
 	}
-	if c := a.Input("write", "count"); c == nil || c.Count("2^12") != 1 {
+	if c := a.InputReport("write", "count"); c == nil || c.Count("2^12") != 1 {
 		t.Errorf("write count missing after merge: %+v", c)
 	}
-	if oc := a.Output("write"); oc == nil || oc.Count("OK:2^12") != 1 {
+	if oc := a.OutputReport("write"); oc == nil || oc.Count("OK:2^12") != 1 {
 		t.Errorf("write output missing after merge: %+v", oc)
 	}
 }

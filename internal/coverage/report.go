@@ -28,7 +28,7 @@ type Report struct {
 func (r *Report) Covered() int {
 	n := 0
 	for _, row := range r.Rows {
-		if row.Count > 0 {
+		if row.Count != 0 {
 			n++
 		}
 	}
@@ -105,40 +105,49 @@ func (r *Report) TrimZeroTail(min int) *Report {
 	return &out
 }
 
+// Count returns one partition's frequency: its row's count, else its Extra
+// count, else 0.
+func (r *Report) Count(label string) int64 {
+	for _, rows := range [][]Row{r.Rows, r.Extra} {
+		for _, row := range rows {
+			if row.Label == label {
+				return row.Count
+			}
+		}
+	}
+	return 0
+}
+
 // InputReport builds the report for one argument. A nil report means the
 // argument was never observed (syscall never called).
 func (a *Analyzer) InputReport(syscall, arg string) *Report {
-	c := a.Input(syscall, arg)
+	c := a.inputs[argKey{syscall, arg}]
 	if c == nil {
 		return nil
 	}
-	return buildReport(syscall, arg, c.Domain(), c.Counts)
+	return buildReport(syscall, arg, c.labels, c.dense, nil)
 }
 
-// OutputReport builds the report for one syscall's output space.
+// OutputReport builds the report for one syscall's output space, or nil
+// when the syscall was never observed.
 func (a *Analyzer) OutputReport(syscall string) *Report {
-	c := a.Output(syscall)
+	c := a.outputs[syscall]
 	if c == nil {
 		return nil
 	}
-	return buildReport(syscall, "", c.Domain(), c.Counts)
+	return buildReport(syscall, "", c.out.Domain(), c.dense, c.extra)
 }
 
-func buildReport(syscall, arg string, domain []string, counts map[string]int64) *Report {
-	r := &Report{Syscall: syscall, Arg: arg}
-	inDomain := make(map[string]bool, len(domain))
-	for _, label := range domain {
-		inDomain[label] = true
-		r.Rows = append(r.Rows, Row{Label: label, Count: counts[label]})
+// buildReport reads one space's dense counters, in domain order, and its
+// extra counts, in label order.
+func buildReport(syscall, arg string, domain []string, dense []int64, extra map[string]int64) *Report {
+	r := &Report{Syscall: syscall, Arg: arg, Rows: make([]Row, len(domain))}
+	for ord, label := range domain {
+		r.Rows[ord] = Row{Label: label, Count: dense[ord]}
 	}
-	var extra []Row
-	for label, n := range counts {
-		if !inDomain[label] {
-			extra = append(extra, Row{Label: label, Count: n})
-		}
+	for _, label := range sortedKeys(extra) {
+		r.Extra = append(r.Extra, Row{Label: label, Count: extra[label]})
 	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i].Label < extra[j].Label })
-	r.Extra = extra
 	return r
 }
 
@@ -230,13 +239,13 @@ func (a *Analyzer) UntestedAll(maxNumeric int) []UntestedSummary {
 			if rep == nil {
 				continue
 			}
-			labels := trimNumericDomain(rep, arg.Scheme, maxNumeric).Untested()
+			labels := trimNumericDomain(rep, maxNumeric).Untested()
 			if len(labels) > 0 {
 				out = append(out, UntestedSummary{Syscall: name, Arg: arg.Name, Labels: labels})
 			}
 		}
 		if rep := a.OutputReport(name); rep != nil {
-			labels := trimNumericDomain(rep, "", maxNumeric).Untested()
+			labels := trimNumericDomain(rep, maxNumeric).Untested()
 			if len(labels) > 0 {
 				out = append(out, UntestedSummary{Syscall: name, Labels: labels})
 			}
@@ -245,7 +254,7 @@ func (a *Analyzer) UntestedAll(maxNumeric int) []UntestedSummary {
 	return out
 }
 
-func trimNumericDomain(r *Report, scheme string, maxRows int) *Report {
+func trimNumericDomain(r *Report, maxRows int) *Report {
 	if maxRows > 0 && len(r.Rows) > maxRows {
 		out := *r
 		out.Rows = r.Rows[:maxRows]

@@ -37,7 +37,7 @@ func TestResetMatchesFresh(t *testing.T) {
 	reused := NewAnalyzer(opts)
 	resetStream(reused)
 	resetStream(reused)
-	_ = analyzerBytes(t, reused) // force Counts materialization before Reset
+	_ = analyzerBytes(t, reused) // a render before Reset must leave no state behind
 	reused.Reset()
 
 	fresh := NewAnalyzer(opts)
@@ -106,10 +106,10 @@ func TestBatchReset(t *testing.T) {
 	// New stream: ordinal 0 is now "write"; a stale cache would count it as open.
 	wev := writeEvent(64, 64, sys.OK)
 	b.Add(&wev, 0)
-	if a.Output("open") != nil {
+	if a.OutputReport("open") != nil {
 		t.Error("stale batch entry dispatched ordinal 0 to open")
 	}
-	if c := a.Output("write"); c == nil || c.Count("OK:2^6") == 0 {
+	if c := a.OutputReport("write"); c == nil || c.Count("OK:2^6") == 0 {
 		t.Errorf("write output not counted after Reset; counter = %+v", c)
 	}
 }

@@ -2,8 +2,12 @@ package coverage
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"slices"
 	"sort"
+
+	"iocov/internal/sysspec"
 )
 
 // Snapshot is a serializable view of an analyzer's complete state, for
@@ -59,11 +63,11 @@ func (a *Analyzer) Snapshot(maxNumeric int) *Snapshot {
 			if rep == nil {
 				continue
 			}
-			rep = trimNumericDomain(rep, arg.Scheme, maxNumeric)
+			rep = trimNumericDomain(rep, maxNumeric)
 			s.Inputs = append(s.Inputs, snapshotSpace(rep, arg.Class.String()))
 		}
 		if rep := a.OutputReport(name); rep != nil {
-			rep = trimNumericDomain(rep, "", maxNumeric)
+			rep = trimNumericDomain(rep, maxNumeric)
 			s.Outputs = append(s.Outputs, snapshotSpace(rep, ""))
 		}
 	}
@@ -83,7 +87,7 @@ func snapshotSpace(rep *Report, class string) SnapshotSpace {
 		Counts:  make(map[string]int64),
 	}
 	for _, row := range rep.Rows {
-		if row.Count > 0 {
+		if row.Count != 0 {
 			sp.Counts[row.Label] = row.Count
 		}
 	}
@@ -95,6 +99,119 @@ func snapshotSpace(rep *Report, class string) SnapshotSpace {
 		}
 	}
 	return sp
+}
+
+// Restore adds a snapshot's counts to the analyzer's dense counters: the
+// inverse of Snapshot, so an analyzer restored from a checkpoint merges and
+// renders like one that saw the events. Each input label loads at its
+// scheme ordinal and each output label at its output-domain ordinal; output
+// labels outside the domain, like the Extra section, load as extra errnos.
+// OpenCombos and the event totals load as they are. Class, Domain, Covered
+// and Untested are derived on render and ignored here.
+//
+// Restore rejects what this analyzer could not have produced: an unknown
+// syscall or argument, an input label outside its domain, an input space
+// with an Extra section, any negative count or total (or one that overflows
+// the counter), and more O_RDONLY opens than opens for a flag count. On
+// error the analyzer holds part of the snapshot and should be discarded.
+func (a *Analyzer) Restore(s *Snapshot) error {
+	var okA, okS bool
+	a.analyzed, okA = restoreSum(a.analyzed, s.Analyzed)
+	a.skipped, okS = restoreSum(a.skipped, s.Skipped)
+	if !okA || !okS {
+		return fmt.Errorf("coverage: bad event totals %d/%d", s.Analyzed, s.Skipped)
+	}
+	for i := range s.Inputs {
+		sp := &s.Inputs[i]
+		arg := a.restoreArg(sp.Syscall, sp.Arg)
+		if arg == nil || len(sp.Extra) > 0 {
+			return fmt.Errorf("coverage: unknown input space %s.%s, or one with extra partitions", sp.Syscall, sp.Arg)
+		}
+		c := a.inputFor(sp.Syscall, arg)
+		for label, n := range sp.Counts {
+			var ok bool
+			if ord := slices.Index(c.labels, label); ord >= 0 {
+				c.dense[ord], ok = restoreSum(c.dense[ord], n)
+			}
+			if !ok {
+				return fmt.Errorf("coverage: %s.%s: bad count %q: %d", sp.Syscall, sp.Arg, label, n)
+			}
+		}
+	}
+	for i := range s.Outputs {
+		sp := &s.Outputs[i]
+		spec := a.restoreSpec(sp.Syscall)
+		if spec == nil {
+			return fmt.Errorf("coverage: unknown output space %s", sp.Syscall)
+		}
+		c := a.outputFor(sp.Syscall, spec)
+		for _, counts := range []map[string]int64{sp.Counts, sp.Extra} {
+			for label, n := range counts {
+				var ok bool
+				if ord := slices.Index(c.out.Domain(), label); ord >= 0 {
+					c.dense[ord], ok = restoreSum(c.dense[ord], n)
+				} else {
+					if c.extra == nil {
+						c.extra = make(map[string]int64)
+					}
+					c.extra[label], ok = restoreSum(c.extra[label], n)
+				}
+				if !ok {
+					return fmt.Errorf("coverage: %s output: bad count %q: %d", sp.Syscall, label, n)
+				}
+			}
+		}
+	}
+	if c := s.OpenCombos; c != nil {
+		for _, m := range [][2]map[int]int64{{a.combos.All, c.All}, {a.combos.Rdonly, c.Rdonly}} {
+			for k, n := range m[1] {
+				if n == 0 {
+					continue // no opens: Snapshot never writes the key
+				}
+				var ok bool
+				if m[0][k], ok = restoreSum(m[0][k], n); !ok {
+					return fmt.Errorf("coverage: open combos: bad count %d: %d", k, n)
+				}
+			}
+		}
+	}
+	// The O_RDONLY row of Table 1 counts a subset of all opens.
+	for k, n := range a.combos.Rdonly {
+		if n > a.combos.All[k] {
+			return fmt.Errorf("coverage: open combos: %d O_RDONLY opens of %d flags, but %d opens", n, k, a.combos.All[k])
+		}
+	}
+	return nil
+}
+
+// restoreSum adds a restored count to a counter; ok is false when the count
+// is negative or the sum overflows.
+func restoreSum(x, n int64) (sum int64, ok bool) { return x + n, n >= 0 && x+n >= x }
+
+// restoreSpec resolves a snapshot space's syscall name to its spec, or nil
+// when this analyzer never names a space that way.
+func (a *Analyzer) restoreSpec(name string) *sysspec.Spec {
+	spec := a.table.Base(name)
+	if spec != nil && a.opts.MergeVariants && spec.Base != name {
+		return nil
+	}
+	return spec
+}
+
+// restoreArg resolves a snapshot input space to its tracked argument, or nil
+// when this analyzer never counts that argument under that name.
+func (a *Analyzer) restoreArg(name, arg string) *sysspec.ArgSpec {
+	spec := a.restoreSpec(name)
+	if spec == nil {
+		return nil
+	}
+	for i := range spec.Args {
+		as := &spec.Args[i]
+		if as.Name == arg && as.Class != sysspec.Identifier && (a.opts.MergeVariants || as.ArgAppliesTo(name)) {
+			return as
+		}
+	}
+	return nil
 }
 
 // WriteJSON serializes the snapshot as indented JSON.

@@ -2,9 +2,12 @@ package coverage
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"testing"
 
 	"iocov/internal/sys"
+	"iocov/internal/trace"
 )
 
 func snapshotFixture(t *testing.T) *Snapshot {
@@ -128,5 +131,62 @@ func TestSnapshotNumericTruncation(t *testing.T) {
 	wc := s.Space("write", "count")
 	if wc.Domain != 10 {
 		t.Errorf("truncated domain = %d, want 10", wc.Domain)
+	}
+}
+
+// TestRestoreRoundTrip: an analyzer restored from another's snapshot renders
+// the same bytes, with variant merging on and off. The 2^40 write lies past
+// the Figure 3 window, so neither side shows it.
+func TestRestoreRoundTrip(t *testing.T) {
+	for _, opts := range []Options{DefaultOptions(), {}} {
+		a := NewAnalyzer(opts)
+		a.Add(openEvent(int64(sys.O_RDWR|sys.O_CREAT|sys.O_TRUNC), 0o600, 5, sys.OK))
+		a.Add(openEvent(0, 0, -2, sys.ENOENT))
+		a.Add(trace.Event{Name: "openat", PID: 1, Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3})
+		a.Add(trace.Event{Name: "pread64", PID: 1, Args: map[string]int64{"fd": 3, "count": 10, "pos": 5}, Ret: 10})
+		a.Add(writeEvent(1<<40, 1<<40, sys.OK))
+		a.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES)) // undocumented: Extra
+		a.Add(trace.Event{Name: "bogus_syscall", PID: 1})
+		want := snapshotBytes(t, a.Snapshot(0))
+
+		restored := NewAnalyzer(opts)
+		if err := restored.Restore(a.Snapshot(0)); err != nil {
+			t.Fatalf("Restore(%+v): %v", opts, err)
+		}
+		if got := snapshotBytes(t, restored.Snapshot(0)); !bytes.Equal(got, want) {
+			t.Errorf("restored snapshot differs (%+v)\n got: %s\nwant: %s", opts, got, want)
+		}
+	}
+}
+
+// corruptCheckpoints are snapshots no analyzer with the default options
+// could have written; Restore must reject each. The server's startup test
+// and the fuzz target's seeds reuse them.
+var corruptCheckpoints = []string{
+	`{"inputs":[{"syscall":"open","arg":"flags","domain":-3,"counts":{"O_BOGUS":5}}]}`,
+	`{"inputs":[{"syscall":"no_such_call","arg":"flags","counts":{"O_RDONLY":-7}}]}`,
+	`{"analyzed":-4,"outputs":[{"syscall":"open","counts":{"OK":-9}}]}`,
+	`{"inputs":[{"syscall":"open","arg":"no_such_arg","counts":{}}]}`,
+	`{"inputs":[{"syscall":"open","arg":"filename","counts":{}}]}`,
+	`{"inputs":[{"syscall":"openat","arg":"flags","counts":{"O_RDONLY":1}}]}`,
+	`{"inputs":[{"syscall":"open","arg":"flags","counts":{"O_RDONLY":-1}}]}`,
+	`{"inputs":[{"syscall":"open","arg":"flags","counts":{},"extra":{"O_BOGUS":1}}]}`,
+	`{"outputs":[{"syscall":"no_such_call","counts":{"OK":1}}]}`,
+	`{"outputs":[{"syscall":"write","extra":{"EACCES":-1}}]}`,
+	`{"skipped":-1}`,
+	`{"open_combos":{"all":{"1":1},"rdonly":{"1":-1}}}`,
+	`{"open_combos":{"all":{"1":1},"rdonly":{"1":2}}}`,
+	`{"outputs":[{"syscall":"open","counts":{"OK":` + strconv.FormatInt(math.MaxInt64, 10) + `}},{"syscall":"open","counts":{"OK":1}}]}`,
+}
+
+func TestRestoreRejectsCorrupt(t *testing.T) {
+	for _, body := range corruptCheckpoints {
+		snap, err := LoadSnapshot(bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatalf("LoadSnapshot(%s): %v", body, err)
+		}
+		if err := NewAnalyzer(DefaultOptions()).Restore(snap); err == nil {
+			t.Errorf("Restore accepted %s", body)
+		}
 	}
 }

@@ -3,15 +3,16 @@ package coverage
 import "sort"
 
 // MergeSnapshots combines two serialized coverage snapshots additively, the
-// snapshot-level counterpart of Analyzer.Merge. Both snapshots must come
-// from analyzers built with identical Options (same syscall table, same
+// label-keyed counterpart of Analyzer.Merge. Both snapshots must come from
+// analyzers built with identical Options (same syscall table, same
 // numeric-domain truncation), so every space the two share has the same
 // partition domain. The result is byte-identical, once encoded with
 // WriteJSON, to the snapshot a single analyzer would produce after merging
-// the underlying analyzers — the contract the aggregation daemon's
-// checkpoint-restore path depends on: a restored baseline snapshot merged
-// with the live analyzer's snapshot must reproduce exactly what one
-// long-lived analyzer would have reported.
+// the underlying analyzers.
+//
+// It is only the reference now: the daemon restores checkpoints with
+// Analyzer.Restore and merges analyzers, and the tests and the benchmark
+// check that path against this label merge.
 //
 // Nil arguments are treated as empty; the inputs are never mutated.
 //

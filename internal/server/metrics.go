@@ -128,9 +128,9 @@ func (m *Metrics) WriteProm(w io.Writer, analyzed, skipped, sessions int64) erro
 			fmt.Sprintf("%d", m.EventsIngested.Load())},
 		{"iocovd_events_filtered_total", "Events dropped by the mount filter.", "counter",
 			fmt.Sprintf("%d", m.EventsFiltered.Load())},
-		{"iocovd_events_analyzed_total", "In-scope events analyzed (including restored baseline).", "counter",
+		{"iocovd_events_analyzed_total", "In-scope events analyzed (including restored checkpoint).", "counter",
 			fmt.Sprintf("%d", analyzed)},
-		{"iocovd_events_skipped_total", "Out-of-scope events skipped (including restored baseline).", "counter",
+		{"iocovd_events_skipped_total", "Out-of-scope events skipped (including restored checkpoint).", "counter",
 			fmt.Sprintf("%d", skipped)},
 		{"iocovd_bytes_read_total", "Raw ingest stream bytes consumed.", "counter",
 			fmt.Sprintf("%d", m.BytesRead.Load())},

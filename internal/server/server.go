@@ -415,7 +415,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 // handleTCD serves the Test Coverage Deviation of one coverage space
 // against a uniform target, computed from the global snapshot (so it
-// includes any restored baseline).
+// includes any restored checkpoint).
 func (s *Server) handleTCD(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "tcd requires GET")

@@ -620,15 +620,23 @@ func TestRunCheckpointLoop(t *testing.T) {
 }
 
 // TestRestoreCorruptCheckpoint: a corrupt checkpoint fails startup loudly
-// instead of silently dropping history.
+// instead of silently dropping history or serving it back. Besides bytes
+// that are not JSON, that covers JSON no analyzer could have written: a
+// label outside its domain, an unknown syscall, negative counts and totals.
 func TestRestoreCorruptCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	ckpt := filepath.Join(dir, "ckpt.json")
-	if err := os.WriteFile(ckpt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(Config{CheckpointPath: ckpt}); err == nil {
-		t.Error("New accepted corrupt checkpoint")
+	ckpt := filepath.Join(t.TempDir(), "ckpt.json")
+	for _, body := range []string{
+		"{not json",
+		`{"inputs":[{"syscall":"open","arg":"flags","domain":-3,"counts":{"O_BOGUS":5}}]}`,
+		`{"inputs":[{"syscall":"no_such_call","arg":"flags","counts":{"O_RDONLY":-7}}]}`,
+		`{"analyzed":-4,"outputs":[{"syscall":"open","counts":{"OK":-9}}]}`,
+	} {
+		if err := os.WriteFile(ckpt, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := New(Config{CheckpointPath: ckpt}); err == nil {
+			t.Errorf("New accepted corrupt checkpoint %s", body)
+		}
 	}
 }
 

@@ -21,9 +21,9 @@ const storeStripes = 8
 // folded into exactly one stripe. Because Merge is purely additive,
 // re-folding the stripes into one analyzer reproduces byte-for-byte what a
 // single global analyzer would hold — the same contract that lets shards
-// merge in any order — so striping is invisible in every report. An
-// optional baseline snapshot restored from a checkpoint file is merged into
-// reports on top.
+// merge in any order — so striping is invisible in every report. A
+// checkpoint restored at startup is loaded into stripe 0's analyzer, so it
+// is folded like any session.
 type Store struct {
 	// opts and maxNumeric are fixed at construction.
 	opts       coverage.Options
@@ -32,9 +32,6 @@ type Store struct {
 	// next assigns sessions to stripes round-robin.
 	next    atomic.Uint64
 	stripes [storeStripes]storeStripe
-
-	baseMu   sync.Mutex
-	baseline *coverage.Snapshot //iocov:guarded-by baseMu
 }
 
 // storeStripe is one lock shard of the store.
@@ -73,7 +70,7 @@ func (s *Store) MergeSession(an *coverage.Analyzer) error {
 }
 
 // Sessions returns how many sessions have been merged since start (not
-// counting sessions folded into a restored baseline).
+// counting sessions folded into a restored checkpoint).
 func (s *Store) Sessions() int64 {
 	var n int64
 	for i := range s.stripes {
@@ -86,7 +83,7 @@ func (s *Store) Sessions() int64 {
 }
 
 // Totals returns the global analyzed/skipped event counts, including the
-// restored baseline's.
+// restored checkpoint's.
 func (s *Store) Totals() (analyzed, skipped int64) {
 	for i := range s.stripes {
 		st := &s.stripes[i]
@@ -95,20 +92,14 @@ func (s *Store) Totals() (analyzed, skipped int64) {
 		skipped += st.live.Skipped()
 		st.mu.Unlock()
 	}
-	s.baseMu.Lock()
-	if s.baseline != nil {
-		analyzed += s.baseline.Analyzed
-		skipped += s.baseline.Skipped
-	}
-	s.baseMu.Unlock()
 	return analyzed, skipped
 }
 
 // Report builds the global coverage snapshot: the stripes folded into one
-// scratch analyzer (each stripe locked only while it is being absorbed),
-// merged with the restored baseline (if any). The scratch fold goes through
-// Analyzer.Merge, so the result is byte-identical to what a single
-// unstriped analyzer would have reported over the same sessions.
+// scratch analyzer (each stripe locked only while it is being absorbed).
+// The scratch fold goes through Analyzer.Merge, so the result is
+// byte-identical to what a single unstriped analyzer would have reported
+// over the same sessions.
 func (s *Store) Report() *coverage.Snapshot {
 	fold := coverage.NewAnalyzer(s.opts)
 	for i := range s.stripes {
@@ -122,19 +113,13 @@ func (s *Store) Report() *coverage.Snapshot {
 			panic(fmt.Sprintf("server: stripe fold: %v", err))
 		}
 	}
-	live := fold.Snapshot(s.maxNumeric)
-	s.baseMu.Lock()
-	baseline := s.baseline
-	s.baseMu.Unlock()
-	if baseline == nil {
-		return live
-	}
-	return coverage.MergeSnapshots(baseline, live)
+	return fold.Snapshot(s.maxNumeric)
 }
 
-// Restore loads a checkpoint file written by WriteCheckpoint into the
-// baseline. A missing file is a clean start, not an error. Restore must be
-// called before any session is merged.
+// Restore loads a checkpoint file written by WriteCheckpoint into stripe
+// 0. A missing file is a clean start, not an error; a checkpoint the
+// store's analyzers could not have written is corrupt, and the store is
+// left unchanged.
 func (s *Store) Restore(path string) error {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
@@ -148,10 +133,14 @@ func (s *Store) Restore(path string) error {
 	if err != nil {
 		return fmt.Errorf("server: corrupt checkpoint %s: %w", path, err)
 	}
-	s.baseMu.Lock()
-	defer s.baseMu.Unlock()
-	s.baseline = snap
-	return nil
+	restored := coverage.NewAnalyzer(s.opts)
+	if err := restored.Restore(snap); err != nil {
+		return fmt.Errorf("server: corrupt checkpoint %s: %w", path, err)
+	}
+	st := &s.stripes[0]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.live.Merge(restored)
 }
 
 // WriteCheckpoint atomically persists the current Report to path: the

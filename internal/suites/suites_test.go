@@ -91,7 +91,7 @@ func TestCrashMonkeyRuns(t *testing.T) {
 	if an.Analyzed() == 0 {
 		t.Fatal("no events analyzed")
 	}
-	flags := an.Input("open", "flags")
+	flags := an.InputReport("open", "flags")
 	if flags == nil {
 		t.Fatal("no open flag coverage")
 	}
@@ -107,9 +107,9 @@ func TestCrashMonkeyRuns(t *testing.T) {
 func TestFigure2Shape(t *testing.T) {
 	xfs := runXfstests(t, testScale)
 	cm := runCrashmonkey(t, testScale)
-	xf := xfs.Input("open", "flags")
-	cf := cm.Input("open", "flags")
-	for _, label := range xf.Domain() {
+	xf := xfs.InputReport("open", "flags")
+	cf := cm.InputReport("open", "flags")
+	for _, label := range xf.Labels() {
 		if xf.Count(label) < cf.Count(label) {
 			t.Errorf("flag %s: xfstests %d < crashmonkey %d", label, xf.Count(label), cf.Count(label))
 		}
@@ -186,9 +186,9 @@ func TestTable1Shape(t *testing.T) {
 func TestFigure3Shape(t *testing.T) {
 	xfs := runXfstests(t, testScale)
 	cm := runCrashmonkey(t, testScale)
-	xw := xfs.Input("write", "count")
-	cw := cm.Input("write", "count")
-	for _, label := range xw.Domain() {
+	xw := xfs.InputReport("write", "count")
+	cw := cm.InputReport("write", "count")
+	for _, label := range xw.Labels() {
 		if xw.Count(label) < cw.Count(label) {
 			t.Errorf("bucket %s: xfstests %d < crashmonkey %d", label, xw.Count(label), cw.Count(label))
 		}
@@ -226,8 +226,8 @@ func TestFigure4Shape(t *testing.T) {
 	if xo.Covered() <= co.Covered() {
 		t.Errorf("xfstests covers %d open outputs, crashmonkey %d; want more", xo.Covered(), co.Covered())
 	}
-	xc := xfs.Output("open")
-	cc := cm.Output("open")
+	xc := xfs.OutputReport("open")
+	cc := cm.OutputReport("open")
 	if cc.Count("ENOTDIR") <= xc.Count("ENOTDIR") {
 		t.Errorf("ENOTDIR: crashmonkey %d <= xfstests %d; paper reports the opposite",
 			cc.Count("ENOTDIR"), xc.Count("ENOTDIR"))

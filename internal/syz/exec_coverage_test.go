@@ -107,16 +107,16 @@ func TestConvertEverySignature(t *testing.T) {
 		t.Errorf("static conversion observed %d base syscalls (%v)", got, an.Syscalls())
 	}
 	// Arg keys land where the analyzer expects: spot-check several.
-	if an.Input("truncate", "length").Count("2^6") != 1 {
-		t.Errorf("truncate.length = %v", an.Input("truncate", "length").Counts)
+	if an.InputReport("truncate", "length").Count("2^6") != 1 {
+		t.Errorf("truncate.length = %v", an.InputReport("truncate", "length").Rows)
 	}
-	if an.Input("chmod", "mode") == nil {
+	if an.InputReport("chmod", "mode") == nil {
 		t.Error("chmod.mode missing")
 	}
-	if an.Input("getxattr", "size").Count("2^6") != 2 {
-		t.Errorf("getxattr.size = %v", an.Input("getxattr", "size").Counts)
+	if an.InputReport("getxattr", "size").Count("2^6") != 2 {
+		t.Errorf("getxattr.size = %v", an.InputReport("getxattr", "size").Rows)
 	}
-	if an.Input("read", "pos").Count("=0") != 1 {
-		t.Errorf("pread pos = %v", an.Input("read", "pos").Counts)
+	if an.InputReport("read", "pos").Count("=0") != 1 {
+		t.Errorf("pread pos = %v", an.InputReport("read", "pos").Rows)
 	}
 }

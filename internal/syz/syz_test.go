@@ -120,17 +120,17 @@ func TestConvertStatic(t *testing.T) {
 	an := coverage.NewAnalyzer(coverage.DefaultOptions())
 	an.AddAll(events)
 	// openat flags 0x42 = O_CREAT|O_RDWR.
-	flags := an.Input("open", "flags")
+	flags := an.InputReport("open", "flags")
 	if flags.Count("O_CREAT") != 1 || flags.Count("O_RDWR") != 1 || flags.Count("O_RDONLY") != 1 {
-		t.Errorf("flag counts = %v", flags.Counts)
+		t.Errorf("flag counts = %v", flags.Rows)
 	}
 	// write count 0x1000 -> bucket 2^12.
-	if an.Input("write", "count").Count("2^12") != 1 {
-		t.Errorf("write counts = %v", an.Input("write", "count").Counts)
+	if an.InputReport("write", "count").Count("2^12") != 1 {
+		t.Errorf("write counts = %v", an.InputReport("write", "count").Rows)
 	}
 	// lseek whence 0 -> SEEK_SET.
-	if an.Input("lseek", "whence").Count("SEEK_SET") != 1 {
-		t.Errorf("whence counts = %v", an.Input("lseek", "whence").Counts)
+	if an.InputReport("lseek", "whence").Count("SEEK_SET") != 1 {
+		t.Errorf("whence counts = %v", an.InputReport("lseek", "whence").Rows)
 	}
 }
 
@@ -171,9 +171,9 @@ close(r0)
 		t.Errorf("failures = %d", res.Failures)
 	}
 	// Full output coverage: the read returned real bytes.
-	read := an.Output("read")
+	read := an.OutputReport("read")
 	if read.Count("OK:2^8") != 1 {
-		t.Errorf("read outputs = %v", read.Counts)
+		t.Errorf("read outputs = %v", read.Rows)
 	}
 	// State really changed.
 	if st, e := p.Stat("/f0"); e != sys.OK || st.Size != 0x50 {
@@ -224,11 +224,18 @@ func TestFuzzerEvaluationPipeline(t *testing.T) {
 	if wc.Covered() < 8 {
 		t.Errorf("fuzzer covered only %d write-size buckets", wc.Covered())
 	}
-	if an.Input("write", "count").Count("=0") == 0 {
+	if an.InputReport("write", "count").Count("=0") == 0 {
 		t.Error("fuzzer should hit the zero-size write boundary")
 	}
 	// ...and plenty of error outputs (fuzzers live on failure paths).
-	if an.Output("open").ErrorCount() == 0 {
+	var openErrs int64
+	out := an.OutputReport("open")
+	for _, rows := range [][]coverage.Row{out.Rows[1:], out.Extra} {
+		for _, row := range rows {
+			openErrs += row.Count
+		}
+	}
+	if openErrs == 0 {
 		t.Error("fuzzer triggered no open errors")
 	}
 	// Static conversion of the same corpus yields input coverage without
@@ -239,8 +246,8 @@ func TestFuzzerEvaluationPipeline(t *testing.T) {
 	if stat.Analyzed() == 0 {
 		t.Fatal("static conversion produced nothing")
 	}
-	if got := stat.Output("open").Counts; len(got) != 1 {
+	if got := stat.OutputReport("open"); got.Covered()+len(got.Extra) != 1 {
 		// All returns are the unknown placeholder partition ("OK").
-		t.Errorf("static output partitions = %v, want exactly one", got)
+		t.Errorf("static output partitions = %v %v, want exactly one", got.Rows, got.Extra)
 	}
 }

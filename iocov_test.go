@@ -46,7 +46,7 @@ func TestPipelineLive(t *testing.T) {
 	if an.Analyzed() != 4 { // mkdir of the mount point itself, open, write, close
 		t.Errorf("analyzed = %d, want 4", an.Analyzed())
 	}
-	if got := an.Input("open", "flags").Count("O_CREAT"); got != 1 {
+	if got := an.InputReport("open", "flags").Count("O_CREAT"); got != 1 {
 		t.Errorf("O_CREAT = %d", got)
 	}
 	if pipe.FlushTrace() != nil {
@@ -126,7 +126,7 @@ func TestNewAnalyzerWithOptions(t *testing.T) {
 	an := NewAnalyzerWith(Options{MergeVariants: false})
 	an.Add(Event{Name: "openat", Path: "/f",
 		Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3})
-	if an.Output("openat") == nil {
+	if an.OutputReport("openat") == nil {
 		t.Error("unmerged analyzer lost openat space")
 	}
 }

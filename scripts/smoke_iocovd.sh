@@ -6,10 +6,14 @@
 #   3. assert /report, /metrics, /tcd, and /healthz answer sensibly;
 #   4. SIGTERM the daemon and require a graceful exit 0;
 #   5. restart on the same checkpoint and require /report to be
-#      byte-identical to the pre-kill snapshot.
+#      byte-identical to the pre-kill snapshot;
+#   6. stream one more run to the restarted daemon and require its /report
+#      to be byte-identical to a second daemon that received both runs and
+#      never restarted.
 set -euo pipefail
 
 addr=127.0.0.1:19077
+addr2=127.0.0.1:19078
 workdir=$(mktemp -d)
 dpid=""
 cleanup() {
@@ -17,6 +21,21 @@ cleanup() {
     rm -rf "$workdir"
 }
 trap cleanup EXIT
+
+wait_ready() {
+    for i in $(seq 1 50); do
+        curl -fsS "$1/healthz" >/dev/null 2>&1 && return 0
+        sleep 0.1
+    done
+    echo "FAIL: iocovd at $1 never became ready"
+    exit 1
+}
+
+stop_daemon() {
+    kill -TERM "$dpid"
+    wait "$dpid" || { echo "FAIL: iocovd exited non-zero on SIGTERM"; exit 1; }
+    dpid=""
+}
 
 echo "smoke: building binaries"
 go build -o "$workdir/iocovd" ./cmd/iocovd
@@ -60,15 +79,24 @@ echo "smoke: checkpoint-restore byte identity"
 "$workdir/iocovd" -addr "$addr" -checkpoint "$ckpt" \
     >"$workdir/iocovd2.log" 2>&1 &
 dpid=$!
-for i in $(seq 1 50); do
-    curl -fsS "$addr/healthz" >/dev/null 2>&1 && break
-    sleep 0.1
-done
+wait_ready "$addr"
 curl -fsS "$addr/report" > "$workdir/restored.json"
-kill -TERM "$dpid"
-wait "$dpid" || { echo "FAIL: restarted iocovd exited non-zero"; exit 1; }
-dpid=""
 cmp "$workdir/prekill.json" "$workdir/restored.json" \
     || { echo "FAIL: restored /report differs from pre-kill snapshot"; exit 1; }
+
+echo "smoke: restored state merges like a live one"
+"$workdir/iocov" run -suite crashmonkey -scale 0.05 -seed 2 -remote "$addr"
+curl -fsS "$addr/report" > "$workdir/restored-plus.json"
+stop_daemon
+
+"$workdir/iocovd" -addr "$addr2" >"$workdir/iocovd3.log" 2>&1 &
+dpid=$!
+wait_ready "$addr2"
+"$workdir/iocov" run -suite crashmonkey -scale 0.05 -remote "$addr2"
+"$workdir/iocov" run -suite crashmonkey -scale 0.05 -seed 2 -remote "$addr2"
+curl -fsS "$addr2/report" > "$workdir/unrestarted.json"
+stop_daemon
+cmp "$workdir/restored-plus.json" "$workdir/unrestarted.json" \
+    || { echo "FAIL: restore-then-ingest /report differs from a daemon that never restarted"; exit 1; }
 
 echo "smoke: OK"
