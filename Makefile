@@ -5,10 +5,10 @@
 #                   worker-pool path (harness.RunParallel) makes this the
 #                   gate for shard-isolation regressions
 #   make vet      - the standard go vet checks
-#   make lint     - iocovlint: speccheck, shardcheck, errcheck, lockcheck,
-#                   alloccheck, leakcheck, determcheck (seven passes) over
-#                   the whole repository (exit 1 on any finding); -v prints
-#                   per-pass analysis times
+#   make lint     - iocovlint: speccheck, shardcheck, errcheck, alloccheck,
+#                   determcheck (five passes) over the whole repository
+#                   (exit 1 on any finding); -v prints per-pass analysis
+#                   times
 #   make fuzz     - short fuzz passes over the binary trace codec, the text
 #                   trace parser, the mount filter and checkpoint restore
 #

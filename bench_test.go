@@ -446,10 +446,9 @@ func BenchmarkTraceWriteParse(b *testing.B) {
 	}
 }
 
-// BenchmarkLintSuite runs the full seven-pass static-analysis suite over
-// the repository, including the load and type-check, the way `make lint`
-// pays for it; the per-pass engines (call graph, CFGs) are rebuilt each
-// iteration.
+// BenchmarkLintSuite runs the full static-analysis suite over the
+// repository, including the load and type-check, the way `make lint` pays
+// for it; the shared call graph is rebuilt each iteration.
 func BenchmarkLintSuite(b *testing.B) {
 	var findings int
 	for i := 0; i < b.N; i++ {

@@ -9,9 +9,7 @@
 //	shardcheck   worker-path purity for the parallel snapshot contract
 //	             (plus no-global-writes in the iocovd daemon's packages)
 //	errcheck     silently dropped error returns in internal/ and cmd/
-//	lockcheck    CFG/dataflow lock-discipline proof for guarded fields
 //	alloccheck   //iocov:hotpath reachability proof of zero allocation
-//	leakcheck    every goroutine launch must have a provable exit path
 //	determcheck  //iocov:deterministic roots stay clock-, RNG-, goroutine-
 //	             and map-order-free
 //

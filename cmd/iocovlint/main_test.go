@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"iocov/internal/lint"
 )
 
 // TestExitCodes pins the CLI contract CI gates on: 0 with no findings, 1
@@ -18,7 +20,7 @@ func TestExitCodes(t *testing.T) {
 		{"clean module", []string{"-root", "testdata/cleanmod"}, 0},
 		{"findings", []string{"-root", "testdata/badmod"}, 1},
 		{"unknown pass", []string{"-root", "testdata/cleanmod", "-pass", "nosuchpass"}, 2},
-		{"pass and passes", []string{"-root", "testdata/cleanmod", "-pass", "errcheck", "-passes", "lockcheck"}, 2},
+		{"pass and passes", []string{"-root", "testdata/cleanmod", "-pass", "errcheck", "-passes", "alloccheck"}, 2},
 		{"bad root", []string{"-root", "testdata/nosuchdir"}, 2},
 		{"bad flag", []string{"-nosuchflag"}, 2},
 	}
@@ -78,8 +80,8 @@ func TestFindingOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(last), &tr); err != nil {
 		t.Fatalf("timing trailer not decodable: %v\n%s", err, last)
 	}
-	if len(tr.Timings) != 7 {
-		t.Errorf("trailer has %d timings, want one per pass (7):\n%s", len(tr.Timings), last)
+	if want := len(lint.PassNames()); len(tr.Timings) != want {
+		t.Errorf("trailer has %d timings, want one per pass (%d):\n%s", len(tr.Timings), want, last)
 	}
 	for _, pt := range tr.Timings {
 		if pt.Pass == "" {

@@ -567,13 +567,18 @@ func TestTraceEventSequence(t *testing.T) {
 	}
 }
 
-// TestFaultFiredConcurrent pins FaultRule.Fired's synchronization: harness
-// code polls Fired from other goroutines while syscalls inject, so Fired
-// must read the counter under the owning set's lock that Check increments
-// it under; a plain read races with the increment under -race.
+// TestFaultFiredConcurrent pins the kernel state that procs on different
+// goroutines share. Harness code polls FaultRule.Fired from other goroutines
+// while syscalls inject, so Fired must read the counter under the owning
+// set's lock that Check increments it under. A second process opens and
+// closes files on its own goroutine meanwhile, so NewProc's pid counter and
+// the system-wide open-file count must stay under Kernel.mu. A plain access
+// to either races under -race.
 func TestFaultFiredConcurrent(t *testing.T) {
-	p, _ := newProc(t)
-	rule := p.k.Faults().Add(FaultRule{Syscall: "write", Errno: sys.EINTR, EveryN: 2})
+	const maxSys = 4
+	k := New(vfs.New(vfs.DefaultConfig()), Options{MaxSystemFiles: maxSys})
+	p := k.NewProc(ProcOptions{})
+	rule := k.Faults().Add(FaultRule{Syscall: "write", Errno: sys.EINTR, EveryN: 2})
 	fd, _ := p.Open("/f", sys.O_CREAT|sys.O_WRONLY, 0o644)
 	done := make(chan int64)
 	go func() {
@@ -583,14 +588,43 @@ func TestFaultFiredConcurrent(t *testing.T) {
 		}
 		done <- last
 	}()
+	pids := make(chan int)
+	go func() {
+		q := k.NewProc(ProcOptions{})
+		for i := 0; i < 100; i++ {
+			if qfd, e := q.Open("/g", sys.O_CREAT|sys.O_WRONLY, 0o644); e == sys.OK {
+				_ = q.Close(qfd)
+			}
+		}
+		pids <- q.PID()
+	}()
+	// r is made before this goroutine takes k.mu again, so only NewProc's
+	// own lock orders it against q's.
+	r := k.NewProc(ProcOptions{})
 	for i := 0; i < 100; i++ {
 		_, _ = p.Write(fd, []byte("x"))
+		if pfd, e := p.Open("/f", sys.O_RDONLY, 0); e == sys.OK {
+			_ = p.Close(pfd)
+		}
 	}
-	last := <-done
+	last, qpid := <-done, <-pids
 	if last < 0 || last > 50 {
 		t.Fatalf("concurrent Fired observed %d, want within 0..50", last)
 	}
 	if got := rule.Fired(); got != 50 {
 		t.Errorf("final Fired = %d, want 50", got)
+	}
+	if p.PID() == qpid || r.PID() == qpid || p.PID() == r.PID() {
+		t.Errorf("concurrent NewProc reused a pid: %d, %d, %d", p.PID(), qpid, r.PID())
+	}
+	// Every close returned its slot: /f is still open, so exactly
+	// maxSys-1 more opens fit before ENFILE.
+	for i := 0; i < maxSys-1; i++ {
+		if _, e := r.Open("/f", sys.O_RDONLY, 0); e != sys.OK {
+			t.Fatalf("open %d after the concurrent opens: %v", i, e)
+		}
+	}
+	if _, e := r.Open("/f", sys.O_RDONLY, 0); e != sys.ENFILE {
+		t.Errorf("open past the system limit = %v, want ENFILE", e)
 	}
 }

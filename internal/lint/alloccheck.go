@@ -90,7 +90,7 @@ func (a *AllocCheck) Run(t *Target) []Finding {
 	visited := make(map[*types.Func]bool)
 	for _, root := range roots {
 		reach := g.Reachable([]*types.Func{root.Obj}, func(e *CallSite) bool {
-			return e.Kind == CallStatic && !e.Callee.FA.coldpath &&
+			return !e.Callee.FA.coldpath &&
 				!inRegions(an.guardRegions(e.Caller), e.Pos) &&
 				!inRegions(an.closureRegions(e.Caller), e.Pos)
 		})

@@ -10,70 +10,20 @@ import (
 // This file is the interprocedural half of the analysis engine: a
 // package-spanning call graph over every function the Target loaded, built
 // once per Target and shared by the whole-program passes (alloccheck's
-// hot-path reachability, leakcheck's may-return fixpoint, determcheck's
-// deterministic-surface traversal).
+// hot-path reachability, determcheck's deterministic-surface traversal).
 //
-// Three edge kinds exist, in decreasing order of precision:
-//
-//   - CallStatic: the callee is a named function or a method called on a
-//     concrete receiver; go/types resolves it exactly.
-//   - CallInterface: the call goes through an interface method. The graph
-//     conservatively adds one edge to every in-module method whose receiver
-//     type implements the interface and whose name matches — every callee
-//     the dynamic dispatch could reach within the module.
-//   - CallFuncValue: the call invokes a function value (a variable, field,
-//     or parameter of function type). The graph conservatively adds one
-//     edge to every in-module function whose address is taken somewhere in
-//     the module and whose signature is identical.
-//
-// Each pass chooses which kinds to follow: alloccheck and determcheck treat
-// dynamic kinds as annotation boundaries (matching their documented
-// contracts), while leakcheck's termination fixpoint follows everything.
-//
-// The graph is condensed into strongly connected components (Tarjan), so
-// clients get a cycle-free component DAG in topological order: leakcheck
-// solves its fixpoint callees-first in one sweep, and mutual recursion
-// (which per-function reasoning cannot see) collapses into a single unit.
-
-// CallKind classifies how a call site resolves to its callee.
-type CallKind int
-
-const (
-	// CallStatic is an exactly resolved call: named function, or method on
-	// a concrete receiver.
-	CallStatic CallKind = iota
-	// CallInterface is a conservative edge from an interface method call to
-	// one in-module implementation.
-	CallInterface
-	// CallFuncValue is a conservative edge from a function-value call to
-	// one address-taken in-module function with an identical signature.
-	CallFuncValue
-)
-
-func (k CallKind) String() string {
-	switch k {
-	case CallStatic:
-		return "static"
-	case CallInterface:
-		return "interface"
-	case CallFuncValue:
-		return "funcvalue"
-	}
-	return "unknown"
-}
+// Edges are static only: the callee is a named function or a method called
+// on a concrete receiver, which go/types resolves exactly. Calls through an
+// interface or a function value add no edge; both passes treat them as
+// annotation boundaries (the implementation carries its own annotation).
 
 // CallSite is one edge of the call graph: a call expression in Caller that
-// may transfer control to Callee.
+// transfers control to Callee.
 type CallSite struct {
 	Caller *CGNode
 	Callee *CGNode
 	// Pos locates the call expression in the caller's body.
 	Pos token.Pos
-	// Kind records how the callee was resolved.
-	Kind CallKind
-	// Go marks a `go f(...)` launch site; Defer marks a `defer f(...)`.
-	Go    bool
-	Defer bool
 }
 
 // CGNode is one declared function (or method) with a body.
@@ -85,13 +35,9 @@ type CGNode struct {
 	Decl *ast.FuncDecl
 	// FA carries the function's //iocov: annotations.
 	FA funcAnnotations
-	// Out and In are the edges leaving and entering the node, in source
-	// order of their call sites.
+	// Out holds the edges leaving the node, in source order of their call
+	// sites.
 	Out []*CallSite
-	In  []*CallSite
-	// scc is the node's component index; components are numbered in
-	// reverse topological order (callees before callers).
-	scc int
 }
 
 // Name renders the node as "Recv.Name" or "Name" for diagnostics.
@@ -99,15 +45,10 @@ func (n *CGNode) Name() string { return funcDisplayName(n.Decl) }
 
 // CallGraph is the module-wide call graph of one Target.
 type CallGraph struct {
-	t     *Target
 	nodes map[*types.Func]*CGNode
 	// sorted is every node in declaration-position order, for deterministic
 	// iteration.
 	sorted []*CGNode
-	// sccs[i] holds component i's nodes; components are in reverse
-	// topological order of the condensation (a component only calls into
-	// lower-numbered components, apart from its own internal cycles).
-	sccs [][]*CGNode
 }
 
 // CallGraph returns the Target's call graph, building it on first use; all
@@ -125,20 +66,6 @@ func (g *CallGraph) Node(f *types.Func) *CGNode { return g.nodes[f] }
 
 // Nodes returns every node in declaration order.
 func (g *CallGraph) Nodes() []*CGNode { return g.sorted }
-
-// SCCs returns the strongly connected components of the graph in reverse
-// topological order: every edge leaves a component with a higher index than
-// it enters (or stays inside one component).
-func (g *CallGraph) SCCs() [][]*CGNode { return g.sccs }
-
-// SCCOf returns the component index of a function's node, or -1.
-func (g *CallGraph) SCCOf(f *types.Func) int {
-	n := g.nodes[f]
-	if n == nil {
-		return -1
-	}
-	return n.scc
-}
 
 // Reachable walks the graph from roots, following an edge only when follow
 // returns true (nil follows everything), and returns the set of visited
@@ -170,9 +97,9 @@ func (g *CallGraph) Reachable(roots []*types.Func, follow func(*CallSite) bool) 
 
 // BuildCallGraph constructs the call graph for a loaded target.
 func BuildCallGraph(t *Target) *CallGraph {
-	g := &CallGraph{t: t, nodes: make(map[*types.Func]*CGNode)}
+	g := &CallGraph{nodes: make(map[*types.Func]*CGNode)}
 
-	// Pass 1: one node per declared function with a body.
+	// One node per declared function with a body, then its call edges.
 	for _, pkg := range t.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -197,238 +124,44 @@ func BuildCallGraph(t *Target) *CallGraph {
 		return g.sorted[i].Decl.Pos() < g.sorted[j].Decl.Pos()
 	})
 
-	// Pass 2: collect methods by name (interface-call candidates) and
-	// address-taken functions (func-value call candidates).
-	methodsByName := make(map[string][]*CGNode)
 	for _, n := range g.sorted {
-		if n.Decl.Recv != nil {
-			methodsByName[n.Obj.Name()] = append(methodsByName[n.Obj.Name()], n)
-		}
+		g.addEdges(n)
 	}
-	addrTaken := g.collectAddrTaken()
-
-	// Pass 3: resolve every call expression in every body.
-	for _, n := range g.sorted {
-		g.addEdges(n, methodsByName, addrTaken)
-	}
-	g.condense()
 	return g
-}
-
-// collectAddrTaken finds in-module functions used as values (assigned,
-// passed, stored): the candidate set for func-value call edges. An
-// identifier in call position (the Fun of a CallExpr) is not a value use.
-func (g *CallGraph) collectAddrTaken() []*CGNode {
-	var out []*CGNode
-	seen := make(map[*types.Func]bool)
-	for _, pkg := range g.t.Pkgs {
-		for _, f := range pkg.Files {
-			// Idents naming the callee of a direct call: those are not
-			// value uses.
-			callPos := make(map[*ast.Ident]bool)
-			ast.Inspect(f, func(node ast.Node) bool {
-				call, ok := node.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := ast.Unparen(call.Fun).(type) {
-				case *ast.Ident:
-					callPos[fun] = true
-				case *ast.SelectorExpr:
-					callPos[fun.Sel] = true
-				}
-				return true
-			})
-			ast.Inspect(f, func(node ast.Node) bool {
-				id, ok := node.(*ast.Ident)
-				if !ok || callPos[id] {
-					return true
-				}
-				obj, ok := pkg.Info.Uses[id].(*types.Func)
-				if !ok || seen[obj] {
-					return true
-				}
-				if n := g.nodes[obj]; n != nil {
-					seen[obj] = true
-					out = append(out, n)
-				}
-				return true
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-	return out
 }
 
 // addEdges walks one function body and appends its outgoing call sites.
 // Calls inside closures (FuncLit) belong to the enclosing declaration: the
 // closure runs with the declaration's dynamic extent for every analysis
 // built on this graph.
-func (g *CallGraph) addEdges(n *CGNode, methodsByName map[string][]*CGNode, addrTaken []*CGNode) {
+func (g *CallGraph) addEdges(n *CGNode) {
 	info := n.Pkg.Info
-	// goCalls/deferCalls mark the exact CallExpr operand of go/defer
-	// statements so the edge carries launch-site metadata.
-	goCalls := make(map[*ast.CallExpr]bool)
-	deferCalls := make(map[*ast.CallExpr]bool)
-	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		switch st := node.(type) {
-		case *ast.GoStmt:
-			goCalls[st.Call] = true
-		case *ast.DeferStmt:
-			deferCalls[st.Call] = true
-		}
-		return true
-	})
-
-	edge := func(callee *CGNode, call *ast.CallExpr, kind CallKind) {
-		e := &CallSite{
-			Caller: n, Callee: callee, Pos: call.Pos(), Kind: kind,
-			Go: goCalls[call], Defer: deferCalls[call],
-		}
-		n.Out = append(n.Out, e)
-		callee.In = append(callee.In, e)
-	}
-
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
 		call, ok := node.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		fun := ast.Unparen(call.Fun)
-
-		// Conversions and builtins produce no edges.
-		if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
-			return true
-		}
-
-		switch x := fun.(type) {
+		var id *ast.Ident
+		switch x := ast.Unparen(call.Fun).(type) {
 		case *ast.Ident:
-			switch obj := info.Uses[x].(type) {
-			case *types.Builtin:
-				return true
-			case *types.Func:
-				if callee := g.nodes[obj]; callee != nil {
-					edge(callee, call, CallStatic)
-				}
-				return true
-			}
+			id = x
 		case *ast.SelectorExpr:
-			if obj, ok := info.Uses[x.Sel].(*types.Func); ok {
-				// Interface dispatch: the selection's receiver is an
-				// interface type, so the exact callee is unknown.
-				if sel, isSel := info.Selections[x]; isSel && sel.Kind() == types.MethodVal {
-					if iface, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
-						for _, m := range implementers(methodsByName[obj.Name()], iface, obj) {
-							edge(m, call, CallInterface)
-						}
-						return true
-					}
-				}
-				if callee := g.nodes[obj]; callee != nil {
-					edge(callee, call, CallStatic)
-				}
+			// A method selected on an interface has no single callee.
+			sel, isSel := info.Selections[x]
+			if isSel && sel.Kind() == types.MethodVal && types.IsInterface(sel.Recv()) {
 				return true
 			}
-		case *ast.FuncLit:
-			// Immediately invoked literal: its body is already part of this
-			// node; no edge needed.
+			id = x.Sel
+		default:
 			return true
 		}
-
-		// Anything else with a function type is a dynamic func-value call.
-		tv, ok := info.Types[call.Fun]
+		obj, ok := info.Uses[id].(*types.Func)
 		if !ok {
 			return true
 		}
-		sig, ok := tv.Type.Underlying().(*types.Signature)
-		if !ok {
-			return true
-		}
-		for _, cand := range addrTaken {
-			if sameSignature(cand.Obj.Type().(*types.Signature), sig) {
-				edge(cand, call, CallFuncValue)
-			}
+		if callee := g.nodes[obj]; callee != nil {
+			n.Out = append(n.Out, &CallSite{Caller: n, Callee: callee, Pos: call.Pos()})
 		}
 		return true
 	})
-}
-
-// implementers filters same-named in-module methods down to those whose
-// receiver type implements iface with a signature matching the interface
-// method being called.
-func implementers(candidates []*CGNode, iface *types.Interface, called *types.Func) []*CGNode {
-	var out []*CGNode
-	for _, m := range candidates {
-		recv := m.Obj.Type().(*types.Signature).Recv()
-		if recv == nil {
-			continue
-		}
-		rt := recv.Type()
-		if !types.Implements(rt, iface) && !types.Implements(types.NewPointer(rt), iface) {
-			continue
-		}
-		if sameSignature(m.Obj.Type().(*types.Signature), called.Type().(*types.Signature)) {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// sameSignature compares two signatures by parameter and result tuples,
-// ignoring receivers (a method value's receiver is bound away).
-func sameSignature(a, b *types.Signature) bool {
-	return types.Identical(a.Params(), b.Params()) &&
-		types.Identical(a.Results(), b.Results()) &&
-		a.Variadic() == b.Variadic()
-}
-
-// condense runs Tarjan's algorithm, numbering components in reverse
-// topological order: Tarjan emits a component only after every component it
-// can reach, so component 0 is a sink (calls nothing outside itself).
-func (g *CallGraph) condense() {
-	index := make(map[*CGNode]int, len(g.sorted))
-	low := make(map[*CGNode]int, len(g.sorted))
-	onStack := make(map[*CGNode]bool, len(g.sorted))
-	var stack []*CGNode
-	next := 0
-
-	var strongconnect func(n *CGNode)
-	strongconnect = func(n *CGNode) {
-		index[n] = next
-		low[n] = next
-		next++
-		stack = append(stack, n)
-		onStack[n] = true
-		for _, e := range n.Out {
-			m := e.Callee
-			if _, seen := index[m]; !seen {
-				strongconnect(m)
-				if low[m] < low[n] {
-					low[n] = low[m]
-				}
-			} else if onStack[m] && index[m] < low[n] {
-				low[n] = index[m]
-			}
-		}
-		if low[n] == index[n] {
-			var comp []*CGNode
-			for {
-				m := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[m] = false
-				m.scc = len(g.sccs)
-				comp = append(comp, m)
-				if m == n {
-					break
-				}
-			}
-			sort.Slice(comp, func(i, j int) bool { return comp[i].Decl.Pos() < comp[j].Decl.Pos() })
-			g.sccs = append(g.sccs, comp)
-		}
-	}
-	for _, n := range g.sorted {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
 }

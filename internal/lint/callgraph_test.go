@@ -18,18 +18,11 @@ func graphNode(t *testing.T, g *CallGraph, name string) *CGNode {
 	return nil
 }
 
-// calleeNames renders a node's outgoing edges as "kind:callee" strings.
+// calleeNames renders a node's outgoing edges as callee names.
 func calleeNames(n *CGNode) []string {
 	var out []string
 	for _, e := range n.Out {
-		s := e.Kind.String() + ":" + e.Callee.Name()
-		if e.Go {
-			s = "go/" + s
-		}
-		if e.Defer {
-			s = "defer/" + s
-		}
-		out = append(out, s)
+		out = append(out, e.Callee.Name())
 	}
 	return out
 }
@@ -41,63 +34,22 @@ func TestCallGraphEdges(t *testing.T) {
 		node string
 		want []string
 	}{
-		{"helperA", []string{"static:leaf"}},
-		{"helperB", []string{"static:dog.speak"}},
-		// Interface dispatch: both implementers, not the arity-mismatched
-		// robot.speak.
-		{"viaInterface", []string{"interface:dog.speak", "interface:cat.speak"}},
-		// Func-value dispatch: only address-taken signature matches — leaf
-		// is returned as a value in takeAddr, helperA never is.
-		{"viaFuncValue", []string{"funcvalue:leaf"}},
-		{"even", []string{"static:odd"}},
-		{"odd", []string{"static:even"}},
-		{"launcher", []string{"go/static:helperA", "defer/static:leaf", "static:viaInterface"}},
+		{"helperA", []string{"leaf"}},
+		{"helperB", []string{"dog.speak"}},
+		// Interface and func-value dispatch are annotation boundaries.
+		{"viaInterface", nil},
+		{"viaFuncValue", nil},
+		{"even", []string{"odd"}},
+		{"odd", []string{"even"}},
+		{"launcher", []string{"helperA", "leaf", "viaInterface"}},
+		// takeAddr returns leaf as a value: no call edge.
+		{"takeAddr", nil},
 	}
 	for _, c := range cases {
 		got := calleeNames(graphNode(t, g, c.node))
 		if strings.Join(got, " ") != strings.Join(c.want, " ") {
 			t.Errorf("%s edges = %v, want %v", c.node, got, c.want)
 		}
-	}
-
-	// takeAddr returns leaf as a value: no call edge.
-	if got := calleeNames(graphNode(t, g, "takeAddr")); len(got) != 0 {
-		t.Errorf("takeAddr edges = %v, want none", got)
-	}
-}
-
-func TestCallGraphSCC(t *testing.T) {
-	g := fixtureTarget(t, "callgraph").CallGraph()
-
-	even := graphNode(t, g, "even")
-	odd := graphNode(t, g, "odd")
-	leaf := graphNode(t, g, "leaf")
-	helperA := graphNode(t, g, "helperA")
-
-	if g.SCCOf(even.Obj) != g.SCCOf(odd.Obj) {
-		t.Errorf("even (scc %d) and odd (scc %d) should share a component",
-			g.SCCOf(even.Obj), g.SCCOf(odd.Obj))
-	}
-	if g.SCCOf(even.Obj) == g.SCCOf(leaf.Obj) {
-		t.Error("even and leaf should not share a component")
-	}
-	// Reverse topological order: a callee's component index is lower than
-	// its caller's.
-	if !(g.SCCOf(leaf.Obj) < g.SCCOf(helperA.Obj)) {
-		t.Errorf("leaf scc %d should precede helperA scc %d",
-			g.SCCOf(leaf.Obj), g.SCCOf(helperA.Obj))
-	}
-	// Every edge respects the order.
-	for _, n := range g.Nodes() {
-		for _, e := range n.Out {
-			if e.Callee.scc > n.scc {
-				t.Errorf("edge %s -> %s goes from scc %d to higher scc %d",
-					n.Name(), e.Callee.Name(), n.scc, e.Callee.scc)
-			}
-		}
-	}
-	if g.SCCOf((*types.Func)(nil)) != -1 {
-		t.Error("SCCOf(nil) should be -1")
 	}
 }
 
@@ -106,26 +58,28 @@ func TestCallGraphReachable(t *testing.T) {
 
 	launcher := graphNode(t, g, "launcher")
 
-	// Following every edge: launcher reaches helperA, leaf, viaInterface,
-	// and both interface implementations.
+	// Following every edge: launcher reaches its go, defer and plain
+	// callees, but not through the interface call.
 	all := g.Reachable([]*types.Func{launcher.Obj}, nil)
-	for _, want := range []string{"launcher", "helperA", "leaf", "viaInterface", "dog.speak", "cat.speak"} {
+	for _, want := range []string{"launcher", "helperA", "leaf", "viaInterface"} {
 		if !all[graphNode(t, g, want).Obj] {
 			t.Errorf("launcher should reach %s following all edges", want)
 		}
 	}
-	if all[graphNode(t, g, "even").Obj] {
-		t.Error("launcher should not reach even")
+	for _, not := range []string{"dog.speak", "cat.speak", "even"} {
+		if all[graphNode(t, g, not).Obj] {
+			t.Errorf("launcher should not reach %s", not)
+		}
 	}
 
-	// Static-only traversal stops at the interface boundary.
-	static := g.Reachable([]*types.Func{launcher.Obj}, func(e *CallSite) bool {
-		return e.Kind == CallStatic
+	// A filtered traversal stops at the edges follow rejects.
+	pruned := g.Reachable([]*types.Func{launcher.Obj}, func(e *CallSite) bool {
+		return e.Callee.Name() != "helperA"
 	})
-	if static[graphNode(t, g, "dog.speak").Obj] {
-		t.Error("static-only traversal should not cross the interface call")
+	if pruned[graphNode(t, g, "helperA").Obj] {
+		t.Error("filtered traversal should not reach helperA")
 	}
-	if !static[graphNode(t, g, "viaInterface").Obj] {
-		t.Error("static-only traversal should still reach viaInterface")
+	if !pruned[graphNode(t, g, "leaf").Obj] {
+		t.Error("filtered traversal should still reach leaf through the defer site")
 	}
 }

@@ -53,9 +53,7 @@ func (c *determCheck) Run(t *Target) []Finding {
 		if !root.FA.deterministic {
 			continue
 		}
-		reach := g.Reachable([]*types.Func{root.Obj}, func(e *CallSite) bool {
-			return e.Kind == CallStatic
-		})
+		reach := g.Reachable([]*types.Func{root.Obj}, nil)
 		for _, n := range g.Nodes() {
 			if !reach[n.Obj] || scanned[n] {
 				continue

@@ -25,9 +25,7 @@ func TestJSONGolden(t *testing.T) {
 		&SpecCheck{KernelPaths: []string{"speccheck_bad"}},
 		&ShardCheck{Paths: []string{"shardcheck_bad"}},
 		&ErrCheck{Paths: []string{"errcheck_bad"}},
-		NewLockCheck(),
 		NewAllocCheck(),
-		NewLeakCheck(),
 		NewDetermCheck(),
 	}
 	// The golden suite must cover exactly the canonical pass list, in order,

@@ -9,20 +9,10 @@
 //     RNG calls, either of which would break the byte-identical
 //     RunParallel-vs-Run snapshot contract;
 //   - errcheck: no error return is silently dropped in internal/ or cmd/;
-//   - lockcheck: flow-sensitive lock-discipline verification over a
-//     per-function CFG (see cfg.go, dataflow.go): fields guarded by an
-//     adjacent mutex or an //iocov:guarded-by annotation are only touched
-//     with the right lock held, and double-lock, lock-leak and
-//     unlock-without-lock are flagged on any path that exhibits them;
 //   - alloccheck: functions reachable from //iocov:hotpath roots are proven
 //     free of allocating constructs, making the zero-allocation contract
 //     static — the AllocsPerRun regressions self-skip under -race, this
 //     pass does not;
-//   - leakcheck: every goroutine launch must have a provable exit path —
-//     the launched function may return on some CFG path, or the launch
-//     carries an //iocov:bounded-by annotation; sends on unbuffered local
-//     channels whose every receive sits in a multi-case select are flagged
-//     as abandonable;
 //   - determcheck: functions statically reachable from //iocov:deterministic
 //     roots must not read the wall clock, use the global RNG, launch
 //     goroutines, or leak map iteration order into their results (append
@@ -31,15 +21,14 @@
 // shardcheck additionally holds internal/server (the iocovd daemon) to its
 // no-package-level-writes rule, with the wall-clock rules relaxed.
 //
-// The interprocedural passes (alloccheck, leakcheck, determcheck) share one
-// lazily built package-spanning call graph (see callgraph.go): static edges
-// from resolved callees, conservative edges from interface method sets and
-// func-value flow, condensed into SCCs for fixpoint analyses.
+// The interprocedural passes (alloccheck, determcheck) share one lazily
+// built package-spanning call graph of static edges (see callgraph.go).
 //
 // Invariants a test already guards are left to the test: the partition
 // domain contract to internal/partition's domain-invariant tests, HTTP
-// status codes to internal/server's handler tests, and index bounds to Go's
-// run-time checks plus the trace fuzzers (DESIGN.md §16).
+// status codes to internal/server's handler tests, index bounds to Go's
+// run-time checks plus the trace fuzzers, and lock discipline and goroutine
+// exits to the -race lane and the goroutine-leak test (DESIGN.md §16).
 //
 // The suite is built only on the standard library's go/parser, go/ast,
 // go/token and go/types packages; repository packages are type-checked
@@ -90,9 +79,7 @@ func AllPasses() []Pass {
 		NewSpecCheck(),
 		NewShardCheck(),
 		NewErrCheck(),
-		NewLockCheck(),
 		NewAllocCheck(),
-		NewLeakCheck(),
 		NewDetermCheck(),
 	}
 }
@@ -143,8 +130,8 @@ func RunAll(t *Target, passes []Pass) []Finding {
 }
 
 // RunAllTimed is RunAll plus per-pass wall-clock analysis times, in the
-// order the passes ran; CI logs them so regressions in engine cost (the CFG
-// and dataflow passes dominate) are visible in history.
+// order the passes ran; CI logs them so regressions in engine cost are
+// visible in history.
 func RunAllTimed(t *Target, passes []Pass) ([]Finding, []PassTime) {
 	var out []Finding
 	times := make([]PassTime, 0, len(passes))

@@ -27,13 +27,23 @@ func repoTarget(t *testing.T) *Target {
 	return repoTgt
 }
 
-// fixtureTarget loads one testdata package as a standalone target.
+// fixtures memoizes fixtureTarget per fixture name. Sharing is safe because
+// passes only read a Target; the one thing they add to it is the cached
+// call graph, which is a pure function of the loaded packages.
+var fixtures sync.Map // name -> *Target
+
+// fixtureTarget loads one testdata package as a standalone target, once per
+// test binary, so a fixture two tests run passes over is type-checked once.
 func fixtureTarget(t *testing.T, name string) *Target {
 	t.Helper()
+	if tgt, ok := fixtures.Load(name); ok {
+		return tgt.(*Target)
+	}
 	tgt, err := LoadPackages(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatalf("LoadPackages(%s): %v", name, err)
 	}
+	fixtures.Store(name, tgt)
 	return tgt
 }
 
@@ -81,15 +91,15 @@ func TestRepoSelfCheck(t *testing.T) {
 
 func TestSelectPasses(t *testing.T) {
 	all, err := SelectPasses("")
-	if err != nil || len(all) != 7 {
-		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want 7, nil", len(all), err)
+	if want := len(PassNames()); err != nil || len(all) != want {
+		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want %d, nil", len(all), err, want)
 	}
 	if last := all[len(all)-1].Name(); last != "determcheck" {
 		t.Fatalf("last pass = %s, want determcheck", last)
 	}
-	two, err := SelectPasses("lockcheck, errcheck")
-	if err != nil || len(two) != 2 || two[0].Name() != "lockcheck" || two[1].Name() != "errcheck" {
-		t.Fatalf("SelectPasses(lockcheck, errcheck) = %v, err %v", two, err)
+	two, err := SelectPasses("alloccheck, errcheck")
+	if err != nil || len(two) != 2 || two[0].Name() != "alloccheck" || two[1].Name() != "errcheck" {
+		t.Fatalf("SelectPasses(alloccheck, errcheck) = %v, err %v", two, err)
 	}
 	err = func() error { _, err := SelectPasses("nosuchpass"); return err }()
 	if err == nil {

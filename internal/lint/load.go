@@ -142,9 +142,9 @@ func parseDir(fset *token.FileSet, dir, path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		// ParseComments keeps doc and line comments in the AST: the CFG-based
-		// passes read the //iocov: annotation grammar (guarded-by, locked,
-		// hotpath, coldpath) from them.
+		// ParseComments keeps doc and line comments in the AST: the passes
+		// read the //iocov: annotation grammar (hotpath, coldpath,
+		// deterministic, shared-ok) from them.
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {

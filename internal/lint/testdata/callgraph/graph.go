@@ -1,7 +1,6 @@
-// Package callgraph is the call-graph builder's fixture: one example of
-// every edge kind (static function, static method, interface dispatch,
-// func-value dispatch, go and defer launch sites) plus a mutual-recursion
-// cycle for the SCC condensation.
+// Package callgraph is the call-graph builder's fixture: static function
+// and method calls, calls at go and defer sites, a mutual-recursion cycle,
+// and the interface and func-value calls that add no edge.
 package callgraph
 
 type speaker interface {
@@ -27,18 +26,15 @@ func helperA() int { return leaf() }
 
 func helperB(d dog) string { return d.speak() }
 
-// viaInterface dispatches through the interface: conservative edges to both
-// dog.speak and cat.speak, not robot.speak.
+// viaInterface dispatches through the interface: no edge.
 func viaInterface(s speaker) string { return s.speak() }
 
-// viaFuncValue calls a function value: conservative edges to every
-// address-taken func with signature func() int — leaf (taken in takeAddr)
-// but not helperA (never taken as a value).
+// viaFuncValue calls a function value: no edge.
 func viaFuncValue(f func() int) int { return f() }
 
 func takeAddr() func() int { return leaf }
 
-// even and odd are mutually recursive: one SCC of size two.
+// even and odd are mutually recursive.
 func even(n int) bool {
 	if n == 0 {
 		return true

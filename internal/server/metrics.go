@@ -17,7 +17,7 @@ const hitStripes = 8
 // hitStripe is one lock shard of the per-syscall hit counters.
 type hitStripe struct {
 	mu sync.Mutex
-	m  map[string]int64 //iocov:guarded-by mu
+	m  map[string]int64 // guarded by mu
 }
 
 // Metrics is the daemon's observability state, exported in the Prometheus

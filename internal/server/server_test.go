@@ -89,21 +89,7 @@ func serialSnapshot(t *testing.T, streams [][]trace.Event) []byte {
 	t.Helper()
 	global := coverage.NewAnalyzer(coverage.DefaultOptions())
 	for _, evs := range streams {
-		decoded, err := trace.ParseAllBinary(bytes.NewReader(encodeStream(t, evs)))
-		if err != nil {
-			t.Fatalf("round-trip: %v", err)
-		}
-		f, err := trace.NewFilter(DefaultMountPattern)
-		if err != nil {
-			t.Fatalf("NewFilter: %v", err)
-		}
-		an := coverage.NewAnalyzer(coverage.DefaultOptions())
-		for _, ev := range decoded {
-			if f.Keep(ev) {
-				an.Add(ev)
-			}
-		}
-		if err := global.Merge(an); err != nil {
+		if err := global.Merge(streamAnalyzer(t, evs)); err != nil {
 			t.Fatalf("Merge: %v", err)
 		}
 	}
@@ -112,6 +98,28 @@ func serialSnapshot(t *testing.T, streams [][]trace.Event) []byte {
 		t.Fatalf("WriteJSON: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// streamAnalyzer is one session's pipeline in process: the stream
+// round-trips through the codec, then the mount filter and a fresh
+// analyzer.
+func streamAnalyzer(t *testing.T, evs []trace.Event) *coverage.Analyzer {
+	t.Helper()
+	decoded, err := trace.ParseAllBinary(bytes.NewReader(encodeStream(t, evs)))
+	if err != nil {
+		t.Fatalf("round-trip: %v", err)
+	}
+	f, err := trace.NewFilter(DefaultMountPattern)
+	if err != nil {
+		t.Fatalf("NewFilter: %v", err)
+	}
+	an := coverage.NewAnalyzer(coverage.DefaultOptions())
+	for _, ev := range decoded {
+		if f.Keep(ev) {
+			an.Add(ev)
+		}
+	}
+	return an
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -233,6 +241,35 @@ func TestConcurrentIngestMatchesSerial(t *testing.T) {
 	}
 	if n := s.Store().Sessions(); n != nStreams {
 		t.Errorf("sessions = %d, want %d", n, nStreams)
+	}
+
+	// The same sessions merged straight into a store from goroutines
+	// released at once. With more sessions than stripes, two merges share a
+	// stripe with nothing but its lock ordering them; over HTTP the
+	// handler's other locks often order them too, which hides an unlocked
+	// merge from -race.
+	direct := NewStore(coverage.DefaultOptions(), 0)
+	start := make(chan struct{})
+	var mwg sync.WaitGroup
+	for i := range streams {
+		an := streamAnalyzer(t, streams[i])
+		mwg.Add(1)
+		go func() {
+			defer mwg.Done()
+			<-start
+			if err := direct.MergeSession(an); err != nil {
+				t.Errorf("MergeSession: %v", err)
+			}
+		}()
+	}
+	close(start)
+	mwg.Wait()
+	var buf bytes.Buffer
+	if err := direct.Report().WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Errorf("concurrent MergeSession report != serial snapshot")
 	}
 }
 

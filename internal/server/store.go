@@ -37,8 +37,8 @@ type Store struct {
 // storeStripe is one lock shard of the store.
 type storeStripe struct {
 	mu       sync.Mutex
-	live     *coverage.Analyzer //iocov:guarded-by mu
-	sessions int64              //iocov:guarded-by mu
+	live     *coverage.Analyzer // guarded by mu
+	sessions int64              // guarded by mu
 }
 
 // NewStore builds an empty store. maxNumeric is the numeric-domain

@@ -204,9 +204,8 @@ func (e *Event) strNames() []string {
 	return names
 }
 
-// Sink receives completed syscall events. Implementations must be safe for
-// use from a single emitting goroutine; Collector additionally supports
-// concurrent emitters.
+// Sink receives completed syscall events. Every implementation, Collector
+// included, expects one emitting goroutine.
 type Sink interface {
 	Emit(Event)
 }

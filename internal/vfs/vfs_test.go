@@ -666,22 +666,28 @@ func TestBlockAccounting(t *testing.T) {
 	}
 }
 
-// TestConfigRemountRace pins the Config/SetReadOnly locking (found by
-// lockcheck): both run concurrently here, so the -race lane catches any
-// regression to the old unlocked cfg read.
+// TestConfigRemountRace pins the FS and RegionSet locking: a remount and a
+// region hit on one goroutine run against Config and Count on another, so
+// the -race lane catches an unlocked cfg read or region-map access.
 func TestConfigRemountRace(t *testing.T) {
 	fs := newFS(t)
+	regions := NewRegionSet()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
 			fs.SetReadOnly(i%2 == 0)
+			regions.Hit("remount")
 		}
 	}()
 	for i := 0; i < 1000; i++ {
 		_ = fs.Config()
+		_ = regions.Count("remount")
 	}
 	<-done
+	if got := regions.Count("remount"); got != 1000 {
+		t.Errorf("region hits = %d, want 1000", got)
+	}
 	fs.SetReadOnly(true)
 	if !fs.Config().ReadOnly {
 		t.Fatal("Config did not observe SetReadOnly(true)")

@@ -4,7 +4,8 @@
 #   1. start iocovd with checkpointing enabled;
 #   2. stream a suite run to it with `iocov run -remote`;
 #   3. assert /report, /metrics, /tcd, and /healthz answer sensibly;
-#   4. SIGTERM the daemon and require a graceful exit 0;
+#   4. SIGTERM the daemon and require a graceful exit 0 within 60 s, so a
+#      shutdown that waits on a goroutine that never returns fails here;
 #   5. restart on the same checkpoint and require /report to be
 #      byte-identical to the pre-kill snapshot;
 #   6. stream one more run to the restarted daemon and require its /report
@@ -31,9 +32,24 @@ wait_ready() {
     exit 1
 }
 
+# stop_daemon sends SIGTERM and allows the 30 s default drain plus margin;
+# $1 is the daemon's log, printed on failure.
 stop_daemon() {
     kill -TERM "$dpid"
-    wait "$dpid" || { echo "FAIL: iocovd exited non-zero on SIGTERM"; exit 1; }
+    for i in $(seq 1 600); do
+        kill -0 "$dpid" 2>/dev/null || break
+        sleep 0.1
+    done
+    if kill -0 "$dpid" 2>/dev/null; then
+        echo "FAIL: iocovd still running 60s after SIGTERM"
+        cat "$1"
+        exit 1
+    fi
+    if ! wait "$dpid"; then
+        echo "FAIL: iocovd exited non-zero on SIGTERM"
+        cat "$1"
+        exit 1
+    fi
     dpid=""
 }
 
@@ -66,13 +82,7 @@ curl -fsS "$addr/tcd?syscall=open&arg=flags&target=100" | grep -q '"tcd":' \
     || { echo "FAIL: /tcd gave no deviation"; exit 1; }
 
 echo "smoke: graceful shutdown"
-kill -TERM "$dpid"
-if ! wait "$dpid"; then
-    echo "FAIL: iocovd exited non-zero on SIGTERM"
-    cat "$workdir/iocovd.log"
-    exit 1
-fi
-dpid=""
+stop_daemon "$workdir/iocovd.log"
 [ -s "$ckpt" ] || { echo "FAIL: no final checkpoint"; exit 1; }
 
 echo "smoke: checkpoint-restore byte identity"
@@ -87,7 +97,7 @@ cmp "$workdir/prekill.json" "$workdir/restored.json" \
 echo "smoke: restored state merges like a live one"
 "$workdir/iocov" run -suite crashmonkey -scale 0.05 -seed 2 -remote "$addr"
 curl -fsS "$addr/report" > "$workdir/restored-plus.json"
-stop_daemon
+stop_daemon "$workdir/iocovd2.log"
 
 "$workdir/iocovd" -addr "$addr2" >"$workdir/iocovd3.log" 2>&1 &
 dpid=$!
@@ -95,7 +105,7 @@ wait_ready "$addr2"
 "$workdir/iocov" run -suite crashmonkey -scale 0.05 -remote "$addr2"
 "$workdir/iocov" run -suite crashmonkey -scale 0.05 -seed 2 -remote "$addr2"
 curl -fsS "$addr2/report" > "$workdir/unrestarted.json"
-stop_daemon
+stop_daemon "$workdir/iocovd3.log"
 cmp "$workdir/restored-plus.json" "$workdir/unrestarted.json" \
     || { echo "FAIL: restore-then-ingest /report differs from a daemon that never restarted"; exit 1; }
 
