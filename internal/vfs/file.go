@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"fmt"
 
 	"iocov/internal/sys"
@@ -176,12 +177,11 @@ func (fs *FS) ReadAt(cred Cred, ino *Inode, buf []byte, off int64) (int, sys.Err
 			chunk = rest
 		}
 		dst := buf[copied : copied+chunk]
-		if blk, ok := ino.blocks[bi]; ok {
+		if blk := ino.blocks[bi]; blk != nil {
 			copy(dst, blk[bo:bo+chunk])
 		} else {
-			for i := range dst {
-				dst[i] = 0
-			}
+			// A hole or an allocated all-zero block.
+			clear(dst)
 		}
 		copied += chunk
 	}
@@ -214,13 +214,13 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 	}
 	bs := fs.cfg.BlockSize
 	firstBlk, lastBlk := off/bs, (end-1)/bs
-	var newBlocks int64
+	var fresh int64
 	for bi := firstBlk; bi <= lastBlk; bi++ {
 		if _, ok := ino.blocks[bi]; !ok {
-			newBlocks++
+			fresh++
 		}
 	}
-	if newBlocks > 0 {
+	if fresh > 0 {
 		// btrfs_buffered_write NOWAIT path: needing allocation under
 		// NOWAIT must fall back, not fail. The injected bug returns
 		// ENOSPC (modelled on torvalds/linux a348c8d4f6cf).
@@ -231,7 +231,7 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 				return 0, sys.ENOSPC
 			}
 		}
-		if e := fs.chargeBlocks(cred, newBlocks); e != sys.OK {
+		if e := fs.chargeBlocks(cred, fresh); e != sys.OK {
 			return 0, e
 		}
 	}
@@ -248,14 +248,20 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 		if rest := int64(len(buf)) - copied; chunk > rest {
 			chunk = rest
 		}
-		blk, ok := ino.blocks[bi]
-		if !ok {
-			// A write covering the whole block overwrites every byte below,
-			// so a recycled block only needs zeroing for partial coverage.
-			blk = newBlock(bs, bo != 0 || chunk != bs)
+		src := buf[copied : copied+chunk]
+		blk := ino.blocks[bi]
+		switch {
+		case blk != nil:
+			copy(blk[bo:], src)
+		case allZero(src):
+			// Zeros into a hole or an all-zero block: the block is
+			// allocated with nothing behind it.
+			ino.blocks[bi] = nil
+		default:
+			blk = make([]byte, bs)
+			copy(blk[bo:], src)
 			ino.blocks[bi] = blk
 		}
-		copy(blk[bo:bo+chunk], buf[copied:copied+chunk])
 		copied += chunk
 	}
 	if end > ino.size {
@@ -331,23 +337,18 @@ func (fs *FS) truncateLocked(cred Cred, ino *Inode, length int64) sys.Errno {
 			lastKeep = (target - 1) / bs
 		}
 		var freed int64
-		for bi, blk := range ino.blocks {
+		for bi := range ino.blocks {
 			if bi > lastKeep {
 				delete(ino.blocks, bi)
-				freeBlock(bs, blk)
 				freed++
 			}
 		}
 		if freed > 0 {
 			_ = fs.chargeBlocks(cred, -freed)
 		}
-		if target%bs != 0 {
-			if blk, ok := ino.blocks[lastKeep]; ok {
-				tail := blk[target%bs:]
-				for i := range tail {
-					tail[i] = 0
-				}
-			}
+		// An all-zero (nil) boundary block has no tail to clear.
+		if blk := ino.blocks[lastKeep]; blk != nil && target%bs != 0 {
+			clear(blk[target%bs:])
 		}
 	}
 	// Growth is sparse: size changes, no blocks are allocated (holes read
@@ -386,14 +387,14 @@ func (fs *FS) Fallocate(cred Cred, ino *Inode, mode int, off, length int64) sys.
 	}
 	bs := fs.cfg.BlockSize
 	firstBlk, lastBlk := off/bs, (end-1)/bs
-	var newBlocks int64
+	var fresh int64
 	for bi := firstBlk; bi <= lastBlk; bi++ {
 		if _, ok := ino.blocks[bi]; !ok {
-			newBlocks++
+			fresh++
 		}
 	}
-	if newBlocks > 0 {
-		if e := fs.chargeBlocks(cred, newBlocks); e != sys.OK {
+	if fresh > 0 {
+		if e := fs.chargeBlocks(cred, fresh); e != sys.OK {
 			return e
 		}
 		if ino.blocks == nil {
@@ -401,7 +402,7 @@ func (fs *FS) Fallocate(cred Cred, ino *Inode, mode int, off, length int64) sys.
 		}
 		for bi := firstBlk; bi <= lastBlk; bi++ {
 			if _, ok := ino.blocks[bi]; !ok {
-				ino.blocks[bi] = newBlock(bs, true)
+				ino.blocks[bi] = nil
 			}
 		}
 	}
@@ -410,6 +411,21 @@ func (fs *FS) Fallocate(cred Cred, ino *Inode, mode int, off, length int64) sys.
 	}
 	fs.stampData(ino)
 	return sys.OK
+}
+
+// zeroPage is the reference allZero compares against.
+var zeroPage [4096]byte
+
+// allZero reports whether b holds only zero bytes.
+func allZero(b []byte) bool {
+	for len(b) > 0 {
+		n := min(len(b), len(zeroPage))
+		if !bytes.Equal(b[:n], zeroPage[:n]) {
+			return false
+		}
+		b = b[n:]
+	}
+	return true
 }
 
 // MarkBadBlock flags the file at path as having a medium error so reads hit

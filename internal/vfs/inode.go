@@ -18,7 +18,8 @@ type Inode struct {
 
 	size int64
 	// blocks holds file data as lazily allocated BlockSize chunks keyed by
-	// block index; unallocated blocks read as zeros (sparse files).
+	// block index; unallocated blocks read as zeros (sparse files). A nil
+	// entry is an allocated block of zeros with no memory behind it.
 	blocks map[int64][]byte
 
 	children map[string]*Inode

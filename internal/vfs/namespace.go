@@ -284,12 +284,9 @@ func (fs *FS) ReadDir(base *Inode, cred Cred, path string) ([]string, sys.Errno)
 }
 
 // releaseInode returns an unlinked inode's allocated blocks (plus its
-// metadata block) to the allocator, recycling the block storage itself.
+// metadata block) to the allocator.
 func (fs *FS) releaseInode(cred Cred, ino *Inode) {
 	_ = fs.chargeBlocks(cred, -(int64(len(ino.blocks)) + 1))
-	for _, blk := range ino.blocks {
-		freeBlock(fs.cfg.BlockSize, blk)
-	}
 	ino.blocks = nil
 	ino.size = 0
 }
