@@ -76,11 +76,15 @@ func (m *Model) Open(fd int, path string, flags int, mode uint32) sys.Errno {
 	if flags&sys.O_ACCMODE == sys.O_ACCMODE {
 		return sys.EINVAL
 	}
+	if m.atFDLimit() {
+		return sys.EMFILE
+	}
 	if _, isDir := m.dirs[path]; isDir {
 		if accWrite {
 			return sys.EISDIR
 		}
-		return m.install(fd, &mfd{path: path, flags: flags})
+		m.fds[fd] = &mfd{path: path, flags: flags}
+		return sys.OK
 	}
 	f, exists := m.files[path]
 	switch {
@@ -113,27 +117,25 @@ func (m *Model) Open(fd int, path string, flags int, mode uint32) sys.Errno {
 	if flags&sys.O_APPEND != 0 {
 		pos = f.size
 	}
-	return m.install(fd, &mfd{path: path, flags: flags, pos: pos})
+	m.fds[fd] = &mfd{path: path, flags: flags, pos: pos}
+	return sys.OK
 }
 
-// install registers an open descriptor, or fails with EMFILE at the
-// per-process descriptor limit. The kernel under test allocates the
-// descriptor after the open's effects on the file (creation, O_TRUNC), so
-// the limit is checked last here too.
-func (m *Model) install(fd int, f *mfd) sys.Errno {
-	if m.maxFDs > 0 {
-		open := 0
-		for _, d := range m.fds {
-			if !d.closed {
-				open++
-			}
-		}
-		if open >= m.maxFDs {
-			return sys.EMFILE
+// atFDLimit reports whether the process holds its per-process descriptor
+// limit. Linux takes the descriptor (get_unused_fd_flags) before it looks
+// the path up, so Open checks this first: EMFILE wins over path errors and
+// leaves the file alone (no creation, no O_TRUNC).
+func (m *Model) atFDLimit() bool {
+	if m.maxFDs <= 0 {
+		return false
+	}
+	open := 0
+	for _, d := range m.fds {
+		if !d.closed {
+			open++
 		}
 	}
-	m.fds[fd] = f
-	return sys.OK
+	return open >= m.maxFDs
 }
 
 func (m *Model) fd(fd int) (*mfd, sys.Errno) {

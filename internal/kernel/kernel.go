@@ -171,10 +171,18 @@ func (p *Proc) CloseAll() {
 	}
 }
 
+// atFDLimit reports whether the process holds its per-process descriptor
+// limit. Linux takes the descriptor (get_unused_fd_flags) before it looks
+// the path up, so an open checks this before OpenInode: EMFILE wins over
+// path errors and leaves the file alone (no creation, no O_TRUNC).
+func (p *Proc) atFDLimit() bool {
+	return len(p.fds) >= p.maxFD
+}
+
 // allocFD installs f at the lowest free descriptor number, enforcing both
 // the per-process (EMFILE) and system-wide (ENFILE) limits.
 func (p *Proc) allocFD(f *file) (int, sys.Errno) {
-	if len(p.fds) >= p.maxFD {
+	if p.atFDLimit() {
 		return -1, sys.EMFILE
 	}
 	p.k.mu.Lock()

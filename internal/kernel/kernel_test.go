@@ -286,6 +286,36 @@ func TestEMFILE(t *testing.T) {
 	}
 }
 
+// TestEMFILEBeforeOpenTakesEffect pins Linux's order: do_sys_openat2 takes
+// the descriptor before it resolves the path, so an open at the limit
+// neither creates nor truncates the file, and EMFILE wins over path errors.
+func TestEMFILEBeforeOpenTakesEffect(t *testing.T) {
+	k := New(vfs.New(vfs.DefaultConfig()), Options{})
+	p := k.NewProc(ProcOptions{MaxFDs: 1})
+	fd, e := p.Open("/a", sys.O_CREAT|sys.O_WRONLY, 0o644)
+	if e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p.Write(fd, []byte("data")); e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p.Open("/c", sys.O_CREAT|sys.O_WRONLY, 0o644); e != sys.EMFILE {
+		t.Fatalf("O_CREAT at the limit = %v, want EMFILE", e)
+	}
+	if _, e := p.Stat("/c"); e != sys.ENOENT {
+		t.Errorf("stat after O_CREAT hit EMFILE = %v, want ENOENT (file must not be created)", e)
+	}
+	if _, e := p.Open("/a", sys.O_TRUNC|sys.O_WRONLY, 0); e != sys.EMFILE {
+		t.Fatalf("O_TRUNC at the limit = %v, want EMFILE", e)
+	}
+	if st, _ := p.Stat("/a"); st.Size != 4 {
+		t.Errorf("size after O_TRUNC hit EMFILE = %d, want 4 (file must not be truncated)", st.Size)
+	}
+	if _, e := p.Open("/missing/x", sys.O_RDONLY, 0); e != sys.EMFILE {
+		t.Errorf("missing path at the limit = %v, want EMFILE (wins over ENOENT)", e)
+	}
+}
+
 func TestENFILE(t *testing.T) {
 	k := New(vfs.New(vfs.DefaultConfig()), Options{MaxSystemFiles: 1})
 	p1 := k.NewProc(ProcOptions{})

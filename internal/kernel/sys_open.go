@@ -116,6 +116,9 @@ func (p *Proc) openInner(dirfd int, path string, flags int, mode uint32, resolve
 		if accmode != sys.O_WRONLY && accmode != sys.O_RDWR {
 			return -1, sys.EINVAL
 		}
+		if p.atFDLimit() {
+			return -1, sys.EMFILE
+		}
 		return p.openTmpfile(dirfd, path, flags, mode)
 	}
 	// O_PATH ignores almost everything else; Linux permits only O_CLOEXEC,
@@ -124,6 +127,9 @@ func (p *Proc) openInner(dirfd int, path string, flags int, mode uint32, resolve
 		if flags&^(sys.O_PATH|sys.O_CLOEXEC|sys.O_DIRECTORY|sys.O_NOFOLLOW) != 0 {
 			return -1, sys.EINVAL
 		}
+	}
+	if p.atFDLimit() {
+		return -1, sys.EMFILE
 	}
 	base, e := p.dirfdBase(dirfd, path)
 	if e != sys.OK {
