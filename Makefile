@@ -10,7 +10,8 @@
 #                   (exit 1 on any finding); -v prints per-pass analysis
 #                   times
 #   make fuzz     - short fuzz passes over the binary trace codec, the text
-#                   trace parser, the mount filter and checkpoint restore
+#                   trace parser, the mount filter, checkpoint restore and
+#                   the vfs read/write oracle
 #
 # Every go test line carries -timeout, so an analysis or test that stops
 # terminating fails in minutes instead of the default ten.
@@ -50,6 +51,7 @@ fuzz:
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzTextParser -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzFilter -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzSnapshotRestore -fuzztime 15s ./internal/coverage/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzReadWriteOracle -fuzztime 15s ./internal/vfs/
 
 smoke:
 	./scripts/smoke_iocovd.sh

@@ -3,83 +3,222 @@ package vfs
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"iocov/internal/sys"
 )
 
-// TestReadWriteOracle drives random positional writes/reads/truncates
-// against the filesystem and a plain in-memory byte-slice oracle, checking
-// every read byte-for-byte. This pins down the sparse block storage.
+// TestReadWriteOracle drives random positional writes, reads, truncates,
+// fallocates and clones against the filesystem and a flat in-memory
+// byte-slice oracle, checking every read byte-for-byte and the block
+// footprint after every step. Writes mix non-zero, all-zero and half-zero
+// payloads, so the allocated-but-zero (nil) block entries meet real blocks
+// in every order.
 func TestReadWriteOracle(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		fs := New(DefaultConfig())
-		ino := mustCreate(t, fs, "/f")
-		oracle := make([]byte, 0)
+		runOracle(t, oracleProgram(seed))
+	}
+}
 
-		grow := func(end int64) {
-			if end > int64(len(oracle)) {
-				oracle = append(oracle, make([]byte, end-int64(len(oracle)))...)
-			}
+// FuzzReadWriteOracle runs the oracle on a byte string decoded into ops.
+func FuzzReadWriteOracle(f *testing.F) {
+	for seed := int64(0); seed < 5; seed++ {
+		f.Add(oracleProgram(seed))
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512*oracleOpLen {
+			prog = prog[:512*oracleOpLen]
 		}
-		const maxOff = 1 << 20
-		for op := 0; op < 400; op++ {
-			switch rng.Intn(4) {
-			case 0, 1: // write
-				off := rng.Int63n(maxOff)
-				size := rng.Intn(16 * 1024)
-				data := make([]byte, size)
-				rng.Read(data)
-				n, e := fs.WriteAt(Root, ino, data, off, false)
-				if e != sys.OK {
-					t.Fatalf("seed %d op %d: write(%d,%d) = %v", seed, op, off, size, e)
-				}
-				if n != size {
-					t.Fatalf("short write %d of %d", n, size)
-				}
-				grow(off + int64(size))
-				copy(oracle[off:], data)
-			case 2: // read
-				off := rng.Int63n(maxOff)
-				size := rng.Intn(16 * 1024)
-				buf := make([]byte, size)
-				n, e := fs.ReadAt(Root, ino, buf, off)
-				if e != sys.OK {
-					t.Fatalf("read = %v", e)
-				}
-				want := 0
-				if off < int64(len(oracle)) {
-					want = len(oracle) - int(off)
-					if want > size {
-						want = size
-					}
-				}
-				if n != want {
-					t.Fatalf("seed %d op %d: read(%d,%d) = %d bytes, oracle %d (size %d)",
-						seed, op, off, size, n, want, len(oracle))
-				}
-				if n > 0 && !bytes.Equal(buf[:n], oracle[off:off+int64(n)]) {
-					t.Fatalf("seed %d op %d: read content mismatch at %d", seed, op, off)
-				}
-			case 3: // truncate
-				length := rng.Int63n(maxOff)
-				if e := fs.TruncateInode(Root, ino, length); e != sys.OK {
-					t.Fatalf("truncate = %v", e)
-				}
-				if length <= int64(len(oracle)) {
-					oracle = oracle[:length]
-				} else {
-					grow(length)
-				}
-			}
-			if ino.Size() != int64(len(oracle)) {
-				t.Fatalf("seed %d op %d: size %d, oracle %d", seed, op, ino.Size(), len(oracle))
+		runOracle(t, prog)
+	})
+}
+
+// Oracle ops are oracleOpLen bytes each: a kind byte, a 24-bit offset, a
+// 16-bit size, a fill byte and a flag byte.
+const (
+	oracleOpLen  = 8
+	oracleMaxOff = 1 << 20
+	oracleMaxLen = 16 * 1024
+)
+
+// oracleProgram is the op string TestReadWriteOracle runs for seed.
+func oracleProgram(seed int64) []byte {
+	prog := make([]byte, 400*oracleOpLen)
+	rand.New(rand.NewSource(seed)).Read(prog)
+	return prog
+}
+
+// oracleFile is one file and its flat model: content, and the block
+// indices that must be allocated.
+type oracleFile struct {
+	fs    *FS
+	ino   *Inode
+	data  []byte
+	alloc map[int64]bool
+	buf   []byte // read buffer, reused
+}
+
+func (o *oracleFile) grow(end int64) {
+	if end > int64(len(o.data)) {
+		o.data = append(o.data, make([]byte, end-int64(len(o.data)))...)
+	}
+}
+
+func (o *oracleFile) allocate(off, n int64) {
+	for bi := off / 4096; bi <= (off+n-1)/4096; bi++ {
+		o.alloc[bi] = true
+	}
+}
+
+func (o *oracleFile) write(t *testing.T, data []byte, off int64) {
+	t.Helper()
+	n, e := o.fs.WriteAt(Root, o.ino, data, off, false)
+	if e != sys.OK || n != len(data) {
+		t.Fatalf("write(%d,%d) = %d, %v", off, len(data), n, e)
+	}
+	if len(data) > 0 {
+		o.grow(off + int64(len(data)))
+		copy(o.data[off:], data)
+		o.allocate(off, int64(len(data)))
+	}
+}
+
+// check compares the file's size and block footprint with the model, and
+// the bytes in [off, off+n) that lie inside the file.
+func (o *oracleFile) check(t *testing.T, what string, off, n int64) {
+	t.Helper()
+	st := o.fs.statLockedForTest(o.ino)
+	if st.Size != int64(len(o.data)) {
+		t.Fatalf("%s: size %d, oracle %d", what, st.Size, len(o.data))
+	}
+	if st.Blocks != int64(len(o.alloc)) {
+		t.Fatalf("%s: %d blocks, oracle %d", what, st.Blocks, len(o.alloc))
+	}
+	n = min(n, int64(len(o.data))-off)
+	if n <= 0 {
+		return
+	}
+	o.buf = dirty(o.buf, int(n))
+	if got, e := o.fs.ReadAt(Root, o.ino, o.buf, off); e != sys.OK || int64(got) != n {
+		t.Fatalf("%s: read(%d,%d) = %d, %v", what, off, n, got, e)
+	}
+	if want := o.data[off : off+n]; !bytes.Equal(o.buf, want) {
+		for i := range o.buf {
+			if o.buf[i] != want[i] {
+				t.Fatalf("%s: byte %d reads %#x, oracle %#x", what, off+int64(i), o.buf[i], want[i])
 			}
 		}
 	}
+}
+
+// runOracle decodes prog into ops and checks each against the model.
+func runOracle(t *testing.T, prog []byte) {
+	fs := New(DefaultConfig())
+	o := &oracleFile{fs: fs, ino: mustCreate(t, fs, "/f"), alloc: map[int64]bool{}}
+	base := fs.UsedBlocks()
+	var clone *oracleFile
+	for op := 0; (op+1)*oracleOpLen <= len(prog); op++ {
+		b := prog[op*oracleOpLen : (op+1)*oracleOpLen]
+		off := int64(b[1]) | int64(b[2])<<8 | int64(b[3])<<16
+		off %= oracleMaxOff
+		size := (int(b[4]) | int(b[5])<<8) % oracleMaxLen
+		what := fmt.Sprintf("op %d (kind %d, off %d, size %d)", op, b[0]%8, off, size)
+		switch b[0] % 8 {
+		case 0, 1: // non-zero write; flag bit 0 zeroes its first half
+			data := bytes.Repeat([]byte{b[6] | 1}, size)
+			if b[7]&1 != 0 {
+				clear(data[:size/2])
+			}
+			o.write(t, data, off)
+		case 2: // all-zero write
+			o.write(t, make([]byte, size), off)
+		case 3: // read
+			o.buf = dirty(o.buf, size)
+			buf := o.buf
+			n, e := fs.ReadAt(Root, o.ino, buf, off)
+			if e != sys.OK {
+				t.Fatalf("%s: read = %v", what, e)
+			}
+			want := 0
+			if off < int64(len(o.data)) {
+				want = min(len(o.data)-int(off), size)
+			}
+			if n != want {
+				t.Fatalf("%s: read %d bytes, oracle %d", what, n, want)
+			}
+			if n > 0 && !bytes.Equal(buf[:n], o.data[off:off+int64(n)]) {
+				t.Fatalf("%s: read content mismatch", what)
+			}
+		case 4: // truncate, to any length including mid-block
+			if e := fs.TruncateInode(Root, o.ino, off); e != sys.OK {
+				t.Fatalf("%s: truncate = %v", what, e)
+			}
+			if off <= int64(len(o.data)) {
+				o.data = o.data[:off]
+				for bi := range o.alloc {
+					if bi*4096 >= off {
+						delete(o.alloc, bi)
+					}
+				}
+			} else {
+				o.grow(off)
+			}
+		case 5, 6: // fallocate; kind 6 keeps the size
+			mode, n := 0, int64(size)+1
+			if b[0]%8 == 6 {
+				mode = FallocKeepSize
+			}
+			if e := fs.Fallocate(Root, o.ino, mode, off, n); e != sys.OK {
+				t.Fatalf("%s: fallocate = %v", what, e)
+			}
+			o.allocate(off, n)
+			if mode == 0 {
+				o.grow(off + n)
+			}
+		case 7: // clone, then write into the clone only
+			c := fs.Clone()
+			cino, e := c.LookupInode(c.Root(), Root, "/f", true)
+			if e != sys.OK {
+				t.Fatalf("%s: clone lookup = %v", what, e)
+			}
+			// The new clone replaces the last one, so it takes over its
+			// model's buffers.
+			var data, buf []byte
+			if clone != nil {
+				data, buf = clone.data[:0], clone.buf
+			}
+			clone = &oracleFile{fs: c, ino: cino, data: append(data, o.data...), alloc: maps.Clone(o.alloc), buf: buf}
+			clone.write(t, bytes.Repeat([]byte{b[6] | 1}, size+1), off)
+			clone.check(t, what+" clone", off, int64(size)+1)
+			o.check(t, what+" original", off, int64(size)+1)
+		}
+		o.check(t, what, 0, 0)
+		if got := fs.UsedBlocks() - base; got != int64(len(o.alloc)) {
+			t.Fatalf("%s: %d blocks charged, oracle %d", what, got, len(o.alloc))
+		}
+	}
+	o.check(t, "end", 0, int64(len(o.data)))
+	if clone != nil {
+		// Writes to the original after the clone must not show through.
+		clone.check(t, "last clone at end", 0, int64(len(clone.data)))
+	}
+}
+
+// dirty returns an n-byte buffer, reusing buf, filled with a non-zero byte
+// so that a read which leaves bytes unwritten shows.
+func dirty(buf []byte, n int) []byte {
+	buf = slices.Grow(buf[:0], n)[:n]
+	if n > 0 {
+		buf[0] = 0xEE
+		for i := 1; i < n; i *= 2 {
+			copy(buf[i:], buf[:i])
+		}
+	}
+	return buf
 }
 
 // TestBlockAccountingInvariant: after any op sequence, the filesystem's
