@@ -21,17 +21,18 @@ func measureAllocBytes(f func()) uint64 {
 }
 
 // TestParallelAllocRegression pins the fix for the parallel memory blowup:
-// before the shared zero arena, the vfs block pool, and the pooled shard
-// arena, RunParallel at workers=8 allocated ~4.8x the bytes of a serial
-// run (2.4GB vs 496MB per op at benchmark scale). With per-worker state
+// before the shared zero arena, vfs block reuse (now all-zero blocks with
+// no memory behind them) and the pooled shard arena, RunParallel at
+// workers=8 allocated ~4.8x the bytes of a serial run (2.4GB vs 496MB per
+// op at benchmark scale). With per-worker state
 // recycled, the parallel run must stay within 2x of serial — workers only
 // add pipeline duplication (filesystems, kernels), not per-shard copies of
 // the write buffer or analyzer churn.
 //
 // The race detector defeats the measurement: under -race sync.Pool drops a
-// random quarter of its Puts by design, so the shard arena, block and
-// read-buffer pools this test pins recycle only in part, and only the
-// parallel run draws from the shard pool. The test therefore runs without
+// random quarter of its Puts by design, so the shard arena and read-buffer
+// pools this test pins recycle only in part, and only the parallel run
+// draws from the shard pool. The test therefore runs without
 // -race only, like the AllocsPerRun pins.
 func TestParallelAllocRegression(t *testing.T) {
 	if testing.Short() {
@@ -58,8 +59,8 @@ func TestParallelAllocRegression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm-up fills the shard arena and block pools so the measurement sees
-	// the steady state the benchmarks report, not first-run pool misses.
+	// Warm-up fills the shard arena and read-buffer pools so the measurement
+	// sees the steady state the benchmarks report, not first-run pool misses.
 	run(0)
 	run(workers)
 

@@ -44,7 +44,7 @@ func TestParallelScalingSmoke(t *testing.T) {
 		}
 		return best
 	}
-	// Warm-up: fill the shard arena and block pools once before timing.
+	// Warm-up: fill the shard arena and read-buffer pools once before timing.
 	if _, err := RunParallel(SuiteXfstests, scale, seed, workers, coverage.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
