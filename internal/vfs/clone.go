@@ -1,6 +1,10 @@
 package vfs
 
-import "iocov/internal/sys"
+import (
+	"slices"
+
+	"iocov/internal/sys"
+)
 
 // Clone deep-copies the filesystem: inodes, directory structure, file data,
 // and xattrs. The crash-consistency simulator uses clones as persistence
@@ -37,6 +41,8 @@ func cloneInode(in *Inode, parent *Inode) *Inode {
 		gid:        in.gid,
 		nlink:      in.nlink,
 		size:       in.size,
+		runs:       slices.Clone(in.runs),
+		nblocks:    in.nblocks,
 		parent:     parent,
 		target:     in.target,
 		xattrBytes: in.xattrBytes,
@@ -50,10 +56,9 @@ func cloneInode(in *Inode, parent *Inode) *Inode {
 	for k, v := range in.xattrs {
 		out.xattrs[k] = append([]byte(nil), v...)
 	}
-	if in.blocks != nil {
-		out.blocks = make(map[int64][]byte, len(in.blocks))
-		for bi, blk := range in.blocks {
-			out.blocks[bi] = append([]byte(nil), blk...)
+	for k, r := range out.runs {
+		if r.data != nil {
+			out.runs[k].data = slices.Clone(r.data)
 		}
 	}
 	if in.children != nil {

@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"bytes"
 	"fmt"
 
 	"iocov/internal/sys"
@@ -167,24 +166,14 @@ func (fs *FS) ReadAt(cred Cred, ino *Inode, buf []byte, off int64) (int, sys.Err
 	if off+n > ino.size {
 		n = ino.size - off
 	}
-	bs := fs.cfg.BlockSize
-	var copied int64
-	for copied < n {
-		pos := off + copied
-		bi, bo := pos/bs, pos%bs
-		chunk := bs - bo
-		if rest := n - copied; chunk > rest {
-			chunk = rest
-		}
-		dst := buf[copied : copied+chunk]
-		if blk := ino.blocks[bi]; blk != nil {
-			copy(dst, blk[bo:bo+chunk])
+	ino.walk(off, off+n, fs.cfg.BlockSize, func(from, to int64, data []byte, _ bool) {
+		// A hole or a zero run reads as zeros.
+		if dst := buf[from-off : to-off]; data != nil {
+			copy(dst, data)
 		} else {
-			// A hole or an allocated all-zero block.
 			clear(dst)
 		}
-		copied += chunk
-	}
+	})
 	return int(n), sys.OK
 }
 
@@ -213,13 +202,7 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 		return 0, sys.EFBIG
 	}
 	bs := fs.cfg.BlockSize
-	firstBlk, lastBlk := off/bs, (end-1)/bs
-	var fresh int64
-	for bi := firstBlk; bi <= lastBlk; bi++ {
-		if _, ok := ino.blocks[bi]; !ok {
-			fresh++
-		}
-	}
+	fresh := ino.holes(off, end, bs)
 	if fresh > 0 {
 		// btrfs_buffered_write NOWAIT path: needing allocation under
 		// NOWAIT must fall back, not fail. The injected bug returns
@@ -234,35 +217,18 @@ func (fs *FS) WriteAt(cred Cred, ino *Inode, buf []byte, off int64, nonblock boo
 		if e := fs.chargeBlocks(cred, fresh); e != sys.OK {
 			return 0, e
 		}
+		ino.nblocks += fresh
 	}
-	if ino.blocks == nil {
-		// Size the map for the blocks this write spans, so a large first
-		// write does not grow it one rehash at a time.
-		ino.blocks = make(map[int64][]byte, lastBlk-firstBlk+1)
-	}
-	var copied int64
-	for copied < int64(len(buf)) {
-		pos := off + copied
-		bi, bo := pos/bs, pos%bs
-		chunk := bs - bo
-		if rest := int64(len(buf)) - copied; chunk > rest {
-			chunk = rest
+	if allZero(buf) {
+		// Zeros land in data runs in place; holes become zero runs, with
+		// no memory behind them.
+		ino.walk(off, end, bs, func(_, _ int64, data []byte, _ bool) { clear(data) })
+		if fresh > 0 {
+			ino.allocate(off/bs, (end-1)/bs+1)
 		}
-		src := buf[copied : copied+chunk]
-		blk := ino.blocks[bi]
-		switch {
-		case blk != nil:
-			copy(blk[bo:], src)
-		case allZero(src):
-			// Zeros into a hole or an all-zero block: the block is
-			// allocated with nothing behind it.
-			ino.blocks[bi] = nil
-		default:
-			blk = make([]byte, bs)
-			copy(blk[bo:], src)
-			ino.blocks[bi] = blk
-		}
-		copied += chunk
+	} else {
+		run := ino.materialize(off/bs, (end-1)/bs+1, bs)
+		copy(run.data[off-run.start*bs:], buf)
 	}
 	if end > ino.size {
 		ino.size = end
@@ -329,26 +295,10 @@ func (fs *FS) truncateLocked(cred Cred, ino *Inode, length int64) sys.Errno {
 		}
 	}
 	if target < ino.size {
-		// Shrink: free whole blocks beyond the new end and zero the tail
-		// of the boundary block so later growth reads zeros.
-		bs := fs.cfg.BlockSize
-		lastKeep := int64(-1)
-		if target > 0 {
-			lastKeep = (target - 1) / bs
-		}
-		var freed int64
-		for bi := range ino.blocks {
-			if bi > lastKeep {
-				delete(ino.blocks, bi)
-				freed++
-			}
-		}
-		if freed > 0 {
+		// Shrink: drop the blocks beyond the new end and zero the tail of
+		// the boundary block so later growth reads zeros.
+		if freed := ino.trim(target, fs.cfg.BlockSize); freed > 0 {
 			_ = fs.chargeBlocks(cred, -freed)
-		}
-		// An all-zero (nil) boundary block has no tail to clear.
-		if blk := ino.blocks[lastKeep]; blk != nil && target%bs != 0 {
-			clear(blk[target%bs:])
 		}
 	}
 	// Growth is sparse: size changes, no blocks are allocated (holes read
@@ -386,46 +336,18 @@ func (fs *FS) Fallocate(cred Cred, ino *Inode, mode int, off, length int64) sys.
 		return sys.EFBIG
 	}
 	bs := fs.cfg.BlockSize
-	firstBlk, lastBlk := off/bs, (end-1)/bs
-	var fresh int64
-	for bi := firstBlk; bi <= lastBlk; bi++ {
-		if _, ok := ino.blocks[bi]; !ok {
-			fresh++
-		}
-	}
-	if fresh > 0 {
+	if fresh := ino.holes(off, end, bs); fresh > 0 {
 		if e := fs.chargeBlocks(cred, fresh); e != sys.OK {
 			return e
 		}
-		if ino.blocks == nil {
-			ino.blocks = make(map[int64][]byte)
-		}
-		for bi := firstBlk; bi <= lastBlk; bi++ {
-			if _, ok := ino.blocks[bi]; !ok {
-				ino.blocks[bi] = nil
-			}
-		}
+		ino.nblocks += fresh
+		ino.allocate(off/bs, (end-1)/bs+1)
 	}
 	if mode&FallocKeepSize == 0 && end > ino.size {
 		ino.size = end
 	}
 	fs.stampData(ino)
 	return sys.OK
-}
-
-// zeroPage is the reference allZero compares against.
-var zeroPage [4096]byte
-
-// allZero reports whether b holds only zero bytes.
-func allZero(b []byte) bool {
-	for len(b) > 0 {
-		n := min(len(b), len(zeroPage))
-		if !bytes.Equal(b[:n], zeroPage[:n]) {
-			return false
-		}
-		b = b[n:]
-	}
-	return true
 }
 
 // MarkBadBlock flags the file at path as having a medium error so reads hit

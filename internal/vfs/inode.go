@@ -17,10 +17,12 @@ type Inode struct {
 	nlink int
 
 	size int64
-	// blocks holds file data as lazily allocated BlockSize chunks keyed by
-	// block index; unallocated blocks read as zeros (sparse files). A nil
-	// entry is an allocated block of zeros with no memory behind it.
-	blocks map[int64][]byte
+	// runs holds the allocated blocks as extents sorted by start block: no
+	// two overlap and no two zero runs touch. A block in no run is a hole
+	// and reads as zeros (sparse files). nblocks counts the allocated
+	// blocks.
+	runs    []extent
+	nblocks int64
 
 	children map[string]*Inode
 	parent   *Inode
@@ -152,7 +154,7 @@ func (fs *FS) statLocked(ino *Inode) Stat {
 		GID:    ino.gid,
 		Size:   ino.size,
 		Nlink:  ino.nlink,
-		Blocks: int64(len(ino.blocks)),
+		Blocks: ino.nblocks,
 		Atime:  ino.atime,
 		Mtime:  ino.mtime,
 		Ctime:  ino.ctime,

@@ -286,7 +286,7 @@ func (fs *FS) ReadDir(base *Inode, cred Cred, path string) ([]string, sys.Errno)
 // releaseInode returns an unlinked inode's allocated blocks (plus its
 // metadata block) to the allocator.
 func (fs *FS) releaseInode(cred Cred, ino *Inode) {
-	_ = fs.chargeBlocks(cred, -(int64(len(ino.blocks)) + 1))
-	ino.blocks = nil
+	_ = fs.chargeBlocks(cred, -(ino.nblocks + 1))
+	ino.runs, ino.nblocks = nil, 0
 	ino.size = 0
 }
