@@ -77,11 +77,15 @@ func (k *Kernel) Sink() trace.Sink { return k.sink }
 // (one goroutine per simulated process, as with real threads sharing an fd
 // table, would require external locking).
 type Proc struct {
-	k     *Kernel
-	pid   int
-	cred  vfs.Cred
-	cwd   *vfs.Inode
-	fds   map[int]*file
+	k    *Kernel
+	pid  int
+	cred vfs.Cred
+	cwd  *vfs.Inode
+	// fds is the descriptor table, indexed by fd; a nil entry is free. It
+	// grows only to the highest descriptor in use, like Linux's
+	// expand_files. nopen counts the non-nil entries.
+	fds   []*file
+	nopen int
 	maxFD int
 	umask uint32
 }
@@ -123,7 +127,6 @@ func (k *Kernel) NewProc(opts ProcOptions) *Proc {
 		pid:   pid,
 		cred:  opts.Cred,
 		cwd:   k.fs.Root(),
-		fds:   make(map[int]*file),
 		maxFD: opts.MaxFDs,
 		umask: opts.Umask,
 	}
@@ -152,23 +155,25 @@ func (p *Proc) Umask(mask uint32) uint32 {
 	return old
 }
 
-// OpenFDs returns the currently open descriptor numbers (unordered).
+// OpenFDs returns the currently open descriptor numbers in ascending
+// order.
 func (p *Proc) OpenFDs() []int {
-	out := make([]int, 0, len(p.fds))
-	for fd := range p.fds {
-		out = append(out, fd)
+	out := make([]int, 0, p.nopen)
+	for fd, f := range p.fds {
+		if f != nil {
+			out = append(out, fd)
+		}
 	}
 	return out
 }
 
 // CloseAll closes every open descriptor, for workload teardown.
 func (p *Proc) CloseAll() {
-	for fd := range p.fds {
-		p.k.mu.Lock()
-		p.k.openSys--
-		p.k.mu.Unlock()
-		delete(p.fds, fd)
-	}
+	p.k.mu.Lock()
+	p.k.openSys -= p.nopen
+	p.k.mu.Unlock()
+	clear(p.fds)
+	p.fds, p.nopen = p.fds[:0], 0
 }
 
 // atFDLimit reports whether the process holds its per-process descriptor
@@ -176,7 +181,7 @@ func (p *Proc) CloseAll() {
 // the path up, so an open checks this before OpenInode: EMFILE wins over
 // path errors and leaves the file alone (no creation, no O_TRUNC).
 func (p *Proc) atFDLimit() bool {
-	return len(p.fds) >= p.maxFD
+	return p.nopen >= p.maxFD
 }
 
 // allocFD installs f at the lowest free descriptor number, enforcing both
@@ -192,20 +197,35 @@ func (p *Proc) allocFD(f *file) (int, sys.Errno) {
 	}
 	p.k.openSys++
 	p.k.mu.Unlock()
-	for fd := 3; ; fd++ { // 0..2 reserved for std streams, as on Linux
-		if _, used := p.fds[fd]; !used {
-			p.fds[fd] = f
-			return fd, sys.OK
-		}
+	fd := 3 // 0..2 reserved for std streams, as on Linux
+	for fd < len(p.fds) && p.fds[fd] != nil {
+		fd++
 	}
+	p.installFD(fd, f)
+	return fd, sys.OK
+}
+
+// installFD puts f at the free descriptor fd, growing the table to reach
+// it.
+func (p *Proc) installFD(fd int, f *file) {
+	if fd >= len(p.fds) {
+		p.fds = append(p.fds, make([]*file, fd+1-len(p.fds))...)
+	}
+	p.fds[fd] = f
+	p.nopen++
+}
+
+// removeFD frees the open descriptor fd.
+func (p *Proc) removeFD(fd int) {
+	p.fds[fd] = nil
+	p.nopen--
 }
 
 func (p *Proc) lookupFD(fd int) (*file, sys.Errno) {
-	f, ok := p.fds[fd]
-	if !ok {
+	if fd < 0 || fd >= len(p.fds) || p.fds[fd] == nil {
 		return nil, sys.EBADF
 	}
-	return f, sys.OK
+	return p.fds[fd], sys.OK
 }
 
 // ekv and eskv are the emit-site argument pairs. Emit sites pass small

@@ -293,7 +293,7 @@ func (p *Proc) ftruncateInner(fd int, length int64) sys.Errno {
 	if e != sys.OK {
 		// ftruncate on a non-writable fd is EINVAL, not EBADF, when the
 		// descriptor exists.
-		if _, ok := p.fds[fd]; ok {
+		if _, e := p.lookupFD(fd); e == sys.OK {
 			return sys.EINVAL
 		}
 		return e

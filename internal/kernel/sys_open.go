@@ -227,7 +227,7 @@ func (p *Proc) closeInner(fd int) sys.Errno {
 	if _, e := p.lookupFD(fd); e != sys.OK {
 		return e
 	}
-	delete(p.fds, fd)
+	p.removeFD(fd)
 	p.k.mu.Lock()
 	p.k.openSys--
 	p.k.mu.Unlock()
@@ -277,21 +277,22 @@ func (p *Proc) dup2Inner(fd, newfd int) (int, sys.Errno) {
 	if newfd == fd {
 		return fd, sys.OK
 	}
-	if _, open := p.fds[newfd]; open {
-		delete(p.fds, newfd)
-	} else {
-		if len(p.fds) >= p.maxFD {
-			return -1, sys.EMFILE
-		}
-		p.k.mu.Lock()
-		if p.k.openSys >= p.k.maxSys {
-			p.k.mu.Unlock()
-			return -1, sys.ENFILE
-		}
-		p.k.openSys++
-		p.k.mu.Unlock()
+	if _, e := p.lookupFD(newfd); e == sys.OK {
+		// Replacing an open descriptor leaves the counts as they are.
+		p.fds[newfd] = f
+		return newfd, sys.OK
 	}
-	p.fds[newfd] = f
+	if p.atFDLimit() {
+		return -1, sys.EMFILE
+	}
+	p.k.mu.Lock()
+	if p.k.openSys >= p.k.maxSys {
+		p.k.mu.Unlock()
+		return -1, sys.ENFILE
+	}
+	p.k.openSys++
+	p.k.mu.Unlock()
+	p.installFD(newfd, f)
 	return newfd, sys.OK
 }
 
