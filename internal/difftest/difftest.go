@@ -87,7 +87,7 @@ func Run(cfg Config) *Result {
 		model: NewModel(fsCfg.MaxFileSize, fsCfg.MaxXattrValue, fsCfg.XattrCapacity),
 		an:    an,
 	}
-	t.model.maxFDs = t.p.MaxFDs()
+	t.model.maxFDs, t.model.maxFiles = t.p.MaxFDs(), k.MaxSystemFiles()
 	t.res.Analyzer = an
 	for i := 0; i < 12; i++ {
 		t.files = append(t.files, fmt.Sprintf("/f%d", i))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"iocov/internal/coverage"
+	"iocov/internal/kernel"
 	"iocov/internal/sys"
 	"iocov/internal/trace"
 	"iocov/internal/vfs"
@@ -185,6 +186,52 @@ func TestBoundaryFromLabel(t *testing.T) {
 }
 
 // TestModelDirectly exercises the reference model's own corner cases.
+// TestModelPredictsFDLimits runs the same opens against the kernel and the
+// model at both descriptor limits: EMFILE, then ENFILE, come before path
+// errors, and neither lets the open create or truncate its file.
+func TestModelPredictsFDLimits(t *testing.T) {
+	for _, lim := range []struct{ maxFDs, maxFiles int }{{1, 2}, {2, 1}} {
+		fs := vfs.New(vfs.DefaultConfig())
+		k := kernel.New(fs, kernel.Options{MaxSystemFiles: lim.maxFiles})
+		p := k.NewProc(kernel.ProcOptions{MaxFDs: lim.maxFDs})
+		m := NewModel(1<<40, 1<<16, 1<<16)
+		m.maxFDs, m.maxFiles = p.MaxFDs(), k.MaxSystemFiles()
+		for i, op := range []struct {
+			path  string
+			flags int
+		}{
+			{"/a", sys.O_CREAT | sys.O_WRONLY},
+			{"/b", sys.O_CREAT | sys.O_WRONLY},
+			{"/a", sys.O_TRUNC | sys.O_WRONLY},
+			{"/missing", sys.O_RDONLY},
+		} {
+			fd, ke := p.Open(op.path, op.flags, 0o644)
+			if me := m.Open(fd, op.path, op.flags, 0o644); ke != me {
+				t.Errorf("limits %+v op %d open(%s): kernel %v, model %v", lim, i, op.path, ke, me)
+			}
+			if i == 0 {
+				if _, e := p.Write(fd, make([]byte, 4)); e != sys.OK {
+					t.Fatal(e)
+				}
+				m.Write(fd, 4)
+			}
+		}
+		want := sys.EMFILE
+		if lim.maxFiles < lim.maxFDs {
+			want = sys.ENFILE
+		}
+		if _, e := p.Open("/c", sys.O_CREAT|sys.O_WRONLY, 0o644); e != want {
+			t.Errorf("limits %+v: open = %v, want %v", lim, e, want)
+		}
+		if _, ok := m.FileSize("/b"); ok {
+			t.Errorf("limits %+v: model created /b on a refused open", lim)
+		}
+		if size, _ := m.FileSize("/a"); size != 4 {
+			t.Errorf("limits %+v: model /a size %d after a refused O_TRUNC, want 4", lim, size)
+		}
+	}
+}
+
 func TestModelDirectly(t *testing.T) {
 	m := NewModel(1<<40, 1<<16, 1<<16)
 	if e := m.Mkdir("/d", 0o755); e != sys.OK {

@@ -49,9 +49,11 @@ type Model struct {
 	xattrCapacity int
 	largeFileLim  int64
 	xattrOverhead int
-	// maxFDs is the per-process descriptor limit (EMFILE); zero means
-	// unlimited.
-	maxFDs int
+	// maxFDs is the per-process descriptor limit (EMFILE) and maxFiles
+	// the system-wide open-file limit (ENFILE); zero means unlimited. The
+	// model is the only process, so its descriptors are all the open
+	// files.
+	maxFDs, maxFiles int
 }
 
 // NewModel builds a model with the given limits (matching vfs.Config).
@@ -76,8 +78,8 @@ func (m *Model) Open(fd int, path string, flags int, mode uint32) sys.Errno {
 	if flags&sys.O_ACCMODE == sys.O_ACCMODE {
 		return sys.EINVAL
 	}
-	if m.atFDLimit() {
-		return sys.EMFILE
+	if e := m.fdLimit(); e != sys.OK {
+		return e
 	}
 	if _, isDir := m.dirs[path]; isDir {
 		if accWrite {
@@ -121,21 +123,25 @@ func (m *Model) Open(fd int, path string, flags int, mode uint32) sys.Errno {
 	return sys.OK
 }
 
-// atFDLimit reports whether the process holds its per-process descriptor
-// limit. Linux takes the descriptor (get_unused_fd_flags) before it looks
-// the path up, so Open checks this first: EMFILE wins over path errors and
-// leaves the file alone (no creation, no O_TRUNC).
-func (m *Model) atFDLimit() bool {
-	if m.maxFDs <= 0 {
-		return false
-	}
+// fdLimit predicts the descriptor limit an open hits. Linux takes the
+// descriptor (get_unused_fd_flags), then the struct file
+// (alloc_empty_file), before it looks the path up, so Open checks this
+// first: EMFILE, then ENFILE, win over path errors and leave the file alone
+// (no creation, no O_TRUNC).
+func (m *Model) fdLimit() sys.Errno {
 	open := 0
 	for _, d := range m.fds {
 		if !d.closed {
 			open++
 		}
 	}
-	return open >= m.maxFDs
+	switch {
+	case m.maxFDs > 0 && open >= m.maxFDs:
+		return sys.EMFILE
+	case m.maxFiles > 0 && open >= m.maxFiles:
+		return sys.ENFILE
+	}
+	return sys.OK
 }
 
 func (m *Model) fd(fd int) (*mfd, sys.Errno) {

@@ -62,6 +62,29 @@ func New(fs *vfs.FS, opts Options) *Kernel {
 // FS returns the underlying filesystem.
 func (k *Kernel) FS() *vfs.FS { return k.fs }
 
+// MaxSystemFiles returns the system-wide open-file limit (ENFILE),
+// defaults resolved.
+func (k *Kernel) MaxSystemFiles() int { return k.maxSys }
+
+// reserveFile takes one slot of the system-wide open-file table, or
+// returns ENFILE when it is full.
+func (k *Kernel) reserveFile() sys.Errno {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	if k.openSys >= k.maxSys {
+		return sys.ENFILE
+	}
+	k.openSys++
+	return sys.OK
+}
+
+// releaseFiles returns n slots to the system-wide open-file table.
+func (k *Kernel) releaseFiles(n int) {
+	k.mu.Lock()
+	k.openSys -= n
+	k.mu.Unlock()
+}
+
 // Faults returns the kernel's fault-injection rule set.
 func (k *Kernel) Faults() *FaultSet { return k.faults }
 
@@ -169,9 +192,7 @@ func (p *Proc) OpenFDs() []int {
 
 // CloseAll closes every open descriptor, for workload teardown.
 func (p *Proc) CloseAll() {
-	p.k.mu.Lock()
-	p.k.openSys -= p.nopen
-	p.k.mu.Unlock()
+	p.k.releaseFiles(p.nopen)
 	clear(p.fds)
 	p.fds, p.nopen = p.fds[:0], 0
 }
@@ -184,25 +205,16 @@ func (p *Proc) atFDLimit() bool {
 	return p.nopen >= p.maxFD
 }
 
-// allocFD installs f at the lowest free descriptor number, enforcing both
-// the per-process (EMFILE) and system-wide (ENFILE) limits.
-func (p *Proc) allocFD(f *file) (int, sys.Errno) {
-	if p.atFDLimit() {
-		return -1, sys.EMFILE
-	}
-	p.k.mu.Lock()
-	if p.k.openSys >= p.k.maxSys {
-		p.k.mu.Unlock()
-		return -1, sys.ENFILE
-	}
-	p.k.openSys++
-	p.k.mu.Unlock()
+// allocFD installs f at the lowest free descriptor number and returns it.
+// The caller has checked the per-process limit and reserved a system-wide
+// slot.
+func (p *Proc) allocFD(f *file) int {
 	fd := 3 // 0..2 reserved for std streams, as on Linux
 	for fd < len(p.fds) && p.fds[fd] != nil {
 		fd++
 	}
 	p.installFD(fd, f)
-	return fd, sys.OK
+	return fd
 }
 
 // installFD puts f at the free descriptor fd, growing the table to reach

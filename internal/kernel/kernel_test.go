@@ -328,6 +328,57 @@ func TestENFILE(t *testing.T) {
 	}
 }
 
+// TestENFILEBeforeOpenTakesEffect pins Linux's order for the system-wide
+// limit: path_openat takes the struct file (alloc_empty_file) before it
+// looks the path up, so an open refused with ENFILE neither creates nor
+// truncates the file, an O_TMPFILE open leaves its directory empty, and an
+// open that fails after the reservation gives the slot back.
+func TestENFILEBeforeOpenTakesEffect(t *testing.T) {
+	k := New(vfs.New(vfs.DefaultConfig()), Options{MaxSystemFiles: 1})
+	p1, p2 := k.NewProc(ProcOptions{}), k.NewProc(ProcOptions{})
+	if e := p1.Mkdir("/d", 0o755); e != sys.OK {
+		t.Fatal(e)
+	}
+	fd, e := p1.Open("/a", sys.O_CREAT|sys.O_WRONLY, 0o644)
+	if e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p1.Write(fd, []byte("data")); e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p2.Open("/b", sys.O_CREAT|sys.O_WRONLY, 0o644); e != sys.ENFILE {
+		t.Fatalf("O_CREAT over the system limit = %v, want ENFILE", e)
+	}
+	if _, e := p2.Stat("/b"); e != sys.ENOENT {
+		t.Errorf("stat after O_CREAT hit ENFILE = %v, want ENOENT (file must not be created)", e)
+	}
+	if _, e := p2.Open("/a", sys.O_TRUNC|sys.O_WRONLY, 0); e != sys.ENFILE {
+		t.Fatalf("O_TRUNC over the system limit = %v, want ENFILE", e)
+	}
+	if st, _ := p2.Stat("/a"); st.Size != 4 {
+		t.Errorf("size after O_TRUNC hit ENFILE = %d, want 4 (file must not be truncated)", st.Size)
+	}
+	if _, e := p2.Open("/d", sys.O_TMPFILE|sys.O_RDWR, 0o600); e != sys.ENFILE {
+		t.Fatalf("O_TMPFILE over the system limit = %v, want ENFILE", e)
+	}
+	if names, e := k.FS().ReadDir(k.FS().Root(), vfs.Root, "/d"); e != sys.OK || len(names) != 0 {
+		t.Errorf("directory after O_TMPFILE hit ENFILE = %v, %v; want empty", names, e)
+	}
+	if _, e := p2.Open("/missing/x", sys.O_RDONLY, 0); e != sys.ENFILE {
+		t.Errorf("missing path over the system limit = %v, want ENFILE (wins over ENOENT)", e)
+	}
+	// A failed open returns its reserved slot.
+	if e := p1.Close(fd); e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p2.Open("/missing/x", sys.O_RDONLY, 0); e != sys.ENOENT {
+		t.Fatalf("missing path under the limit = %v, want ENOENT", e)
+	}
+	if _, e := p2.Open("/d", sys.O_TMPFILE|sys.O_RDWR, 0o600); e != sys.OK {
+		t.Errorf("O_TMPFILE after a failed open = %v, want OK (slot must be released)", e)
+	}
+}
+
 func TestLowestFreeFD(t *testing.T) {
 	p, _ := newProc(t)
 	a, _ := p.Open("/a", sys.O_CREAT|sys.O_WRONLY, 0o644)

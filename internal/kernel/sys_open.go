@@ -111,26 +111,42 @@ func (p *Proc) openInner(dirfd int, path string, flags int, mode uint32, resolve
 	if accmode == sys.O_ACCMODE {
 		return -1, sys.EINVAL
 	}
-	// O_TMPFILE requires write access and names a directory.
-	if flags&sys.O_TMPFILE == sys.O_TMPFILE {
+	tmpfile := flags&sys.O_TMPFILE == sys.O_TMPFILE
+	if tmpfile {
+		// O_TMPFILE requires write access and names a directory.
 		if accmode != sys.O_WRONLY && accmode != sys.O_RDWR {
 			return -1, sys.EINVAL
 		}
-		if p.atFDLimit() {
-			return -1, sys.EMFILE
-		}
-		return p.openTmpfile(dirfd, path, flags, mode)
+	} else if flags&sys.O_PATH != 0 && flags&^(sys.O_PATH|sys.O_CLOEXEC|sys.O_DIRECTORY|sys.O_NOFOLLOW) != 0 {
+		// O_PATH ignores almost everything else; Linux permits only
+		// O_CLOEXEC, O_DIRECTORY and O_NOFOLLOW alongside it.
+		return -1, sys.EINVAL
 	}
-	// O_PATH ignores almost everything else; Linux permits only O_CLOEXEC,
-	// O_DIRECTORY and O_NOFOLLOW alongside it.
-	if flags&sys.O_PATH != 0 {
-		if flags&^(sys.O_PATH|sys.O_CLOEXEC|sys.O_DIRECTORY|sys.O_NOFOLLOW) != 0 {
-			return -1, sys.EINVAL
-		}
-	}
+	// Linux takes the descriptor (get_unused_fd_flags), then the struct
+	// file (alloc_empty_file in path_openat), before it looks the path up.
+	// So EMFILE, then ENFILE, win over path errors, and an open refused by
+	// either leaves the file alone: no creation, no O_TRUNC.
 	if p.atFDLimit() {
 		return -1, sys.EMFILE
 	}
+	if e := p.k.reserveFile(); e != sys.OK {
+		return -1, e
+	}
+	var fd int
+	var e sys.Errno
+	if tmpfile {
+		fd, e = p.openTmpfile(dirfd, path, flags, mode)
+	} else {
+		fd, e = p.openPath(dirfd, path, flags, mode)
+	}
+	if e != sys.OK {
+		p.k.releaseFiles(1)
+	}
+	return fd, e
+}
+
+// openPath opens the file at path on a reserved system-wide slot.
+func (p *Proc) openPath(dirfd int, path string, flags int, mode uint32) (int, sys.Errno) {
 	base, e := p.dirfdBase(dirfd, path)
 	if e != sys.OK {
 		return -1, e
@@ -144,14 +160,11 @@ func (p *Proc) openInner(dirfd int, path string, flags int, mode uint32, resolve
 	if flags&sys.O_APPEND != 0 {
 		f.pos = res.Ino.Size()
 	}
-	fd, e := p.allocFD(f)
-	if e != sys.OK {
-		return -1, e
-	}
-	return fd, sys.OK
+	return p.allocFD(f), sys.OK
 }
 
-// openTmpfile creates an unnamed file in the directory at path.
+// openTmpfile creates an unnamed file in the directory at path, on a
+// reserved system-wide slot.
 func (p *Proc) openTmpfile(dirfd int, path string, flags int, mode uint32) (int, sys.Errno) {
 	base, e := p.dirfdBase(dirfd, path)
 	if e != sys.OK {
@@ -174,11 +187,7 @@ func (p *Proc) openTmpfile(dirfd int, path string, flags int, mode uint32) (int,
 	if e != sys.OK {
 		return -1, e
 	}
-	f := &file{ino: res.Ino, flags: flags, path: path}
-	fd, e := p.allocFD(f)
-	if e != sys.OK {
-		return -1, e
-	}
+	fd := p.allocFD(&file{ino: res.Ino, flags: flags, path: path})
 	if e := p.k.fs.Unlink(dir, p.cred, tmpName); e != sys.OK {
 		// The entry was just created; removal can only fail on EROFS,
 		// which OpenInode would already have rejected.
@@ -228,9 +237,7 @@ func (p *Proc) closeInner(fd int) sys.Errno {
 		return e
 	}
 	p.removeFD(fd)
-	p.k.mu.Lock()
-	p.k.openSys--
-	p.k.mu.Unlock()
+	p.k.releaseFiles(1)
 	return sys.OK
 }
 
@@ -260,7 +267,13 @@ func (p *Proc) dupInner(fd, _ int) (int, sys.Errno) {
 	if e != sys.OK {
 		return -1, e
 	}
-	return p.allocFD(f)
+	if p.atFDLimit() {
+		return -1, sys.EMFILE
+	}
+	if e := p.k.reserveFile(); e != sys.OK {
+		return -1, e
+	}
+	return p.allocFD(f), sys.OK
 }
 
 func (p *Proc) dup2Inner(fd, newfd int) (int, sys.Errno) {
@@ -285,13 +298,9 @@ func (p *Proc) dup2Inner(fd, newfd int) (int, sys.Errno) {
 	if p.atFDLimit() {
 		return -1, sys.EMFILE
 	}
-	p.k.mu.Lock()
-	if p.k.openSys >= p.k.maxSys {
-		p.k.mu.Unlock()
-		return -1, sys.ENFILE
+	if e := p.k.reserveFile(); e != sys.OK {
+		return -1, e
 	}
-	p.k.openSys++
-	p.k.mu.Unlock()
 	p.installFD(newfd, f)
 	return newfd, sys.OK
 }
