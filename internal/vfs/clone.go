@@ -27,12 +27,18 @@ func (fs *FS) Clone() *FS {
 	for uid, n := range fs.quotaUsed {
 		out.quotaUsed[uid] = n
 	}
-	out.root = cloneInode(fs.root, nil)
+	out.root = cloneInode(fs.root, nil, make(map[*Inode]*Inode))
 	out.root.parent = out.root
 	return out
 }
 
-func cloneInode(in *Inode, parent *Inode) *Inode {
+// cloneInode copies in and, for a directory, its subtree. seen maps each
+// inode cloned so far to its copy, so a hard-linked file stays one inode
+// under all its names, in one directory or several.
+func cloneInode(in, parent *Inode, seen map[*Inode]*Inode) *Inode {
+	if dup, ok := seen[in]; ok {
+		return dup
+	}
 	out := &Inode{
 		ino:        in.ino,
 		typ:        in.typ,
@@ -53,6 +59,7 @@ func cloneInode(in *Inode, parent *Inode) *Inode {
 		ctime:      in.ctime,
 		xattrs:     make(map[string][]byte, len(in.xattrs)),
 	}
+	seen[in] = out
 	for k, v := range in.xattrs {
 		out.xattrs[k] = append([]byte(nil), v...)
 	}
@@ -63,25 +70,10 @@ func cloneInode(in *Inode, parent *Inode) *Inode {
 	}
 	if in.children != nil {
 		out.children = make(map[string]*Inode, len(in.children))
-		// Hard links: the same inode may appear under several names; a
-		// naive recursive copy would split them. Track by inode pointer.
 		for name, child := range in.children {
-			out.children[name] = cloneInodeShared(child, out, map[*Inode]*Inode{})
+			out.children[name] = cloneInode(child, out, seen)
 		}
 	}
-	return out
-}
-
-// cloneInodeShared clones child trees while preserving hard-link identity
-// within one directory level; cross-directory hard links are split (a
-// documented simplification — the workloads under crash test do not build
-// cross-directory link webs).
-func cloneInodeShared(in *Inode, parent *Inode, seen map[*Inode]*Inode) *Inode {
-	if dup, ok := seen[in]; ok {
-		return dup
-	}
-	out := cloneInode(in, parent)
-	seen[in] = out
 	return out
 }
 

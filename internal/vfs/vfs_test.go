@@ -393,6 +393,56 @@ func TestHardLinks(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsHardLinks: a clone keeps a hard-linked file one inode
+// under all its names, in one directory or across two, so a write through
+// one name shows through the others and unlinking every name frees its
+// blocks.
+func TestCloneKeepsHardLinks(t *testing.T) {
+	fs := newFS(t)
+	mustMkdir(t, fs, "/d")
+	base := fs.UsedBlocks()
+	ino := mustCreate(t, fs, "/a")
+	if _, e := fs.WriteAt(Root, ino, []byte("one"), 0, false); e != sys.OK {
+		t.Fatal(e)
+	}
+	for _, name := range []string{"/b", "/d/c"} {
+		if e := fs.Link(fs.Root(), Root, "/a", name); e != sys.OK {
+			t.Fatalf("link %s: %v", name, e)
+		}
+	}
+	c := fs.Clone()
+	var inos []*Inode
+	for _, name := range []string{"/a", "/b", "/d/c"} {
+		ino, e := c.LookupInode(c.Root(), Root, name, true)
+		if e != sys.OK {
+			t.Fatalf("clone lookup %s: %v", name, e)
+		}
+		inos = append(inos, ino)
+	}
+	if inos[0] != inos[1] || inos[0] != inos[2] {
+		t.Errorf("clone split the hard links into %p %p %p", inos[0], inos[1], inos[2])
+	}
+	if _, e := c.WriteAt(Root, inos[0], []byte("two"), 0, false); e != sys.OK {
+		t.Fatal(e)
+	}
+	for _, name := range []string{"/b", "/d/c"} {
+		if got, _ := c.ReadFileAt(name, 0, 3); string(got) != "two" {
+			t.Errorf("clone %s reads %q after a write through /a, want %q", name, got, "two")
+		}
+	}
+	if got, _ := fs.ReadFileAt("/b", 0, 3); string(got) != "one" {
+		t.Errorf("original /b reads %q after a write to the clone, want %q", got, "one")
+	}
+	for _, name := range []string{"/a", "/b", "/d/c"} {
+		if e := c.Unlink(c.Root(), Root, name); e != sys.OK {
+			t.Fatalf("clone unlink %s: %v", name, e)
+		}
+	}
+	if got := c.UsedBlocks(); got != base {
+		t.Errorf("clone used blocks after unlinking every name = %d, want %d", got, base)
+	}
+}
+
 func TestXattrBasics(t *testing.T) {
 	fs := newFS(t)
 	mustCreate(t, fs, "/f")
