@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"maps"
 	"slices"
 
 	"iocov/internal/sys"
@@ -22,10 +23,7 @@ func (fs *FS) Clone() *FS {
 		clock:       fs.clock,
 		usedBlocks:  fs.usedBlocks,
 		totalBlocks: fs.totalBlocks,
-		quotaUsed:   make(map[uint32]int64, len(fs.quotaUsed)),
-	}
-	for uid, n := range fs.quotaUsed {
-		out.quotaUsed[uid] = n
+		quotaUsed:   maps.Clone(fs.quotaUsed),
 	}
 	out.root = cloneInode(fs.root, nil, make(map[*Inode]*Inode))
 	out.root.parent = out.root
@@ -39,27 +37,11 @@ func cloneInode(in, parent *Inode, seen map[*Inode]*Inode) *Inode {
 	if dup, ok := seen[in]; ok {
 		return dup
 	}
-	out := &Inode{
-		ino:        in.ino,
-		typ:        in.typ,
-		mode:       in.mode,
-		uid:        in.uid,
-		gid:        in.gid,
-		nlink:      in.nlink,
-		size:       in.size,
-		runs:       slices.Clone(in.runs),
-		nblocks:    in.nblocks,
-		parent:     parent,
-		target:     in.target,
-		xattrBytes: in.xattrBytes,
-		badBlock:   in.badBlock,
-		generation: in.generation,
-		atime:      in.atime,
-		mtime:      in.mtime,
-		ctime:      in.ctime,
-		xattrs:     make(map[string][]byte, len(in.xattrs)),
-	}
+	out := new(Inode)
+	*out = *in
 	seen[in] = out
+	out.parent, out.runs = parent, slices.Clone(in.runs)
+	out.xattrs = make(map[string][]byte, len(in.xattrs))
 	for k, v := range in.xattrs {
 		out.xattrs[k] = append([]byte(nil), v...)
 	}

@@ -348,14 +348,3 @@ func (r *RegionSet) Count(name string) int64 {
 
 // Covered reports whether region name executed at least once.
 func (r *RegionSet) Covered(name string) bool { return r.Count(name) > 0 }
-
-// Names returns the regions hit so far (unordered).
-func (r *RegionSet) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.hits))
-	for n := range r.hits {
-		out = append(out, n)
-	}
-	return out
-}
