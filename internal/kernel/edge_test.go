@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"testing"
 
 	"iocov/internal/sys"
@@ -121,6 +122,19 @@ func TestOpenFDsAndCloseAll(t *testing.T) {
 	}
 	if got := len(p.OpenFDs()); got != 5 {
 		t.Errorf("open fds = %d", got)
+	}
+	// OpenFDs lists descriptors in ascending order, whatever order they
+	// were taken in.
+	for _, newfd := range []int{40, 1, 20} {
+		if _, e := p.Dup2(3, newfd); e != sys.OK {
+			t.Fatal(e)
+		}
+	}
+	if e := p.Close(5); e != sys.OK {
+		t.Fatal(e)
+	}
+	if got, want := p.OpenFDs(), []int{1, 3, 4, 6, 7, 20, 40}; !slices.Equal(got, want) {
+		t.Errorf("OpenFDs = %v, want %v", got, want)
 	}
 	p.CloseAll()
 	if got := len(p.OpenFDs()); got != 0 {

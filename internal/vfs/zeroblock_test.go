@@ -74,11 +74,11 @@ func TestZeroPayloadAccountingParity(t *testing.T) {
 	}
 }
 
-// TestZeroWriteAllocs pins the nil-entry representation: writing 64 MiB of
-// zeros into a fresh file, 1 MiB at a time, and unlinking it allocates the
-// block map and no blocks. A 4 KiB block each would be 64 MiB. The map's
-// 16,384 entries, grown write by write, take about 2.6 MB, so the bound is
-// a sixteenth of the payload.
+// TestZeroWriteAllocs pins the zero-run representation: writing 64 MiB of
+// zeros into a fresh file, 1 MiB at a time, and unlinking it allocates no
+// blocks. A 4 KiB block each would be 64 MiB; the appends extend one zero
+// run, so the only allocation is the file's run slice (about 48 bytes), and
+// the bound of 64 KiB leaves room for the runtime's own bookkeeping.
 func TestZeroWriteAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are unreliable under -race")
@@ -97,7 +97,33 @@ func TestZeroWriteAllocs(t *testing.T) {
 		t.Fatal(e)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
-		t.Fatalf("64 MiB of zero writes allocated %d bytes, want under 4 MiB", got)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("64 MiB of zero writes allocated %d bytes, want under 64 KiB", got)
+	}
+}
+
+// TestZeroRewriteAllocs: once a file's run slice exists, a 1 MiB zero
+// write, a read of it back and a truncate to zero allocate nothing, so a
+// workload that rewrites one file does no garbage per cycle.
+func TestZeroRewriteAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	fs := newFS(t)
+	ino := mustCreate(t, fs, "/f")
+	chunk, buf := make([]byte, 1<<20), make([]byte, 1<<20)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, e := fs.WriteAt(Root, ino, chunk, 0, false); e != sys.OK {
+			t.Fatal(e)
+		}
+		if n, e := fs.ReadAt(Root, ino, buf, 0); e != sys.OK || n != len(buf) {
+			t.Fatalf("read = %d, %v", n, e)
+		}
+		if e := fs.TruncateInode(Root, ino, 0); e != sys.OK {
+			t.Fatal(e)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("zero write, read and truncate allocated %v times per cycle, want 0", allocs)
 	}
 }
