@@ -197,17 +197,17 @@ func (p *Proc) CloseAll() {
 	p.fds, p.nopen = p.fds[:0], 0
 }
 
-// atFDLimit reports whether the process holds its per-process descriptor
-// limit. Linux takes the descriptor (get_unused_fd_flags) before it looks
-// the path up, so an open checks this before OpenInode: EMFILE wins over
-// path errors and leaves the file alone (no creation, no O_TRUNC).
-func (p *Proc) atFDLimit() bool {
-	return p.nopen >= p.maxFD
+// reserveFD checks the per-process descriptor limit (EMFILE) and takes a
+// system-wide slot (ENFILE) for a descriptor about to be installed.
+func (p *Proc) reserveFD() sys.Errno {
+	if p.nopen >= p.maxFD {
+		return sys.EMFILE
+	}
+	return p.k.reserveFile()
 }
 
 // allocFD installs f at the lowest free descriptor number and returns it.
-// The caller has checked the per-process limit and reserved a system-wide
-// slot.
+// The caller has reserved the descriptor (reserveFD).
 func (p *Proc) allocFD(f *file) int {
 	fd := 3 // 0..2 reserved for std streams, as on Linux
 	for fd < len(p.fds) && p.fds[fd] != nil {
@@ -225,12 +225,6 @@ func (p *Proc) installFD(fd int, f *file) {
 	}
 	p.fds[fd] = f
 	p.nopen++
-}
-
-// removeFD frees the open descriptor fd.
-func (p *Proc) removeFD(fd int) {
-	p.fds[fd] = nil
-	p.nopen--
 }
 
 func (p *Proc) lookupFD(fd int) (*file, sys.Errno) {

@@ -126,10 +126,7 @@ func (p *Proc) openInner(dirfd int, path string, flags int, mode uint32, resolve
 	// file (alloc_empty_file in path_openat), before it looks the path up.
 	// So EMFILE, then ENFILE, win over path errors, and an open refused by
 	// either leaves the file alone: no creation, no O_TRUNC.
-	if p.atFDLimit() {
-		return -1, sys.EMFILE
-	}
-	if e := p.k.reserveFile(); e != sys.OK {
+	if e := p.reserveFD(); e != sys.OK {
 		return -1, e
 	}
 	var fd int
@@ -236,7 +233,8 @@ func (p *Proc) closeInner(fd int) sys.Errno {
 	if _, e := p.lookupFD(fd); e != sys.OK {
 		return e
 	}
-	p.removeFD(fd)
+	p.fds[fd] = nil
+	p.nopen--
 	p.k.releaseFiles(1)
 	return sys.OK
 }
@@ -267,10 +265,7 @@ func (p *Proc) dupInner(fd, _ int) (int, sys.Errno) {
 	if e != sys.OK {
 		return -1, e
 	}
-	if p.atFDLimit() {
-		return -1, sys.EMFILE
-	}
-	if e := p.k.reserveFile(); e != sys.OK {
+	if e := p.reserveFD(); e != sys.OK {
 		return -1, e
 	}
 	return p.allocFD(f), sys.OK
@@ -295,10 +290,7 @@ func (p *Proc) dup2Inner(fd, newfd int) (int, sys.Errno) {
 		p.fds[newfd] = f
 		return newfd, sys.OK
 	}
-	if p.atFDLimit() {
-		return -1, sys.EMFILE
-	}
-	if e := p.k.reserveFile(); e != sys.OK {
+	if e := p.reserveFD(); e != sys.OK {
 		return -1, e
 	}
 	p.installFD(newfd, f)
