@@ -183,3 +183,26 @@ func TestStatfs(t *testing.T) {
 		t.Errorf("statfs missing = %v", e)
 	}
 }
+
+// TestDup2TargetAtLimit pins Linux's ksys_dup3 rule: a dup2 target at or
+// above the descriptor limit is EBADF, and the table does not grow to
+// reach it.
+func TestDup2TargetAtLimit(t *testing.T) {
+	k := New(vfs.New(vfs.DefaultConfig()), Options{})
+	p := k.NewProc(ProcOptions{MaxFDs: 6})
+	fd, e := p.Open("/f", sys.O_CREAT|sys.O_RDWR, 0o644)
+	if e != sys.OK || fd != 3 {
+		t.Fatalf("open = %d, %v", fd, e)
+	}
+	for _, newfd := range []int{6, 7, 1<<20 - 1} {
+		if _, e := p.Dup2(3, newfd); e != sys.EBADF {
+			t.Errorf("dup2(3, %d) = %v, want EBADF", newfd, e)
+		}
+	}
+	if len(p.fds) > 6 {
+		t.Errorf("refused dup2s grew the table to %d slots", len(p.fds))
+	}
+	if nfd, e := p.Dup2(3, 5); e != sys.OK || nfd != 5 {
+		t.Errorf("dup2(3, 5) = %d, %v, want 5", nfd, e)
+	}
+}

@@ -279,7 +279,9 @@ func (p *Proc) dup2Inner(fd, newfd int) (int, sys.Errno) {
 	if e != sys.OK {
 		return -1, e
 	}
-	if newfd < 0 || newfd >= 1<<20 {
+	// Linux's ksys_dup3 rejects a target at or above RLIMIT_NOFILE, so
+	// the table never grows past the descriptor limit.
+	if newfd < 0 || newfd >= p.maxFD {
 		return -1, sys.EBADF
 	}
 	if newfd == fd {
