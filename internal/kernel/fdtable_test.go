@@ -13,8 +13,9 @@ import (
 // TestFDTableOracle runs seeded random sequences of Open, Close, Dup, Dup2
 // and CloseAll against a map-based reference table, with a small MaxFDs so
 // that EMFILE strikes often; odd seeds set the system-wide limit below it
-// to reach ENFILE too. Every returned descriptor and errno, and the set of
-// open descriptors, must match the reference after every step.
+// to reach ENFILE too. Every returned descriptor and errno, the set of
+// open descriptors and the number of system-wide slots held must match the
+// reference after every step.
 func TestFDTableOracle(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		maxFDs, maxSys := 6, 64
@@ -23,7 +24,7 @@ func TestFDTableOracle(t *testing.T) {
 		}
 		k := New(vfs.New(vfs.DefaultConfig()), Options{MaxSystemFiles: maxSys})
 		p := k.NewProc(ProcOptions{MaxFDs: maxFDs})
-		o := &fdOracle{open: map[int]bool{}, maxFDs: maxFDs, maxSys: maxSys}
+		o := &fdOracle{open: map[int]int{}, refs: map[int]int{}, maxFDs: maxFDs, maxSys: maxSys}
 		rng := rand.New(rand.NewSource(seed))
 		for op := 0; op < 300; op++ {
 			var what string
@@ -52,6 +53,7 @@ func TestFDTableOracle(t *testing.T) {
 				what = "closeall"
 				p.CloseAll()
 				clear(o.open)
+				clear(o.refs)
 			}
 			if gotE != wantE || gotE == sys.OK && got != want {
 				t.Fatalf("seed %d op %d %s = %d, %v; reference %d, %v", seed, op, what, got, gotE, want, wantE)
@@ -61,14 +63,20 @@ func TestFDTableOracle(t *testing.T) {
 			if ref := o.fds(); !slices.Equal(fds, ref) {
 				t.Fatalf("seed %d op %d %s: open fds %v, reference %v", seed, op, what, fds, ref)
 			}
+			if k.openSys != len(o.refs) {
+				t.Fatalf("seed %d op %d %s: %d system-wide slots held, reference %d", seed, op, what, k.openSys, len(o.refs))
+			}
 		}
 	}
 }
 
-// fdOracle is the reference descriptor table: the set of open descriptors
-// of the one process, which also holds every system-wide slot.
+// fdOracle is the reference descriptor table of the one process: each
+// open descriptor names an open file description, and each description
+// holds one system-wide slot while any descriptor refers to it.
 type fdOracle struct {
-	open           map[int]bool
+	open           map[int]int // fd -> description
+	refs           map[int]int // description -> descriptors
+	next           int         // the next description's name
 	maxFDs, maxSys int
 }
 
@@ -82,56 +90,84 @@ func (o *fdOracle) fds() []int {
 	return out
 }
 
-// limit predicts the errno for taking one more descriptor.
-func (o *fdOracle) limit() sys.Errno {
-	switch {
-	case len(o.open) >= o.maxFDs:
-		return sys.EMFILE
-	case len(o.open) >= o.maxSys:
-		return sys.ENFILE
-	}
-	return sys.OK
+// isOpen reports whether fd is an open descriptor.
+func (o *fdOracle) isOpen(fd int) bool {
+	_, ok := o.open[fd]
+	return ok
 }
 
+// alloc opens a new description at the lowest free descriptor: EMFILE
+// when the process is at its limit, then ENFILE when every system-wide
+// slot is held.
 func (o *fdOracle) alloc() (int, sys.Errno) {
-	if e := o.limit(); e != sys.OK {
-		return -1, e
+	switch {
+	case len(o.open) >= o.maxFDs:
+		return -1, sys.EMFILE
+	case len(o.refs) >= o.maxSys:
+		return -1, sys.ENFILE
 	}
+	o.next++
+	return o.install(o.lowest(), o.next), sys.OK
+}
+
+// lowest returns the lowest free descriptor from 3 up.
+func (o *fdOracle) lowest() int {
 	fd := 3
-	for o.open[fd] {
+	for o.isOpen(fd) {
 		fd++
 	}
-	o.open[fd] = true
-	return fd, sys.OK
+	return fd
+}
+
+// install points fd at description d.
+func (o *fdOracle) install(fd, d int) int {
+	o.open[fd] = d
+	o.refs[d]++
+	return fd
+}
+
+// drop closes fd, freeing its description's slot with the last reference.
+func (o *fdOracle) drop(fd int) {
+	d := o.open[fd]
+	delete(o.open, fd)
+	if o.refs[d]--; o.refs[d] == 0 {
+		delete(o.refs, d)
+	}
 }
 
 func (o *fdOracle) close(fd int) sys.Errno {
-	if !o.open[fd] {
+	if !o.isOpen(fd) {
 		return sys.EBADF
 	}
-	delete(o.open, fd)
+	o.drop(fd)
 	return sys.OK
 }
 
+// dup shares fd's description, so it can hit EMFILE but never ENFILE.
 func (o *fdOracle) dup(fd int) (int, sys.Errno) {
-	if !o.open[fd] {
+	switch {
+	case !o.isOpen(fd):
 		return -1, sys.EBADF
+	case len(o.open) >= o.maxFDs:
+		return -1, sys.EMFILE
 	}
-	return o.alloc()
+	return o.install(o.lowest(), o.open[fd]), sys.OK
 }
 
 func (o *fdOracle) dup2(fd, newfd int) (int, sys.Errno) {
 	switch {
-	case !o.open[fd] || newfd < 0 || newfd >= o.maxFDs:
+	case !o.isOpen(fd) || newfd < 0 || newfd >= o.maxFDs:
 		return -1, sys.EBADF
-	case newfd == fd || o.open[newfd]:
+	case newfd == fd:
 		return newfd, sys.OK
+	case o.isOpen(newfd):
+		d := o.open[fd]
+		o.drop(newfd)
+		return o.install(newfd, d), sys.OK
+	case len(o.open) >= o.maxFDs:
+		return -1, sys.EMFILE
 	}
-	if e := o.limit(); e != sys.OK {
-		return -1, e
-	}
-	o.open[newfd] = true
-	return newfd, sys.OK
+	return o.install(newfd, o.open[fd]), sys.OK
 }
 
 // pick returns a source descriptor: mostly an open one, otherwise a

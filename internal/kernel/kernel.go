@@ -113,12 +113,15 @@ type Proc struct {
 	umask uint32
 }
 
-// file is an open file description (the struct file analogue).
+// file is an open file description (the struct file analogue). It holds
+// one system-wide slot (ENFILE) for as long as a descriptor refers to it;
+// refs counts those descriptors.
 type file struct {
 	ino   *vfs.Inode
 	flags int
 	pos   int64
 	path  string
+	refs  int
 }
 
 // ProcOptions configures NewProc.
@@ -192,13 +195,21 @@ func (p *Proc) OpenFDs() []int {
 
 // CloseAll closes every open descriptor, for workload teardown.
 func (p *Proc) CloseAll() {
-	p.k.releaseFiles(p.nopen)
+	last := 0
+	for _, f := range p.fds {
+		if f != nil {
+			if f.refs--; f.refs == 0 {
+				last++
+			}
+		}
+	}
+	p.k.releaseFiles(last)
 	clear(p.fds)
 	p.fds, p.nopen = p.fds[:0], 0
 }
 
 // reserveFD checks the per-process descriptor limit (EMFILE) and takes a
-// system-wide slot (ENFILE) for a descriptor about to be installed.
+// system-wide slot (ENFILE) for a new open file description.
 func (p *Proc) reserveFD() sys.Errno {
 	if p.nopen >= p.maxFD {
 		return sys.EMFILE
@@ -206,8 +217,17 @@ func (p *Proc) reserveFD() sys.Errno {
 	return p.k.reserveFile()
 }
 
+// unref drops one descriptor's reference to f and gives the system-wide
+// slot back when it was the last.
+func (p *Proc) unref(f *file) {
+	if f.refs--; f.refs == 0 {
+		p.k.releaseFiles(1)
+	}
+}
+
 // allocFD installs f at the lowest free descriptor number and returns it.
-// The caller has reserved the descriptor (reserveFD).
+// The caller has checked the descriptor limit and, for a new description,
+// taken its system-wide slot (reserveFD).
 func (p *Proc) allocFD(f *file) int {
 	fd := 3 // 0..2 reserved for std streams, as on Linux
 	for fd < len(p.fds) && p.fds[fd] != nil {
@@ -224,6 +244,7 @@ func (p *Proc) installFD(fd int, f *file) {
 		p.fds = append(p.fds, make([]*file, fd+1-len(p.fds))...)
 	}
 	p.fds[fd] = f
+	f.refs++
 	p.nopen++
 }
 

@@ -328,6 +328,63 @@ func TestENFILE(t *testing.T) {
 	}
 }
 
+// TestDupSharesSystemSlot: the system-wide slot belongs to the open file
+// description, not the descriptor. dup and dup2 share it and never fail
+// with ENFILE, and it is freed when the last descriptor closes, whether by
+// close, by a dup2 that replaces it, or by CloseAll.
+func TestDupSharesSystemSlot(t *testing.T) {
+	k := New(vfs.New(vfs.DefaultConfig()), Options{MaxSystemFiles: 1})
+	p := k.NewProc(ProcOptions{})
+	fd, e := p.Open("/a", sys.O_CREAT|sys.O_RDWR, 0o644)
+	if e != sys.OK {
+		t.Fatal(e)
+	}
+	dup, e := p.Dup(fd)
+	if e != sys.OK {
+		t.Fatalf("dup at the system limit = %v, want OK", e)
+	}
+	if nfd, e := p.Dup2(fd, 9); e != sys.OK || nfd != 9 {
+		t.Fatalf("dup2 at the system limit = %d, %v, want 9", nfd, e)
+	}
+	for _, d := range []int{fd, dup} {
+		if e := p.Close(d); e != sys.OK {
+			t.Fatal(e)
+		}
+		if _, e := p.Open("/b", sys.O_CREAT|sys.O_RDWR, 0o644); e != sys.ENFILE {
+			t.Fatalf("open while fd 9 still holds the description = %v, want ENFILE", e)
+		}
+	}
+	if e := p.Close(9); e != sys.OK {
+		t.Fatal(e)
+	}
+	b, e := p.Open("/b", sys.O_CREAT|sys.O_RDWR, 0o644)
+	if e != sys.OK {
+		t.Fatalf("open after the last descriptor closed = %v, want OK", e)
+	}
+
+	// A dup2 that replaces the last descriptor of a description frees its
+	// slot, and CloseAll frees every description's slot once.
+	k = New(vfs.New(vfs.DefaultConfig()), Options{MaxSystemFiles: 2})
+	p = k.NewProc(ProcOptions{})
+	a, _ := p.Open("/a", sys.O_CREAT|sys.O_RDWR, 0o644)
+	b, _ = p.Open("/b", sys.O_CREAT|sys.O_RDWR, 0o644)
+	if _, e := p.Dup(a); e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p.Dup2(a, b); e != sys.OK {
+		t.Fatal(e)
+	}
+	if _, e := p.Open("/c", sys.O_CREAT|sys.O_RDWR, 0o644); e != sys.OK {
+		t.Fatalf("open after dup2 replaced /b's last descriptor = %v, want OK", e)
+	}
+	p.CloseAll()
+	for _, name := range []string{"/d", "/e"} {
+		if _, e := p.Open(name, sys.O_CREAT|sys.O_RDWR, 0o644); e != sys.OK {
+			t.Fatalf("open %s after CloseAll = %v, want OK", name, e)
+		}
+	}
+}
+
 // TestENFILEBeforeOpenTakesEffect pins Linux's order for the system-wide
 // limit: path_openat takes the struct file (alloc_empty_file) before it
 // looks the path up, so an open refused with ENFILE neither creates nor

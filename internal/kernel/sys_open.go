@@ -230,18 +230,20 @@ func (p *Proc) closeInner(fd int) sys.Errno {
 	if e, hit := p.checkFault("close"); hit {
 		return e
 	}
-	if _, e := p.lookupFD(fd); e != sys.OK {
+	f, e := p.lookupFD(fd)
+	if e != sys.OK {
 		return e
 	}
 	p.fds[fd] = nil
 	p.nopen--
-	p.k.releaseFiles(1)
+	p.unref(f)
 	return sys.OK
 }
 
 // Dup is dup(2): it duplicates fd at the lowest free descriptor number.
-// Both descriptors share the open file description (offset and flags), as
-// on Linux.
+// Both descriptors share the open file description (offset, flags and its
+// system-wide slot), as on Linux, so dup can fail with EMFILE but never
+// with ENFILE.
 func (p *Proc) Dup(fd int) (int, sys.Errno) {
 	nfd, err := p.dupInner(fd, -1)
 	p.emit("dup", "", nil, []ekv{{"fildes", int64(fd)}}, retFD(nfd, err), err)
@@ -265,8 +267,8 @@ func (p *Proc) dupInner(fd, _ int) (int, sys.Errno) {
 	if e != sys.OK {
 		return -1, e
 	}
-	if e := p.reserveFD(); e != sys.OK {
-		return -1, e
+	if p.nopen >= p.maxFD {
+		return -1, sys.EMFILE
 	}
 	return p.allocFD(f), sys.OK
 }
@@ -287,13 +289,15 @@ func (p *Proc) dup2Inner(fd, newfd int) (int, sys.Errno) {
 	if newfd == fd {
 		return fd, sys.OK
 	}
-	if _, e := p.lookupFD(newfd); e == sys.OK {
-		// Replacing an open descriptor leaves the counts as they are.
+	if old, e := p.lookupFD(newfd); e == sys.OK {
+		// Replacing an open descriptor closes it implicitly.
 		p.fds[newfd] = f
+		f.refs++
+		p.unref(old)
 		return newfd, sys.OK
 	}
-	if e := p.reserveFD(); e != sys.OK {
-		return -1, e
+	if p.nopen >= p.maxFD {
+		return -1, sys.EMFILE
 	}
 	p.installFD(newfd, f)
 	return newfd, sys.OK
