@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"iocov/internal/sys"
@@ -764,5 +765,63 @@ func TestFaultFiredConcurrent(t *testing.T) {
 	}
 	if _, e := r.Open("/f", sys.O_RDONLY, 0); e != sys.ENFILE {
 		t.Errorf("open past the system limit = %v, want ENFILE", e)
+	}
+}
+
+// TestFaultRuleAddedWhileRunning pins Check's empty-set fast path, which
+// skips the set's lock while it has no rules: a rule added while another
+// goroutine's process issues syscalls is seen by every Check that starts
+// after Add returns, on either goroutine, and none fires after Clear. The
+// first phase races Add against Checks that find the set empty, so the
+// race lane checks the rule count's synchronisation.
+func TestFaultRuleAddedWhileRunning(t *testing.T) {
+	k := New(vfs.New(vfs.DefaultConfig()), Options{})
+	p := k.NewProc(ProcOptions{})
+	started, added, seen, cleared := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+	errs := make(chan string, 2)
+	go func() {
+		defer close(errs)
+		q := k.NewProc(ProcOptions{})
+		close(started)
+		for running := true; running; {
+			select {
+			case <-added:
+				running = false
+			default:
+				_, _ = q.Stat("/")
+			}
+		}
+		for i := 0; i < 100; i++ {
+			if _, e := q.Stat("/"); e != sys.EIO {
+				errs <- fmt.Sprintf("stat %d after Add = %v, want EIO", i, e)
+				break
+			}
+		}
+		close(seen)
+		<-cleared
+		for i := 0; i < 100; i++ {
+			if _, e := q.Stat("/"); e != sys.OK {
+				errs <- fmt.Sprintf("stat %d after Clear = %v, want OK", i, e)
+				break
+			}
+		}
+	}()
+	<-started
+	rule := k.Faults().Add(FaultRule{Syscall: "stat", Errno: sys.EIO})
+	if _, e := p.Stat("/"); e != sys.EIO {
+		t.Errorf("stat right after Add = %v, want EIO", e)
+	}
+	close(added)
+	<-seen
+	k.Faults().Clear()
+	if _, e := p.Stat("/"); e != sys.OK {
+		t.Errorf("stat right after Clear = %v, want OK", e)
+	}
+	close(cleared)
+	for msg := range errs {
+		t.Error(msg)
+	}
+	if n := rule.Fired(); n < 101 {
+		t.Errorf("rule fired %d times, want at least 101", n)
 	}
 }

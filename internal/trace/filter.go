@@ -22,9 +22,13 @@ type Filter struct {
 	// skips the regexp machine on every event.
 	lit      string
 	litSlash string
-	// fds holds the (pid, fd) pairs opened or duplicated from inside the
-	// mount and not yet closed. An out-of-mount open, dup or close merely
-	// deletes the pair, which is all EBADF reuse after close needs.
+	// box and fds hold the (pid, fd) pairs opened or duplicated from
+	// inside the mount and not yet closed. A pair with pid and fd both in
+	// [0, boxSize) is bit fd of box[pid]; every other pair, such as a
+	// negative or huge one from an untrusted trace, is a key of fds. An
+	// out-of-mount open, dup or close merely clears the pair, which is
+	// all EBADF reuse after close needs.
+	box [boxSize]uint64
 	fds map[fdKey]struct{}
 	// peak is len(fds)'s high-water mark since the last Reset; a map never
 	// shrinks, so peak also measures the memory fds holds on to.
@@ -39,6 +43,9 @@ type fdKey struct {
 	pid int
 	fd  int64
 }
+
+// boxSize bounds the pids and fds box holds: one 64-bit word per pid.
+const boxSize = 64
 
 // retainFDs bounds the descriptor set Reset keeps for reuse. Real traces
 // hold a handful of descriptors; a pooled filter that served a stream with
@@ -63,22 +70,23 @@ func NewFilter(mountPattern string) (*Filter, error) {
 // pattern with empty descriptor-table and accounting state. The ingest
 // daemon keeps one compiled prototype and clones it per session, so the
 // per-stream setup cost is one struct instead of a regexp compile; the fd
-// set is created on the first in-mount open.
+// map is created on the first in-mount open that box cannot hold.
 func (f *Filter) Fresh() *Filter {
 	return &Filter{mount: f.mount, lit: f.lit, litSlash: f.litSlash}
 }
 
 // Reset clears the filter's descriptor-table and accounting state, keeping
 // the compiled pattern, so a pooled session can reuse the filter with
-// fresh-filter semantics. The fd set is emptied, not dropped, so a
-// recycled filter replays a similar stream without allocating; one grown
-// past retainFDs is dropped instead.
+// fresh-filter semantics. The box is zeroed and the fd map emptied, not
+// dropped, so a recycled filter replays a similar stream without
+// allocating; a map grown past retainFDs is dropped instead.
 func (f *Filter) Reset() {
 	if f.peak > retainFDs {
 		f.fds = nil
 	} else {
 		clear(f.fds)
 	}
+	f.box = [boxSize]uint64{}
 	f.peak = 0
 	f.kept, f.dropped = 0, 0
 }
@@ -204,9 +212,9 @@ func (f *Filter) classify(ev *Event) bool {
 // Apply filters a slice of events, returning the kept ones in order.
 func (f *Filter) Apply(events []Event) []Event {
 	out := make([]Event, 0, len(events))
-	for _, ev := range events {
-		if f.Keep(ev) {
-			out = append(out, ev)
+	for i := range events {
+		if f.KeepRef(&events[i]) {
+			out = append(out, events[i])
 		}
 	}
 	return out
@@ -218,12 +226,23 @@ func (f *Filter) Stats() (kept, dropped int64) { return f.kept, f.dropped }
 // tracked reports whether pid's fd was opened (or duplicated) from inside
 // the mount and is still open.
 func (f *Filter) tracked(pid int, fd int64) bool {
+	if uint(pid) < boxSize && uint64(fd) < boxSize {
+		return f.box[pid]&(1<<fd) != 0
+	}
 	_, ok := f.fds[fdKey{pid, fd}]
 	return ok
 }
 
 // setFD records whether pid's fd refers to a file under the mount.
 func (f *Filter) setFD(pid int, fd int64, in bool) {
+	if uint(pid) < boxSize && uint64(fd) < boxSize {
+		if in {
+			f.box[pid] |= 1 << fd
+		} else {
+			f.box[pid] &^= 1 << fd
+		}
+		return
+	}
 	k := fdKey{pid, fd}
 	if !in {
 		delete(f.fds, k)
@@ -246,11 +265,12 @@ type FilteringSink struct {
 	Next Sink
 }
 
-// Emit forwards ev when the filter keeps it.
+// Emit forwards ev when the filter keeps it, offering it to the filter by
+// pointer so the event is copied only into Next.
 //
 //iocov:hotpath
 func (s *FilteringSink) Emit(ev Event) {
-	if s.F.Keep(ev) {
+	if s.F.KeepRef(&ev) {
 		s.Next.Emit(ev)
 	}
 }

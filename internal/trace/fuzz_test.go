@@ -188,7 +188,8 @@ var fuzzFilterPatterns = []string{`^/mnt/test(/|$)`, `^/mnt/te[s]t(/|$)`, `/mnt/
 
 // FuzzFilter drives the mount filter with event streams built from fuzz
 // bytes — arbitrary pids, descriptors and return values, including
-// negative ones, ones around 4096 and ones past 2^31 — and requires
+// negative ones, ones on both sides of the box edge at 64, ones around
+// 4096 and ones past 2^31 — and requires
 // every Keep verdict and the final Stats to equal the map-based reference
 // in filter_reference_test.go. A reserved op recycles the filter with
 // Reset against a fresh reference.
@@ -207,7 +208,16 @@ func FuzzFilter(f *testing.F) {
 	rec := func(op, pid, bits, arg, ret, p1, p2 byte) []byte {
 		return []byte{op, pid, bits, arg, ret, p1, p2}
 	}
-	var lifecycle, dups, recycle []byte
+	// edge is rec with the pid selecting boxEdges[pid] and both
+	// descriptors given as raw 8-byte values.
+	edge := func(op byte, pid int, arg, ret int64, p1 byte) []byte {
+		b := []byte{op, byte(pid<<3 | 7), 0, raw}
+		b = binary.BigEndian.AppendUint64(b, uint64(arg))
+		b = append(b, raw)
+		b = binary.BigEndian.AppendUint64(b, uint64(ret))
+		return append(b, p1, out)
+	}
+	var lifecycle, dups, recycle, edges []byte
 	lifecycle = append(lifecycle, 0)
 	lifecycle = append(lifecycle, rec(open, 1, 0, 0, small(3), in, out)...)
 	lifecycle = append(lifecycle, rec(write, 1, 0, small(3), small(9), out, out)...)
@@ -232,9 +242,24 @@ func FuzzFilter(f *testing.F) {
 	recycle = append(recycle, rec(open, 4, 0, 0, small(9), in, out)...)
 	recycle = append(recycle, rec(write, 4, 0, small(7), 0, out, out)...)
 	recycle = append(recycle, rec(write, 4, 0, small(9), 0, out, out)...)
+	// Every box-edge pid opens every box-edge fd in the mount, dups it
+	// onto the next edge, closes the original and writes through the dup.
+	edges = append(edges, 0)
+	for pid := range boxEdges {
+		for i, fd := range boxEdges {
+			next := boxEdges[(i+1)%len(boxEdges)]
+			edges = append(edges, edge(open, pid, 0, fd, in)...)
+			edges = append(edges, edge(write, pid, fd, 1, out)...)
+			edges = append(edges, edge(dup2, pid, fd, next, out)...)
+			edges = append(edges, edge(cls, pid, fd, 0, out)...)
+			edges = append(edges, edge(write, pid, fd, 1, out)...)
+			edges = append(edges, edge(write, pid, next, 1, out)...)
+		}
+	}
 	f.Add(lifecycle)
 	f.Add(dups)
 	f.Add(recycle)
+	f.Add(edges)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() byte {
@@ -260,9 +285,18 @@ func FuzzFilter(f *testing.F) {
 				return int64(v)
 			case 7:
 				return 1<<31 + int64(sel>>3)
+			case 3:
+				return 48 + int64(sel>>3) // 48..79, across the box edge
 			default:
 				return int64(sel >> 3)
 			}
+		}
+		// A pid byte of 7 mod 8 selects a box edge; any other a small pid.
+		pidOf := func(b byte) int {
+			if b%8 == 7 {
+				return int(boxEdges[int(b>>3)%len(boxEdges)])
+			}
+			return int(int8(b)) % 5
 		}
 		pattern := fuzzFilterPatterns[int(next())%len(fuzzFilterPatterns)]
 		filter, err := NewFilter(pattern)
@@ -285,7 +319,7 @@ func FuzzFilter(f *testing.F) {
 				ref = newRefFilter(pattern)
 				continue
 			}
-			ev := Event{Seq: uint64(n), Name: fuzzFilterNames[op], PID: int(int8(next())) % 5}
+			ev := Event{Seq: uint64(n), Name: fuzzFilterNames[op], PID: pidOf(next())}
 			bits := next()
 			if bits&1 != 0 {
 				ev.Err = sys.EBADF

@@ -79,34 +79,43 @@ func TestFilterReset(t *testing.T) {
 	}
 }
 
-// TestFilterResetDropsLargeSet: a session that grew the fd set past
-// retainFDs leaves a recycled filter with no set at all, so a pooled
+// TestFilterResetDropsLargeSet: a session that grew the fd map past
+// retainFDs leaves a recycled filter with no map at all, so a pooled
 // filter does not keep a hostile stream's capacity; a smaller session's
-// set is kept for reuse.
+// map is kept for reuse. Pids from boxSize up miss the box, so each of
+// their opens is one map entry. The box is empty after every Reset.
 func TestFilterResetDropsLargeSet(t *testing.T) {
 	f, err := NewFilter(`^/mnt/test(/|$)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pid := 0; pid <= retainFDs; pid++ {
+	for pid := boxSize; pid <= boxSize+retainFDs; pid++ {
 		f.Keep(resetOpen(pid, 3))
 	}
-	// Closing everything empties the set but not its capacity.
-	for pid := 0; pid <= retainFDs; pid++ {
+	// Closing everything empties the map but not its capacity.
+	for pid := boxSize; pid <= boxSize+retainFDs; pid++ {
 		f.Keep(resetClose(pid, 3))
 	}
+	f.Keep(resetOpen(1, 3))
 	f.Reset()
 	if f.fds != nil {
-		t.Fatalf("Reset kept a set that held %d descriptors", retainFDs+1)
+		t.Fatalf("Reset kept a map that held %d descriptors", retainFDs+1)
 	}
-	for pid := 0; pid < retainFDs; pid++ {
+	if f.box != ([boxSize]uint64{}) {
+		t.Fatal("Reset left descriptors in the box")
+	}
+	for pid := boxSize; pid < boxSize+retainFDs; pid++ {
 		f.Keep(resetOpen(pid, 3))
 	}
+	f.Keep(resetOpen(1, 3))
 	f.Reset()
 	if f.fds == nil || len(f.fds) != 0 {
-		t.Fatalf("Reset after %d descriptors: set %v, want kept and empty", retainFDs, f.fds)
+		t.Fatalf("Reset after %d descriptors: map %v, want kept and empty", retainFDs, f.fds)
 	}
-	if f.Keep(resetWrite(1, 3)) {
+	if f.box != ([boxSize]uint64{}) {
+		t.Fatal("Reset left descriptors in the box")
+	}
+	if f.Keep(resetWrite(boxSize+1, 3)) || f.Keep(resetWrite(1, 3)) {
 		t.Error("stale fd survived Reset")
 	}
 }
