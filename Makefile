@@ -24,11 +24,15 @@
 #   make bench    - serial-vs-parallel suite benchmarks (the benchmark of
 #                   record, with every sample and a per-layer breakdown, is
 #                   bench/run.sh; see bench/README.md)
+#   make profile  - a 12 s CPU profile of the per-event path, written to
+#                   cpu.out (BenchmarkProfileRunParallel: xfstests on two
+#                   workers at scale 0.002, input seeds 1000-1007); read it
+#                   with `go tool pprof -top iocov.test cpu.out`
 #   make figures  - regenerate the paper's evaluation figures
 
 GO ?= go
 
-.PHONY: verify race vet lint fuzz smoke evolve-smoke bench figures
+.PHONY: verify race vet lint fuzz smoke evolve-smoke bench profile figures
 
 verify:
 	$(GO) build ./...
@@ -62,6 +66,9 @@ evolve-smoke:
 
 bench:
 	$(GO) test -timeout 10m -run xxx -bench SuiteSerialVsParallel -benchtime 3x .
+
+profile:
+	$(GO) test -timeout 5m -run xxx -bench ProfileRunParallel -benchtime 12s -cpuprofile cpu.out .
 
 figures:
 	$(GO) run ./cmd/figures

@@ -349,6 +349,23 @@ func BenchmarkSuiteSerialVsParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkProfileRunParallel is the loop `make profile` profiles: one
+// sharded xfstests run per iteration on two workers at scale 0.002, over
+// input seeds 1000–1007 in turn. Each run is small, so the profile is
+// dominated by the per-event path of `iocov run` (workload, kernel, vfs,
+// mount filter, Analyzer.Add) rather than by one run's set-up or merge.
+func BenchmarkProfileRunParallel(b *testing.B) {
+	var events int64
+	for i := 0; i < b.N; i++ {
+		an, err := harness.RunParallel(harness.SuiteXfstests, 0.002, 1000+int64(i%8), 2, coverage.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		events += an.Analyzed()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+}
+
 // BenchmarkAnalyzerMerge measures the merge step in isolation: combining
 // two analyzers that each absorbed half of a suite's event stream.
 func BenchmarkAnalyzerMerge(b *testing.B) {
