@@ -47,7 +47,7 @@ type fdKey struct {
 // boxSize bounds the pids and fds box holds: one 64-bit word per pid.
 const boxSize = 64
 
-// retainFDs bounds the descriptor set Reset keeps for reuse. Real traces
+// retainFDs bounds the fd map Reset keeps for reuse. Real traces
 // hold a handful of descriptors; a pooled filter that served a stream with
 // more (only an untrusted trace opens thousands without closing) drops its
 // map rather than pin that capacity for every later session.
@@ -70,7 +70,7 @@ func NewFilter(mountPattern string) (*Filter, error) {
 // pattern with empty descriptor-table and accounting state. The ingest
 // daemon keeps one compiled prototype and clones it per session, so the
 // per-stream setup cost is one struct instead of a regexp compile; the fd
-// map is created on the first in-mount open that box cannot hold.
+// map is created on the first in-mount open the box cannot hold.
 func (f *Filter) Fresh() *Filter {
 	return &Filter{mount: f.mount, lit: f.lit, litSlash: f.litSlash}
 }
