@@ -40,24 +40,16 @@ func RunWithOptions(suite string, scale float64, seed int64, opts coverage.Optio
 	return runShard(suite, scale, seed, 0, 1, opts, extraSinks...)
 }
 
-// mountProto holds the one compiled MountPattern filter; shards clone
+// mountProto compiles the one MountPattern filter on first use; shards clone
 // fresh per-run filter state from it instead of recompiling the regexp.
-var (
-	mountProtoOnce sync.Once
-	//iocov:shared-ok written exactly once under mountProtoOnce; derives only from the constant MountPattern
-	mountProto *trace.Filter
-	//iocov:shared-ok written exactly once under mountProtoOnce; derives only from the constant MountPattern
-	mountProtoErr error
-)
+var mountProto = sync.OnceValues(func() (*trace.Filter, error) { return trace.NewFilter(MountPattern) })
 
 func mountFilter() (*trace.Filter, error) {
-	mountProtoOnce.Do(func() {
-		mountProto, mountProtoErr = trace.NewFilter(MountPattern)
-	})
-	if mountProtoErr != nil {
-		return nil, mountProtoErr
+	f, err := mountProto()
+	if err != nil {
+		return nil, err
 	}
-	return mountProto.Fresh(), nil
+	return f.Fresh(), nil
 }
 
 // shardPool is the worker arena RunParallel (and the evolve loop's
