@@ -437,8 +437,6 @@ func (a *Analyzer) addCombination(k argKey, labels []string, idxs []int) {
 // Combinations returns the distinct bitmap-combination counts recorded for
 // an argument (nil unless TrackCombinations was set), sorted by descending
 // frequency then label.
-//
-//iocov:deterministic
 func (a *Analyzer) Combinations(syscall, arg string) []Row {
 	m := a.bitCombos[argKey{syscall, arg}]
 	if m == nil {
@@ -468,8 +466,6 @@ func (a *Analyzer) DistinctCombinations(syscall, arg string) int {
 // every output-partition hit, including errnos outside the documented
 // universe. The aggregation daemon exports these as its per-syscall
 // Prometheus counters.
-//
-//iocov:deterministic
 func (a *Analyzer) PartitionHits() map[string]int64 {
 	out := make(map[string]int64)
 	for k, c := range a.inputs {

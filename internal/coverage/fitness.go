@@ -9,7 +9,7 @@ package coverage
 // walk.
 //
 // All of them are order-independent slice folds over per-ordinal state, so
-// they are safe to call from //iocov:deterministic roots.
+// what they return never depends on map iteration order.
 
 // InputCoveredOrdinals appends the domain ordinals with non-zero counts for
 // one input space to scratch and returns the extended slice (ordinals index

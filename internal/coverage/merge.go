@@ -24,8 +24,6 @@ import (
 //
 // Neither quantity is part of Snapshot, so snapshot equivalence between
 // serial and sharded runs is unaffected.
-//
-//iocov:deterministic
 func (a *Analyzer) Merge(b *Analyzer) error {
 	if b == nil {
 		return nil

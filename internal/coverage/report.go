@@ -165,8 +165,6 @@ type ComboRow struct {
 // ComboTable renders the flag-combination statistics as Table 1 rows, with
 // maxK columns (the paper uses 6, the largest combination either suite
 // produced).
-//
-//iocov:deterministic
 func (a *Analyzer) ComboTable(maxK int) []ComboRow {
 	build := func(name string, m map[int]int64) ComboRow {
 		var total int64
@@ -225,8 +223,6 @@ type UntestedSummary struct {
 
 // Untested produces the untested-partition summary across every tracked
 // space, in deterministic order.
-//
-//iocov:deterministic
 func (a *Analyzer) UntestedAll(maxNumeric int) []UntestedSummary {
 	var out []UntestedSummary
 	for _, name := range a.Syscalls() {

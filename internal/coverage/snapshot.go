@@ -46,8 +46,6 @@ type SnapshotCombos struct {
 
 // Snapshot builds the serializable view. Numeric domains are truncated to
 // maxNumeric partitions (0 means 34, the Figure 3 window).
-//
-//iocov:deterministic
 func (a *Analyzer) Snapshot(maxNumeric int) *Snapshot {
 	if maxNumeric <= 0 {
 		maxNumeric = 34
@@ -246,8 +244,6 @@ func (s *Snapshot) Space(syscall, arg string) *SnapshotSpace {
 
 // DiffSnapshot reports the partitions covered by s but not by other — the
 // regression-tracking primitive ("this release stopped testing O_SYNC").
-//
-//iocov:deterministic
 func (s *Snapshot) DiffSnapshot(other *Snapshot) []SnapshotDiff {
 	var out []SnapshotDiff
 	diffPool := func(a, b []SnapshotSpace, isOutput bool) {

@@ -15,8 +15,6 @@ import "sort"
 // check that path against this label merge.
 //
 // Nil arguments are treated as empty; the inputs are never mutated.
-//
-//iocov:deterministic
 func MergeSnapshots(a, b *Snapshot) *Snapshot {
 	if a == nil {
 		a = &Snapshot{}

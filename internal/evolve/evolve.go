@@ -119,8 +119,6 @@ type loop struct {
 // Accepted analyzers merge into the cumulative one; counts are additive, so
 // the final analyzer is byte-identical to a serial replay of the accepted
 // corpus.
-//
-//iocov:deterministic
 func (l *loop) run(seed []syz.Program) (*Result, error) {
 	res := &Result{Analyzer: coverage.NewAnalyzer(coverage.DefaultOptions()), lay: l.lay}
 	covered := newBitset(l.lay.bits)
@@ -187,8 +185,6 @@ func (l *loop) run(seed []syz.Program) (*Result, error) {
 //     partition's domain label; each hits its partition on the first try;
 //  2. cfg.Explore random mutants of corpus members, each under its own
 //     splitmix64 RNG keyed by (generation, index).
-//
-//iocov:deterministic
 func (l *loop) nextGeneration(gen int, corpus []syz.Program, covered []uint64) []syz.Program {
 	var progs []syz.Program
 	for ti := range l.lay.targets {

@@ -195,8 +195,6 @@ type Fitness struct {
 // fitness folds the cumulative analyzer into a generation snapshot. It
 // reads the dense counters through the cheap accessors — no report
 // materialization — so calling it every generation costs a few slice walks.
-//
-//iocov:deterministic
 func (l *layout) fitness(an *coverage.Analyzer, covered []uint64, gen, newly, evaluated, accepted, corpus int) Fitness {
 	f := Fitness{
 		Generation: gen,

@@ -8,8 +8,6 @@ import "iocov/internal/syz"
 // reduction is deterministic. Minimization preserves which partitions are
 // covered, not how often — a minimized corpus replays to the same covered
 // set but not the same frequency counts.
-//
-//iocov:deterministic
 func (r *Result) Minimize() []syz.Program {
 	covered := newBitset(r.lay.bits)
 	taken := make([]bool, len(r.Corpus))

@@ -16,8 +16,6 @@ import (
 // operator sequence is a pure function of the loop seed.
 
 // mutate clones a corpus parent and applies one random operator.
-//
-//iocov:deterministic
 func mutate(rng *rand.Rand, corpus []syz.Program, dir string) syz.Program {
 	p := corpus[rng.Intn(len(corpus))].Clone()
 	switch rng.Intn(6) {

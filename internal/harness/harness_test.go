@@ -109,3 +109,31 @@ func TestRunBoth(t *testing.T) {
 		t.Errorf("xfstests %d <= crashmonkey %d events", xfs.Analyzed(), cm.Analyzed())
 	}
 }
+
+// TestMergeTreeOrderStable: counts merge additively, so no merge order can
+// change a snapshot, but a capped combination set keeps whichever labels
+// reach it first. Each crashmonkey shard here holds 5 to 7 of the run's 12
+// distinct open flag combinations, so shard 0 leaves room under the cap of
+// 8 that the other shards compete for. The tree's fixed pairing decides
+// the winners, so every parallel run keeps the same combinations. Merging
+// shards as they finish would not, but the finishing order of eight idle
+// goroutines seldom changes, so the test takes 500 runs.
+func TestMergeTreeOrderStable(t *testing.T) {
+	opts := coverage.DefaultOptions()
+	opts.TrackCombinations = true
+	opts.CombinationCap = 8
+	render := func() string {
+		an, err := RunParallel(SuiteCrashMonkey, 0.002, 42, 8, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ReleaseAnalyzer(an)
+		return fmt.Sprint(an.Combinations("open", "flags"))
+	}
+	want := render()
+	for i := 1; i < 500; i++ {
+		if got := render(); got != want {
+			t.Fatalf("run %d keeps other combinations than the first:\n got %s\nwant %s", i, got, want)
+		}
+	}
+}

@@ -6,8 +6,8 @@ import (
 )
 
 // The //iocov: annotation grammar ties source comments to the
-// whole-program passes. Four forms exist; shared-ok is parsed by shardcheck
-// directly, the rest here:
+// whole-program passes. Three forms exist; shared-ok is parsed by
+// shardcheck directly, the rest here:
 //
 //	//iocov:hotpath                   on a function: the function is a
 //	                                  zero-allocation root; it and everything
@@ -23,15 +23,9 @@ import (
 //	                                  exempt from shardcheck. The reason must
 //	                                  state why sharing preserves the
 //	                                  parallel-vs-serial contract (e.g. a
-//	                                  sync.Once write of a value derived only
-//	                                  from constants) and is mandatory.
-//	//iocov:deterministic             on a function: a determinism root. The
-//	                                  function and everything statically
-//	                                  reachable from it must be byte-stable —
-//	                                  no wall clock, no global RNG, no map
-//	                                  iteration order leaking into results,
-//	                                  no goroutine completion order
-//	                                  (determcheck).
+//	                                  mutex-guarded grow-only cache whose
+//	                                  contents do not depend on interleaving)
+//	                                  and is mandatory.
 //
 // Annotations live in doc comments. The directive must start the comment
 // line, matching the convention of go:build and friends.
@@ -57,9 +51,8 @@ func annotationsIn(groups ...*ast.CommentGroup) []string {
 
 // funcAnnotations describes the directives on one function declaration.
 type funcAnnotations struct {
-	hotpath       bool
-	coldpath      bool
-	deterministic bool
+	hotpath  bool
+	coldpath bool
 }
 
 // parseFuncAnnotations reads a function declaration's doc comment.
@@ -72,8 +65,6 @@ func parseFuncAnnotations(fd *ast.FuncDecl) funcAnnotations {
 			fa.hotpath = true
 		case "coldpath":
 			fa.coldpath = true
-		case "deterministic":
-			fa.deterministic = true
 		}
 	}
 	return fa

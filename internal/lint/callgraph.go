@@ -9,12 +9,11 @@ import (
 
 // This file is the interprocedural half of the analysis engine: a
 // package-spanning call graph over every function the Target loaded, built
-// once per Target and shared by the whole-program passes (alloccheck's
-// hot-path reachability, determcheck's deterministic-surface traversal).
+// once per Target for alloccheck's hot-path reachability.
 //
 // Edges are static only: the callee is a named function or a method called
 // on a concrete receiver, which go/types resolves exactly. Calls through an
-// interface or a function value add no edge; both passes treat them as
+// interface or a function value add no edge; alloccheck treats them as
 // annotation boundaries (the implementation carries its own annotation).
 
 // CallSite is one edge of the call graph: a call expression in Caller that
@@ -51,8 +50,7 @@ type CallGraph struct {
 	sorted []*CGNode
 }
 
-// CallGraph returns the Target's call graph, building it on first use; all
-// passes of one run share the same graph.
+// CallGraph returns the Target's call graph, building it on first use.
 func (t *Target) CallGraph() *CallGraph {
 	if t.cg == nil {
 		t.cg = BuildCallGraph(t)

@@ -26,7 +26,6 @@ func TestJSONGolden(t *testing.T) {
 		&ShardCheck{Paths: []string{"shardcheck_bad"}},
 		&ErrCheck{Paths: []string{"errcheck_bad"}},
 		NewAllocCheck(),
-		NewDetermCheck(),
 	}
 	// The golden suite must cover exactly the canonical pass list, in order,
 	// so a new pass cannot ship without a schema golden.

@@ -4,31 +4,26 @@
 //
 //   - speccheck: the sysspec base/extended tables are internally consistent
 //     and every syscall the kernel dispatch emits has a spec entry;
-//   - shardcheck: worker-path packages (internal/harness, internal/suites)
-//     contain no writes to package-level state and no wall-clock or global
-//     RNG calls, either of which would break the byte-identical
-//     RunParallel-vs-Run snapshot contract;
+//   - shardcheck: the worker-path packages (internal/harness, the suites,
+//     internal/evolve) and the iocovd daemon (internal/server) write no
+//     package-level variable, which would be state shared across shards or
+//     sessions;
 //   - errcheck: no error return is silently dropped in internal/ or cmd/;
 //   - alloccheck: functions reachable from //iocov:hotpath roots are proven
 //     free of allocating constructs, making the zero-allocation contract
 //     static — the AllocsPerRun regressions self-skip under -race, this
-//     pass does not;
-//   - determcheck: functions statically reachable from //iocov:deterministic
-//     roots must not read the wall clock, use the global RNG, launch
-//     goroutines, or leak map iteration order into their results (append
-//     inside a map range is tainted until a subsequent sort washes it).
+//     pass does not.
 //
-// shardcheck additionally holds internal/server (the iocovd daemon) to its
-// no-package-level-writes rule, with the wall-clock rules relaxed.
-//
-// The interprocedural passes (alloccheck, determcheck) share one lazily
-// built package-spanning call graph of static edges (see callgraph.go).
+// alloccheck walks a lazily built package-spanning call graph of static
+// edges (see callgraph.go).
 //
 // Invariants a test already guards are left to the test: the partition
 // domain contract to internal/partition's domain-invariant tests, HTTP
 // status codes to internal/server's handler tests, index bounds to Go's
-// run-time checks plus the trace fuzzers, and lock discipline and goroutine
-// exits to the -race lane and the goroutine-leak test (DESIGN.md §16).
+// run-time checks plus the trace fuzzers, lock discipline and goroutine
+// exits to the -race lane and the goroutine-leak test, and byte-identical
+// output to the serial-vs-parallel, render-many and two-run byte
+// comparisons (DESIGN.md §16).
 //
 // The suite is built only on the standard library's go/parser, go/ast,
 // go/token and go/types packages; repository packages are type-checked
@@ -80,7 +75,6 @@ func AllPasses() []Pass {
 		NewShardCheck(),
 		NewErrCheck(),
 		NewAllocCheck(),
-		NewDetermCheck(),
 	}
 }
 

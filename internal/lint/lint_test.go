@@ -94,8 +94,8 @@ func TestSelectPasses(t *testing.T) {
 	if want := len(PassNames()); err != nil || len(all) != want {
 		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want %d, nil", len(all), err, want)
 	}
-	if last := all[len(all)-1].Name(); last != "determcheck" {
-		t.Fatalf("last pass = %s, want determcheck", last)
+	if last := all[len(all)-1].Name(); last != "alloccheck" {
+		t.Fatalf("last pass = %s, want alloccheck", last)
 	}
 	two, err := SelectPasses("alloccheck, errcheck")
 	if err != nil || len(two) != 2 || two[0].Name() != "alloccheck" || two[1].Name() != "errcheck" {

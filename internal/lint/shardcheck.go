@@ -8,61 +8,43 @@ import (
 	"strings"
 )
 
-// ShardCheck guards the byte-identical RunParallel-vs-Run snapshot contract.
-// Worker-path packages (internal/harness and the suites it shards) must be
-// deterministic functions of (suite, scale, seed, shard): the pass flags
+// ShardCheck guards shard isolation: the worker-path packages (the harness,
+// the suites it shards, the evolve loop) and the iocovd daemon, which
+// merges sessions concurrently, write no package-level variable. State
+// shared across shards or sessions is a data race, and a race can corrupt
+// the merged counts.
 //
-//   - writes to package-level variables (shared mutable state across shards
-//     merges nondeterministically);
-//   - calls to wall-clock time functions (time.Now / Since / Until);
-//   - calls to the global math/rand source, whose state is shared across
-//     goroutines (per-item rand.New(rand.NewSource(seed)) instances are the
-//     sanctioned pattern and are not flagged).
+// It is the one determinism rule kept in lint, because no test catches it
+// in every run: the -race lane misses a one-time lazy initialization that
+// later synchronization orders, and it never sees writes made through
+// clear (DESIGN.md §16). Wall-clock reads, the global RNG and map order are
+// left to the byte-identity tests, which catch each of them every time.
 //
 // A package-level variable declared with //iocov:shared-ok <reason> is
-// exempt from the write rule: the annotation asserts the sharing is
-// synchronized and value-deterministic (a sync.Once write derived from
-// constants, a mutex-guarded cache whose contents don't depend on
-// interleaving). The reason is mandatory; a reasonless directive is itself
-// a finding.
-//
-// StatePaths packages get only the package-level-write rule: the daemon
-// merges sessions concurrently, so shared mutable globals are still a
-// hazard there, but wall-clock reads are legitimate (merge-latency
-// metrics, checkpoint intervals) and exempt.
+// exempt: the annotation asserts the sharing is synchronized and
+// value-deterministic (a mutex-guarded cache whose contents do not depend
+// on interleaving). The reason is mandatory; a reasonless directive is
+// itself a finding.
 type ShardCheck struct {
-	// Paths are the import-path prefixes of worker-path packages.
+	// Paths are the import-path prefixes of the checked packages.
 	Paths []string
-	// StatePaths are import-path prefixes checked only for writes to
-	// package-level variables.
-	StatePaths []string
 }
 
 // NewShardCheck returns the pass configured for this repository.
 func NewShardCheck() *ShardCheck {
-	return &ShardCheck{
-		Paths:      []string{"iocov/internal/evolve", "iocov/internal/harness", "iocov/internal/suites"},
-		StatePaths: []string{"iocov/internal/server"},
-	}
+	return &ShardCheck{Paths: []string{
+		"iocov/internal/evolve", "iocov/internal/harness", "iocov/internal/server", "iocov/internal/suites",
+	}}
 }
 
 // Name implements Pass.
 func (s *ShardCheck) Name() string { return "shardcheck" }
 
-// timeDenied are the wall-clock functions in package time.
-var timeDenied = map[string]bool{"Now": true, "Since": true, "Until": true}
-
-// randAllowed are the math/rand package-level functions that only construct
-// independent generators and never touch the shared global source.
-var randAllowed = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
-
 // Run implements Pass.
 func (s *ShardCheck) Run(t *Target) []Finding {
 	var out []Finding
 	for _, pkg := range t.Pkgs {
-		full := len(s.Paths) > 0 && matchesAny(pkg.Path, s.Paths)
-		stateOnly := len(s.StatePaths) > 0 && matchesAny(pkg.Path, s.StatePaths)
-		if !full && !stateOnly {
+		if !matchesAny(pkg.Path, s.Paths) {
 			continue
 		}
 		exempt, annFindings := s.sharedOKVars(t, pkg)
@@ -76,10 +58,6 @@ func (s *ShardCheck) Run(t *Target) []Finding {
 					}
 				case *ast.IncDecStmt:
 					out = append(out, s.checkWrite(t, pkg, exempt, st.X)...)
-				case *ast.CallExpr:
-					if full {
-						out = append(out, s.checkCall(t, pkg, st)...)
-					}
 				}
 				return true
 			})
@@ -195,42 +173,4 @@ func packageLevelVar(pkg *Package, ident *ast.Ident) *types.Var {
 		return nil
 	}
 	return v
-}
-
-// checkCall flags wall-clock and global-RNG calls.
-func (s *ShardCheck) checkCall(t *Target, pkg *Package, call *ast.CallExpr) []Finding {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() != nil {
-		return nil // methods (e.g. (*rand.Rand).Intn) are per-instance state
-	}
-	switch fn.Pkg().Path() {
-	case "time":
-		if timeDenied[fn.Name()] {
-			return []Finding{{
-				Pass: s.Name(),
-				Pos:  t.Position(call.Pos()),
-				Message: fmt.Sprintf(
-					"worker path calls time.%s; wall-clock input breaks shard determinism", fn.Name()),
-			}}
-		}
-	case "math/rand", "math/rand/v2":
-		if !randAllowed[fn.Name()] {
-			return []Finding{{
-				Pass: s.Name(),
-				Pos:  t.Position(call.Pos()),
-				Message: fmt.Sprintf(
-					"worker path calls the global %s.%s; shared RNG state breaks shard determinism",
-					fn.Pkg().Name(), fn.Name()),
-			}}
-		}
-	}
-	return nil
 }

@@ -1,12 +1,7 @@
-// Package shardcheck_bad violates the shard-determinism contract in every
-// way shardcheck detects: package-level writes, wall-clock reads, and the
-// shared global RNG.
+// Package shardcheck_bad writes package-level state in every way
+// shardcheck detects: a counter increment, a map store, and a lazy
+// initialization behind a reasonless iocov:shared-ok directive.
 package shardcheck_bad
-
-import (
-	"math/rand"
-	"time"
-)
 
 var counter int64
 
@@ -15,8 +10,7 @@ var cache = map[string]int{}
 func work(shard int) int64 {
 	counter++
 	cache["last"] = shard
-	started := time.Now().UnixNano()
-	return counter + started + rand.Int63()
+	return counter
 }
 
 //iocov:shared-ok

@@ -1,35 +1,30 @@
-// Package shardcheck_good is deterministic per shard: read-only package
-// tables, seed-derived per-item generators, and no wall clock — the pattern
-// the worker paths must follow.
+// Package shardcheck_good shares only read-only package tables and state
+// whose declaration gives a reason: the pattern the worker paths follow.
 package shardcheck_good
 
-import "math/rand"
+import "sync"
 
 // weights is package-level but only ever read.
 var weights = []int{3, 2, 1}
 
-func work(seed int64, shard int) int64 {
-	rng := rand.New(rand.NewSource(seed + int64(shard)))
-	total := int64(0)
+func work(shard int) int {
+	total := 0
 	for _, w := range weights {
-		total += rng.Int63n(int64(w) + 1)
+		total += w * shard
 	}
 	return total
 }
 
-// protoOnce guards the one-time construction of proto; the write below is
-// sanctioned because it happens once and derives only from a constant.
-//
-//iocov:shared-ok latch for the one-time proto construction; flips false->true exactly once
-var protoOnce bool
+var cacheMu sync.Mutex
 
-//iocov:shared-ok written once under protoOnce; value derives only from the constant table
-var proto []int
+//iocov:shared-ok grown only under cacheMu; its contents do not depend on which goroutine grows it
+var cache []byte
 
-func sharedProto() []int {
-	if !protoOnce {
-		proto = []int{1, 2, 3}
-		protoOnce = true
+func grow(n int) []byte {
+	cacheMu.Lock()
+	defer cacheMu.Unlock()
+	if len(cache) < n {
+		cache = make([]byte, n)
 	}
-	return proto
+	return cache[:n]
 }

@@ -37,8 +37,6 @@ type Series struct {
 
 // Comparison prints a two-series log-scale comparison chart, one row per
 // partition — the textual form of Figures 2-4.
-//
-//iocov:deterministic
 func Comparison(w io.Writer, title string, series []Series) {
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 	if len(series) == 0 {
@@ -94,8 +92,6 @@ func joinOrNone(labels []string) string {
 }
 
 // ComboTable prints Table 1: percentage of opens using 1..K flags together.
-//
-//iocov:deterministic
 func ComboTable(w io.Writer, title string, suites []struct {
 	Name string
 	Rows []coverage.ComboRow
@@ -120,8 +116,6 @@ func ComboTable(w io.Writer, title string, suites []struct {
 
 // TCDSweep prints the Figure 5 sweep: TCD for each suite over uniform
 // targets, plus the crossover.
-//
-//iocov:deterministic
 func TCDSweep(w io.Writer, title string, names [2]string, freqs [2][]int64, maxTarget int64) {
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title)))
 	fmt.Fprintf(w, "%12s  %12s  %12s\n", "target", names[0], names[1])

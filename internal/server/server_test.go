@@ -514,6 +514,13 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
 		}
 	}
+	// The per-syscall hits are folded through a map; scrapes with nothing
+	// ingested in between must be byte-identical.
+	for i := 0; i < 20; i++ {
+		if _, again := get(t, ts.URL+"/metrics"); !bytes.Equal(again, body) {
+			t.Fatalf("scrape %d differs from the first:\n%s\nfirst:\n%s", i, again, body)
+		}
+	}
 }
 
 // TestTCDEndpoint checks the deviation endpoint against the global store.
