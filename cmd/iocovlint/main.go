@@ -1,19 +1,16 @@
 // Command iocovlint runs iocov's static-analysis suite over the repository
 // itself, proving the invariants the coverage pipeline depends on:
 //
-//	iocovlint [-root DIR] [-passes LIST] [-pass NAME] [-json] [-v]
+//	iocovlint [-root DIR] [-passes LIST] [-json] [-v]
 //
 // Passes (default: all, see internal/lint):
 //
 //	speccheck    sysspec tables vs kernel dispatch
-//	shardcheck   worker-path purity for the parallel snapshot contract
-//	             (plus no-global-writes in the iocovd daemon's packages)
+//	shardcheck   no package-level writes in worker paths or the iocovd daemon
 //	errcheck     silently dropped error returns in internal/ and cmd/
 //	alloccheck   //iocov:hotpath reachability proof of zero allocation
-//	determcheck  //iocov:deterministic roots stay clock-, RNG-, goroutine-
-//	             and map-order-free
 //
-// -pass NAME runs a single pass; -passes takes a comma-separated subset.
+// -passes takes one pass name or a comma-separated subset.
 // -json emits one JSON object per finding ({"pass","file","line","col",
 // "message"}) on stdout followed by a {"timings":[{"pass","ms"},...]}
 // trailer with each pass's wall-clock analysis time, for tooling. -v
@@ -47,20 +44,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root to analyze (default: nearest go.mod at or above the working directory)")
 	passes := fs.String("passes", "", "comma-separated pass subset (default: "+strings.Join(lint.PassNames(), ",")+")")
-	pass := fs.String("pass", "", "run a single pass (shorthand for -passes NAME)")
 	asJSON := fs.Bool("json", false, "emit one JSON object per finding on stdout")
 	verbose := fs.Bool("v", false, "report load statistics and per-pass analysis times")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	if *pass != "" && *passes != "" {
-		fmt.Fprintln(stderr, "iocovlint: -pass and -passes are mutually exclusive")
-		return 2
-	}
-	spec := *passes
-	if *pass != "" {
-		spec = *pass
 	}
 
 	dir := *root
@@ -72,7 +59,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	selected, err := lint.SelectPasses(spec)
+	selected, err := lint.SelectPasses(*passes)
 	if err != nil {
 		fmt.Fprintln(stderr, "iocovlint:", err)
 		return 2

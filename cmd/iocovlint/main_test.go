@@ -19,8 +19,7 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"clean module", []string{"-root", "testdata/cleanmod"}, 0},
 		{"findings", []string{"-root", "testdata/badmod"}, 1},
-		{"unknown pass", []string{"-root", "testdata/cleanmod", "-pass", "nosuchpass"}, 2},
-		{"pass and passes", []string{"-root", "testdata/cleanmod", "-pass", "errcheck", "-passes", "alloccheck"}, 2},
+		{"unknown pass", []string{"-root", "testdata/cleanmod", "-passes", "nosuchpass"}, 2},
 		{"bad root", []string{"-root", "testdata/nosuchdir"}, 2},
 		{"bad flag", []string{"-nosuchflag"}, 2},
 	}
