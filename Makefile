@@ -3,12 +3,12 @@
 #   make verify   - build, full test suite, go vet, and iocovlint (tier-1)
 #   make race     - the same tests under the race detector; the parallel
 #                   worker-pool path (harness.RunParallel) makes this the
-#                   gate for shard-isolation regressions
+#                   gate for shard-isolation regressions (shared state
+#                   written by two shards)
 #   make vet      - the standard go vet checks
-#   make lint     - iocovlint: speccheck, shardcheck, errcheck, alloccheck,
-#                   determcheck (five passes) over the whole repository
-#                   (exit 1 on any finding); -v prints per-pass analysis
-#                   times
+#   make lint     - iocovlint: speccheck, shardcheck, errcheck, alloccheck
+#                   (four passes) over the whole repository (exit 1 on any
+#                   finding); -v prints per-pass analysis times
 #   make fuzz     - short fuzz passes over the binary trace codec, the text
 #                   trace parser, the mount filter, checkpoint restore and
 #                   the vfs read/write oracle
