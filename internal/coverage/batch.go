@@ -31,7 +31,7 @@ func (a *Analyzer) NewBatch() *Batch { return &Batch{a: a} }
 
 // Add analyzes one decoded event. nameID is the syscall name's per-stream
 // dictionary ordinal from trace.BatchDecoder.Next (-1 when the name was
-// not interned, which falls back to the by-name dispatch map). The event
+// not interned, which falls back to the analyzer's by-name dispatch). The event
 // is not retained.
 //
 //iocov:hotpath
@@ -54,10 +54,7 @@ func (b *Batch) Add(ev *trace.Event, nameID int) {
 //
 //iocov:coldpath
 func (b *Batch) addSlow(ev *trace.Event, nameID int) {
-	e, seen := b.a.compiled[ev.Name]
-	if !seen {
-		e = b.a.compile(ev.Name)
-	}
+	e := b.a.lookup(ev.Name)
 	if nameID >= 0 {
 		for len(b.byID) <= nameID {
 			b.byID = append(b.byID, batchEntry{})

@@ -57,7 +57,7 @@ type Analyzer struct {
 	inputs    map[argKey]*argCounter
 	outputs   map[string]*outputCounter
 	idents    map[argKey]*identCounter
-	combos    ComboStats
+	combos    comboCounts
 	bitCombos map[argKey]map[string]int64
 
 	// compiled caches, per raw syscall name, everything Add needs on the
@@ -67,6 +67,12 @@ type Analyzer struct {
 	// reused ordinal buffer handed to partition.Input.
 	compiled map[string]*compiledEntry
 	scratch  []int
+
+	// slots is a direct-mapped cache in front of compiled, indexed by
+	// slotOf(name): the usual per-event lookup is one string compare, and
+	// only a miss hashes the name. compiled stays the one source of truth;
+	// a slot only ever holds a copy of one of its entries.
+	slots [dispatchSlots]dispatchSlot
 
 	// freeDense holds zeroed dense counter slices retired by Reset, keyed
 	// by length, so a pooled analyzer's recompile step reuses its previous
@@ -85,6 +91,20 @@ type compiledEntry struct {
 	idents []*sysspec.ArgSpec
 	out    *outputCounter
 	isOpen bool
+}
+
+// dispatchSlots is the size of Analyzer.slots, a power of two. slotOf
+// puts the 27 standard raw names and their variants in distinct slots
+// (TestDispatchSlotsDistinct), so a standard stream misses only on the first
+// sight of each name.
+const dispatchSlots = 64
+
+// dispatchSlot caches one compiled entry under its raw name. An empty slot
+// has the empty name, which no lookup compares against: names shorter than
+// two bytes bypass the slots.
+type dispatchSlot struct {
+	name string
+	e    *compiledEntry
 }
 
 // compiledArg pairs a pre-resolved counter with its event key.
@@ -125,12 +145,37 @@ type identCounter struct {
 }
 
 // ComboStats is the Table 1 raw data: how many open calls combined k flags,
-// over all calls and over calls whose access mode is O_RDONLY.
+// over all calls and over calls whose access mode is O_RDONLY. Only the
+// sizes with a non-zero count have a key.
 type ComboStats struct {
 	// All[k] counts opens using exactly k flags together.
 	All map[int]int64
 	// Rdonly[k] restricts All to opens whose access mode is O_RDONLY.
 	Rdonly map[int]int64
+}
+
+// comboCounts is the analyzer's Table 1 state, ComboStats as arrays indexed
+// by the combination size k (partition.FlagComboSize never exceeds
+// MaxFlagComboSize). Every reader builds its maps from these arrays.
+type comboCounts struct {
+	All, Rdonly comboArray
+}
+
+// comboArray holds one Table 1 row's counts, indexed by combination size.
+type comboArray [partition.MaxFlagComboSize + 1]int64
+
+// stats returns the counts as ComboStats maps, holding only non-zero keys.
+func (c *comboCounts) stats() ComboStats {
+	s := ComboStats{All: make(map[int]int64), Rdonly: make(map[int]int64)}
+	for k := range c.All {
+		if c.All[k] != 0 {
+			s.All[k] = c.All[k]
+		}
+		if c.Rdonly[k] != 0 {
+			s.Rdonly[k] = c.Rdonly[k]
+		}
+	}
+	return s
 }
 
 // Shared immutable lookup structures. A syscall table, an output indexer,
@@ -193,7 +238,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 		inputs:    make(map[argKey]*argCounter),
 		outputs:   make(map[string]*outputCounter),
 		idents:    make(map[argKey]*identCounter),
-		combos:    ComboStats{All: make(map[int]int64), Rdonly: make(map[int]int64)},
 		bitCombos: make(map[argKey]map[string]int64),
 		compiled:  make(map[string]*compiledEntry),
 		// Largest per-value ordinal fanout is an open flags word naming
@@ -210,10 +254,10 @@ func (a *Analyzer) Emit(ev trace.Event) { a.add(&ev) }
 // Add analyzes one event. Events for syscalls outside the 27-syscall scope
 // are counted as skipped and otherwise ignored.
 //
-// The steady-state path is one compiled-entry map hit followed by dense
-// ordinal arithmetic: no label formatting, no []string partitions, no
-// string-keyed counter maps. The first event of each raw syscall name pays
-// the spec lookup and ArgAppliesTo walk once, in compile.
+// The steady-state path is one dispatch-slot compare followed by dense
+// ordinal arithmetic: no name hashing, no label formatting, no []string
+// partitions, no string-keyed counter maps. The first event of each raw
+// syscall name pays the spec lookup and ArgAppliesTo walk once, in compile.
 //
 //iocov:hotpath
 func (a *Analyzer) Add(ev trace.Event) { a.add(&ev) }
@@ -223,11 +267,44 @@ func (a *Analyzer) Add(ev trace.Event) { a.add(&ev) }
 //
 //iocov:hotpath
 func (a *Analyzer) add(ev *trace.Event) {
-	e, seen := a.compiled[ev.Name]
-	if !seen {
-		e = a.compile(ev.Name)
+	a.addCompiled(a.lookup(ev.Name), ev)
+}
+
+// lookup returns the compiled entry for a raw syscall name (nil when out of
+// scope). A slot hit costs one string compare; a miss takes the compiled
+// map, compiling on first sight, and refills the slot.
+//
+//iocov:hotpath
+func (a *Analyzer) lookup(name string) *compiledEntry {
+	if len(name) < 2 {
+		return a.compiledFor(name)
 	}
-	a.addCompiled(e, ev)
+	s := &a.slots[slotOf(name)]
+	if s.name != name {
+		*s = dispatchSlot{name: name, e: a.compiledFor(name)}
+	}
+	return s.e
+}
+
+// slotOf maps a name of at least two bytes to its dispatch slot from its
+// length and its first, second and last bytes.
+//
+//iocov:hotpath
+func slotOf(name string) int {
+	n := len(name)
+	return (n*7 + int(name[0])*5 + int(name[1])*3 + int(name[n-1])*4) & (dispatchSlots - 1)
+}
+
+// compiledFor is the slots' fallback: the compiled map, compiling the entry
+// on first sight.
+//
+//iocov:coldpath
+func (a *Analyzer) compiledFor(name string) *compiledEntry {
+	e, seen := a.compiled[name]
+	if !seen {
+		e = a.compile(name)
+	}
+	return e
 }
 
 // addCompiled is the shared per-event body behind Add and Batch.Add: the
@@ -491,7 +568,7 @@ func (a *Analyzer) Analyzed() int64 { return a.analyzed }
 func (a *Analyzer) Skipped() int64 { return a.skipped }
 
 // Combos returns the flag-combination statistics (Table 1 raw data).
-func (a *Analyzer) Combos() ComboStats { return a.combos }
+func (a *Analyzer) Combos() ComboStats { return a.combos.stats() }
 
 // IdentifierCardinality returns the number of distinct values observed for
 // an identifier argument (0 unless TrackIdentifiers was set).

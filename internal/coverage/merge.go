@@ -66,11 +66,9 @@ func (a *Analyzer) Merge(b *Analyzer) error {
 		}
 	}
 
-	for k, bn := range b.combos.All {
-		a.combos.All[k] += bn
-	}
-	for k, bn := range b.combos.Rdonly {
-		a.combos.Rdonly[k] += bn
+	for k := range b.combos.All {
+		a.combos.All[k] += b.combos.All[k]
+		a.combos.Rdonly[k] += b.combos.Rdonly[k]
 	}
 
 	for k, bm := range b.bitCombos {

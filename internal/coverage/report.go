@@ -1,9 +1,5 @@
 package coverage
 
-import (
-	"sort"
-)
-
 // Row is one partition's frequency in a report.
 type Row struct {
 	Label string
@@ -166,7 +162,7 @@ type ComboRow struct {
 // maxK columns (the paper uses 6, the largest combination either suite
 // produced).
 func (a *Analyzer) ComboTable(maxK int) []ComboRow {
-	build := func(name string, m map[int]int64) ComboRow {
+	build := func(name string, m *comboArray) ComboRow {
 		var total int64
 		for _, n := range m {
 			total += n
@@ -175,15 +171,13 @@ func (a *Analyzer) ComboTable(maxK int) []ComboRow {
 		if total == 0 {
 			return row
 		}
-		// Percentages folding into the overflow column are summed in sorted
-		// key order: float addition is not associative, so map order would
-		// let the same histogram render different final bits run to run.
-		ks := make([]int, 0, len(m))
-		for k := range m {
-			ks = append(ks, k)
-		}
-		sort.Ints(ks)
-		for _, k := range ks {
+		// Percentages folding into the overflow column are summed in
+		// ascending k: float addition is not associative, so any other
+		// order could render different final bits for the same histogram.
+		for k, n := range m {
+			if n == 0 {
+				continue
+			}
 			idx := k - 1
 			if idx < 0 {
 				continue
@@ -191,25 +185,24 @@ func (a *Analyzer) ComboTable(maxK int) []ComboRow {
 			if idx >= maxK {
 				idx = maxK - 1
 			}
-			row.Pct[idx] += 100 * float64(m[k]) / float64(total)
+			row.Pct[idx] += 100 * float64(n) / float64(total)
 		}
 		return row
 	}
 	return []ComboRow{
-		build("all flags", a.combos.All),
-		build("O_RDONLY", a.combos.Rdonly),
+		build("all flags", &a.combos.All),
+		build("O_RDONLY", &a.combos.Rdonly),
 	}
 }
 
 // MaxComboSize returns the largest number of flags combined in any open.
 func (a *Analyzer) MaxComboSize() int {
-	max := 0
-	for k := range a.combos.All {
-		if k > max {
-			max = k
+	for k := len(a.combos.All) - 1; k > 0; k-- {
+		if a.combos.All[k] != 0 {
+			return k
 		}
 	}
-	return max
+	return 0
 }
 
 // UntestedSummary lists, for every observed syscall, the untested input and

@@ -23,13 +23,13 @@ func (a *Analyzer) Reset() {
 	}
 	clear(a.outputs)
 	clear(a.idents)
-	clear(a.combos.All)
-	clear(a.combos.Rdonly)
+	a.combos = comboCounts{}
 	clear(a.bitCombos)
 	// The compiled dispatch entries point at the counters retired above, so
-	// they must go too; recompilation on next sight rebuilds them against
-	// the recycled dense slices.
+	// they must go too, with the slots that copy them; recompilation on next
+	// sight rebuilds them against the recycled dense slices.
 	clear(a.compiled)
+	a.slots = [dispatchSlots]dispatchSlot{}
 	a.analyzed, a.skipped = 0, 0
 }
 

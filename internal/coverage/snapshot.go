@@ -69,8 +69,8 @@ func (a *Analyzer) Snapshot(maxNumeric int) *Snapshot {
 			s.Outputs = append(s.Outputs, snapshotSpace(rep, ""))
 		}
 	}
-	if len(a.combos.All) > 0 {
-		s.OpenCombos = &SnapshotCombos{All: a.combos.All, Rdonly: a.combos.Rdonly}
+	if c := a.combos.stats(); len(c.All) > 0 {
+		s.OpenCombos = &SnapshotCombos{All: c.All, Rdonly: c.Rdonly}
 	}
 	return s
 }
@@ -161,13 +161,16 @@ func (a *Analyzer) Restore(s *Snapshot) error {
 		}
 	}
 	if c := s.OpenCombos; c != nil {
-		for _, m := range [][2]map[int]int64{{a.combos.All, c.All}, {a.combos.Rdonly, c.Rdonly}} {
-			for k, n := range m[1] {
-				if n == 0 {
-					continue // no opens: Snapshot never writes the key
+		for _, m := range []struct {
+			dst *comboArray
+			src map[int]int64
+		}{{&a.combos.All, c.All}, {&a.combos.Rdonly, c.Rdonly}} {
+			for k, n := range m.src {
+				if k < 0 || k >= len(m.dst) {
+					return fmt.Errorf("coverage: open combos: %d flags is outside [0, %d)", k, len(m.dst))
 				}
 				var ok bool
-				if m[0][k], ok = restoreSum(m[0][k], n); !ok {
+				if m.dst[k], ok = restoreSum(m.dst[k], n); !ok {
 					return fmt.Errorf("coverage: open combos: bad count %d: %d", k, n)
 				}
 			}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"iocov/internal/partition"
 	"iocov/internal/sys"
 	"iocov/internal/trace"
 )
@@ -176,6 +177,9 @@ var corruptCheckpoints = []string{
 	`{"skipped":-1}`,
 	`{"open_combos":{"all":{"1":1},"rdonly":{"1":-1}}}`,
 	`{"open_combos":{"all":{"1":1},"rdonly":{"1":2}}}`,
+	`{"open_combos":{"all":{"-1":1},"rdonly":{}}}`,
+	`{"open_combos":{"all":{"` + strconv.Itoa(partition.MaxFlagComboSize+1) + `":1},"rdonly":{}}}`,
+	`{"open_combos":{"all":{"1":1},"rdonly":{"-3":0}}}`,
 	`{"outputs":[{"syscall":"open","counts":{"OK":` + strconv.FormatInt(math.MaxInt64, 10) + `}},{"syscall":"open","counts":{"OK":1}}]}`,
 }
 

@@ -416,10 +416,16 @@ var openFlagSimpleMask = func() int {
 	return m
 }()
 
+// MaxFlagComboSize bounds FlagComboSize: the access mode, every single-bit
+// flag of sys.SimpleOpenFlags, and the two composite pairs (O_SYNC/O_DSYNC,
+// O_TMPFILE/O_DIRECTORY), each of which counts once. Table 1's counters are
+// arrays indexed by the combination size, MaxFlagComboSize+1 long.
+const MaxFlagComboSize = 16
+
 // FlagComboSize counts how many named flags an open flags word combines
 // (the access mode counts as one flag, so the minimum is 1). Table 1 is
 // built from this. It equals len(sys.DecodeOpenFlags(flags)) but performs
-// no allocation.
+// no allocation, and it never exceeds MaxFlagComboSize.
 //
 //iocov:hotpath
 func FlagComboSize(flags int64) int {

@@ -292,6 +292,23 @@ func TestFlagComboSize(t *testing.T) {
 	}
 }
 
+// TestMaxFlagComboSize pins the constant to the flag table it bounds: a
+// flags word with every bit set names the access mode, every simple flag and
+// both composites, and nothing combines more.
+func TestMaxFlagComboSize(t *testing.T) {
+	if want := 1 + len(sys.SimpleOpenFlags) + 2; MaxFlagComboSize != want {
+		t.Fatalf("MaxFlagComboSize = %d, flag table allows %d", MaxFlagComboSize, want)
+	}
+	if got := FlagComboSize(-1); got != MaxFlagComboSize {
+		t.Fatalf("FlagComboSize(all bits) = %d, want %d", got, MaxFlagComboSize)
+	}
+	for _, v := range indexProbeValues() {
+		if k := FlagComboSize(v); k < 1 || k > MaxFlagComboSize {
+			t.Fatalf("FlagComboSize(%#o) = %d, outside [1, %d]", v, k, MaxFlagComboSize)
+		}
+	}
+}
+
 func TestHasRdonly(t *testing.T) {
 	if !HasRdonly(0) || !HasRdonly(int64(sys.O_CREAT)) {
 		t.Error("O_RDONLY accmode not detected")

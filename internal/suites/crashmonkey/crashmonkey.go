@@ -148,6 +148,10 @@ type runner struct {
 	mnt   string
 	sim   *crashsim.Sim
 
+	// itemRNG is the one RNG every work item runs under (see the xfstests
+	// runner): item reseeds it rather than allocating a source per item.
+	itemRNG *rand.Rand
+
 	// nextItem is the running work-item counter used for shard
 	// assignment; it advances identically on every shard.
 	nextItem int
@@ -162,7 +166,11 @@ func (r *runner) item(fn func()) {
 	if g%r.cfg.Shards != r.cfg.Shard {
 		return
 	}
-	r.rng = workload.ItemRNG(r.cfg.Seed, uint64(g))
+	if r.itemRNG == nil {
+		r.itemRNG = rand.New(rand.NewSource(0))
+	}
+	r.itemRNG.Seed(workload.ItemSeed(r.cfg.Seed, uint64(g)))
+	r.rng = r.itemRNG
 	fn()
 }
 

@@ -6,6 +6,7 @@
 package suites_test
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -271,25 +272,48 @@ func TestFigure5Shape(t *testing.T) {
 	t.Logf("TCD crossover at target %d (paper, full scale: ≈5,237)", cross)
 }
 
-// TestDeterminism: equal seeds produce identical coverage. Runs bypass the
-// cache so two independent executions are actually compared.
+// TestDeterminism: a suite run is a pure function of its seed and scale.
+// Each suite runs once serially and once split over two shards, each shard
+// on a fresh kernel feeding the same analyzer, and the two marshalled
+// Snapshot(0)s must match byte for byte. A wall-clock read or the global
+// math/rand source makes the two runs draw different workloads; item RNG
+// state that carries over from one item to the next makes a shard, which
+// runs every other item, draw a different stream than the serial run.
 func TestDeterminism(t *testing.T) {
-	fresh := func() *coverage.Analyzer {
+	run := func(t *testing.T, suite string, shards int) []byte {
+		t.Helper()
 		an := coverage.NewAnalyzer(coverage.DefaultOptions())
-		k := kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{Sink: an})
-		if _, err := crashmonkey.Run(k, crashmonkey.Config{Scale: 0.05, Seed: 7}); err != nil {
+		for shard := 0; shard < shards; shard++ {
+			filter, err := trace.NewFilter(`^/mnt/test(/|$)`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := kernel.New(vfs.New(vfs.DefaultConfig()), kernel.Options{
+				Sink: &trace.FilteringSink{F: filter, Next: an},
+			})
+			switch suite {
+			case "crashmonkey":
+				_, err = crashmonkey.Run(k, crashmonkey.Config{Scale: 0.05, Seed: 7, Shard: shard, Shards: shards})
+			case "xfstests":
+				_, err = xfstests.Run(k, xfstests.Config{Scale: 0.01, Seed: 7, Shard: shard, Shards: shards})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := an.Snapshot(0).WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return an
+		return buf.Bytes()
 	}
-	a := fresh()
-	b := fresh()
-	fa := a.InputReport("open", "flags").Frequencies()
-	fb := b.InputReport("open", "flags").Frequencies()
-	for i := range fa {
-		if fa[i] != fb[i] {
-			t.Fatalf("coverage differs at %d: %d vs %d", i, fa[i], fb[i])
-		}
+	for _, suite := range []string{"crashmonkey", "xfstests"} {
+		t.Run(suite, func(t *testing.T) {
+			serial, sharded := run(t, suite, 1), run(t, suite, 2)
+			if !bytes.Equal(serial, sharded) {
+				t.Fatalf("serial and two-shard snapshots differ\nserial:  %s\nsharded: %s", serial, sharded)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,8 @@ package workload
 
 import (
 	"math/rand"
-	"sync"
+
+	"iocov/internal/vfs"
 )
 
 // WeightedFlags is a distribution over open-flag words. Weights are
@@ -163,7 +164,9 @@ func ScaleCount(n int, scale float64) int {
 // index) so that the generated workload is a pure function of the item,
 // independent of which shard executes it or how many shards exist. The
 // mixing is the splitmix64 finalizer, so adjacent item indices yield
-// decorrelated streams.
+// decorrelated streams. A runner reseeds one *rand.Rand with it per item:
+// Seed resets the source to exactly the state rand.NewSource(ItemSeed(...))
+// starts in, without allocating a new source.
 func ItemSeed(seed int64, item uint64) int64 {
 	z := uint64(seed) + 0x9e3779b97f4a7c15*(item+1)
 	z ^= z >> 30
@@ -174,11 +177,6 @@ func ItemSeed(seed int64, item uint64) int64 {
 	return int64(z)
 }
 
-// ItemRNG returns the RNG for one work item (see ItemSeed).
-func ItemRNG(seed int64, item uint64) *rand.Rand {
-	return rand.New(rand.NewSource(ItemSeed(seed, item)))
-}
-
 // ChunkRange splits n ops into `chunks` contiguous ranges and returns the
 // half-open range [lo, hi) of chunk c. Ranges cover 0..n exactly and differ
 // in size by at most one; a chunk can be empty when n < chunks.
@@ -186,43 +184,28 @@ func ChunkRange(n, chunks, c int) (lo, hi int) {
 	return c * n / chunks, (c + 1) * n / chunks
 }
 
-// SharedBuf hands out read-only slices of a zero-filled buffer so that
-// large writes do not allocate per call. All SharedBufs share one
-// process-wide arena: the suites' write payloads are all-zero by contract,
-// so every runner — and every shard of a parallel run — can slice the same
-// backing array. Before this sharing, each xfstests shard allocated its own
-// 258 MiB buffer, which multiplied by the worker count into the dominant
-// term of RunParallel's memory blowup.
+// SharedBuf hands out read-only slices of the process-wide zero arena
+// (vfs.Zeros) so that large writes do not allocate per call. The suites'
+// write payloads are all-zero by contract, so every runner — and every shard
+// of a parallel run — can slice the same backing array; a buffer per
+// xfstests shard would cost 258 MiB times the worker count. Because each
+// slice starts at the arena's base, the vfs recognises the payload as zero
+// without reading it.
 //
 // The returned slices are strictly read-only; writing through one would
 // corrupt every concurrent user of the arena.
 type SharedBuf struct {
-	buf []byte
+	max int
 }
 
-// zeroArena is the process-wide backing store. It only ever grows, and an
-// installed arena is never written again, so concurrent readers may slice a
-// previously returned arena without synchronization; the mutex serializes
-// growth only.
-var (
-	zeroArenaMu sync.Mutex
-	//iocov:shared-ok mutex-guarded grow-only cache of zero bytes; contents are identical regardless of shard interleaving
-	zeroArena []byte
-)
-
-// NewSharedBuf returns a view of at least max bytes of the shared arena,
-// growing it when a caller asks for more than any earlier caller did.
+// NewSharedBuf returns a view of max bytes of the shared arena, growing the
+// arena when a caller asks for more than any earlier caller did.
 func NewSharedBuf(max int64) *SharedBuf {
 	if max < 0 {
 		max = 0
 	}
-	zeroArenaMu.Lock()
-	if int64(len(zeroArena)) < max {
-		zeroArena = make([]byte, max)
-	}
-	buf := zeroArena[:max]
-	zeroArenaMu.Unlock()
-	return &SharedBuf{buf: buf}
+	vfs.Zeros(int(max))
+	return &SharedBuf{max: int(max)}
 }
 
 // Get returns an n-byte slice (n is clamped to the buffer size). The slice
@@ -230,8 +213,8 @@ func NewSharedBuf(max int64) *SharedBuf {
 //
 //iocov:hotpath
 func (b *SharedBuf) Get(n int64) []byte {
-	if n > int64(len(b.buf)) {
-		n = int64(len(b.buf))
+	if n > int64(b.max) {
+		n = int64(b.max)
 	}
-	return b.buf[:n]
+	return vfs.Zeros(int(n))
 }

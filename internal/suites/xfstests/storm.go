@@ -2,6 +2,7 @@ package xfstests
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"iocov/internal/suites/workload"
@@ -78,7 +79,7 @@ func (r *runner) stormOpens(c, lo, hi int) {
 		case excl:
 			// The global op index keeps exclusive-create names unique
 			// across chunks.
-			path = fmt.Sprintf("%s/excl-%d", r.mnt, i)
+			path = r.mnt + "/excl-" + strconv.Itoa(i)
 		default:
 			path = r.poolFiles[r.rng.Intn(len(r.poolFiles))]
 		}
@@ -94,10 +95,11 @@ func (r *runner) stormOpens(c, lo, hi int) {
 		default:
 			// creat carries no flags word, so it contributes to output
 			// coverage and variant merging without touching Table 1.
-			fd, e = p.Creat(fmt.Sprintf("%s/creat-%d", r.mnt, i), 0o644)
+			name := r.mnt + "/creat-" + strconv.Itoa(i)
+			fd, e = p.Creat(name, 0o644)
 			if e == sys.OK {
 				r.check(p.Close(fd))
-				r.check(p.Unlink(fmt.Sprintf("%s/creat-%d", r.mnt, i)))
+				r.check(p.Unlink(name))
 			} else {
 				r.check(e)
 			}
@@ -331,6 +333,9 @@ func (r *runner) stormChmods(c, lo, hi int) {
 	}
 }
 
+// stormXattrNames are the four xattr names the xattr storm cycles through.
+var stormXattrNames = [4]string{"user.s0", "user.s1", "user.s2", "user.s3"}
+
 func (r *runner) stormXattrs(c, slo, shi, glo, ghi int) {
 	p := r.root
 	dist := workload.NewSizeDist(xattrSizes, 60000)
@@ -343,7 +348,7 @@ func (r *runner) stormXattrs(c, slo, shi, glo, ghi int) {
 	}
 	r.check(p.Symlink(f, link))
 	for i := slo; i < shi; i++ {
-		name := fmt.Sprintf("user.s%d", i%4)
+		name := stormXattrNames[i%4]
 		size := dist.Pick(r.rng)
 		var flags int
 		switch v := r.rng.Intn(10); {
@@ -365,7 +370,7 @@ func (r *runner) stormXattrs(c, slo, shi, glo, ghi int) {
 	}
 	gbuf := make([]byte, 1<<16)
 	for i := glo; i < ghi; i++ {
-		name := fmt.Sprintf("user.s%d", i%4)
+		name := stormXattrNames[i%4]
 		if r.rng.Intn(10) == 0 {
 			name = "user.absent" // ENODATA path
 		}

@@ -216,6 +216,11 @@ type runner struct {
 	buf   *workload.SharedBuf
 	stats Stats
 
+	// itemRNG is the one RNG every work item runs under: item reseeds it
+	// with the item's seed and points rng at it, so an item allocates no
+	// source of its own.
+	itemRNG *rand.Rand
+
 	mnt       string
 	poolFiles []string
 	poolDirs  []string
@@ -236,7 +241,11 @@ func (r *runner) item(fn func()) {
 	if g%r.cfg.Shards != r.cfg.Shard {
 		return
 	}
-	r.rng = workload.ItemRNG(r.cfg.Seed, uint64(g))
+	if r.itemRNG == nil {
+		r.itemRNG = rand.New(rand.NewSource(0))
+	}
+	r.itemRNG.Seed(workload.ItemSeed(r.cfg.Seed, uint64(g)))
+	r.rng = r.itemRNG
 	fn()
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"iocov/internal/kernel"
+	"iocov/internal/raceflag"
 	"iocov/internal/suites/workload"
 	"iocov/internal/sys"
 	"iocov/internal/trace"
@@ -132,3 +133,26 @@ func TestRunSmall(t *testing.T) {
 func newTestRng() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 func newTestBuf() *workload.SharedBuf { return workload.NewSharedBuf(MaxWriteSize) }
+
+// TestItemRNGAllocs: every work item after the first reseeds the runner's
+// one item RNG, so running an item allocates no rngSource (4.9 KB each),
+// and each item still draws the stream of a fresh source with its seed.
+func TestItemRNGAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	r := &runner{cfg: Config{Seed: 1, Shards: 1}}
+	var draw int64
+	item := func() { draw = r.rng.Int63() }
+	r.item(item) // the first item allocates the item RNG
+	rng := r.rng
+	if allocs := testing.AllocsPerRun(100, func() { r.item(item) }); allocs != 0 {
+		t.Fatalf("an item after the first allocated %v times, want 0", allocs)
+	}
+	if r.rng != rng {
+		t.Fatal("a later item replaced the item RNG")
+	}
+	if want := rand.New(rand.NewSource(workload.ItemSeed(1, uint64(r.nextItem-1)))).Int63(); draw != want {
+		t.Fatalf("item %d drew %d, a fresh source with its seed draws %d", r.nextItem-1, draw, want)
+	}
+}

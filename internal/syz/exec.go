@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"iocov/internal/kernel"
-	"iocov/internal/suites/workload"
 	"iocov/internal/sys"
 	"iocov/internal/trace"
+	"iocov/internal/vfs"
 )
 
 // sigEntry describes how one raw syscall's positional arguments map to the
@@ -302,10 +302,10 @@ func clampLen(n int64) int64 {
 }
 
 // zeroBuf returns an n-byte all-zero buffer sliced from the process-wide
-// shared zero arena. Strictly read-only: only write-side payloads (write,
-// pwrite64, setxattr values — all copied by the kernel before it returns)
-// may use it; read-side buffers are written by the kernel and must stay
-// private allocations.
+// shared zero arena (vfs.Zeros). Strictly read-only: only write-side
+// payloads (write, pwrite64, setxattr values — all copied by the kernel
+// before it returns) may use it; read-side buffers are written by the
+// kernel and must stay private allocations.
 func zeroBuf(n int64) []byte {
-	return workload.NewSharedBuf(n).Get(n)
+	return vfs.Zeros(int(n))
 }

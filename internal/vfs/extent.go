@@ -1,7 +1,6 @@
 package vfs
 
 import (
-	"bytes"
 	"slices"
 	"sort"
 )
@@ -143,10 +142,4 @@ func (ino *Inode) trim(size, bs int64) (freed int64) {
 		clear(r.data[size-r.start*bs:])
 	}
 	return freed
-}
-
-// allZero reports whether b holds only zero bytes: its first byte is zero
-// and every byte equals the one before it.
-func allZero(b []byte) bool {
-	return len(b) == 0 || b[0] == 0 && bytes.Equal(b[1:], b[:len(b)-1])
 }

@@ -22,6 +22,7 @@ func TestReadWriteOracle(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		runOracle(t, oracleProgram(seed))
 	}
+	runOracle(t, arenaProgram())
 }
 
 // FuzzReadWriteOracle runs the oracle on a byte string decoded into ops.
@@ -29,6 +30,7 @@ func FuzzReadWriteOracle(f *testing.F) {
 	for seed := int64(0); seed < 5; seed++ {
 		f.Add(oracleProgram(seed))
 	}
+	f.Add(arenaProgram())
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512*oracleOpLen {
 			prog = prog[:512*oracleOpLen]
@@ -49,6 +51,26 @@ const (
 func oracleProgram(seed int64) []byte {
 	prog := make([]byte, 400*oracleOpLen)
 	rand.New(rand.NewSource(seed)).Read(prog)
+	return prog
+}
+
+// arenaProgram is an op string of zero-arena writes: over non-zero data,
+// past the end of the file and into a hole, each followed by a read, with
+// every kind of all-zero payload (flag byte 0, 1 and 2).
+func arenaProgram() []byte {
+	op := func(kind byte, off, size int, flag byte) []byte {
+		return []byte{kind, byte(off), byte(off >> 8), byte(off >> 16), byte(size), byte(size >> 8), 0x40, flag}
+	}
+	var prog []byte
+	for flag := byte(0); flag < 3; flag++ {
+		prog = append(prog, op(0, 0, 9000, 0)...)              // non-zero data
+		prog = append(prog, op(2, 300, 5000, 1+flag%2)...)     // arena slice over it
+		prog = append(prog, op(3, 0, 12000, 0)...)             // read it back
+		prog = append(prog, op(2, 20000, 7000, flag)...)       // past the end
+		prog = append(prog, op(2, 100000, 4096, 1)...)         // into a hole
+		prog = append(prog, op(3, 18000, 16000, 0)...)         // read across
+		prog = append(prog, op(4, 100*(1+int(flag)), 0, 0)...) // truncate
+	}
 	return prog
 }
 
@@ -134,8 +156,16 @@ func runOracle(t *testing.T, prog []byte) {
 				clear(data[:size/2])
 			}
 			o.write(t, data, off)
-		case 2: // all-zero write
-			o.write(t, make([]byte, size), off)
+		case 2: // all-zero write: the flag byte picks a fresh buffer, a
+			// zero-arena slice, or an arena slice that starts past its base
+			switch b[7] % 3 {
+			case 0:
+				o.write(t, make([]byte, size), off)
+			case 1:
+				o.write(t, Zeros(size), off)
+			default:
+				o.write(t, Zeros(size + 1)[1:], off)
+			}
 		case 3: // read
 			o.buf = dirty(o.buf, size)
 			buf := o.buf
