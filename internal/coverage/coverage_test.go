@@ -8,21 +8,39 @@ import (
 	"iocov/internal/trace"
 )
 
-func openEvent(flags, mode int64, ret int64, err sys.Errno) trace.Event {
-	return trace.Event{
-		Name: "open", Path: "/f", PID: 1,
-		Strs: map[string]string{"filename": "/f"},
-		Args: map[string]int64{"flags": flags, "mode": mode},
-		Ret:  ret, Err: err,
+// strArgs and numArgs are a test event's string and numeric arguments,
+// in recording order.
+type (
+	strArgs []struct{ name, v string }
+	numArgs []struct {
+		name string
+		v    int64
 	}
+)
+
+// withArgs returns ev with s and n recorded through AddStr and AddArg.
+func withArgs(ev trace.Event, s strArgs, n numArgs) trace.Event {
+	for _, p := range s {
+		ev.AddStr(p.name, p.v)
+	}
+	for _, p := range n {
+		ev.AddArg(p.name, p.v)
+	}
+	return ev
+}
+
+func openEvent(flags, mode int64, ret int64, err sys.Errno) trace.Event {
+	return withArgs(trace.Event{
+		Name: "open", Path: "/f", PID: 1,
+		Ret: ret, Err: err,
+	}, strArgs{{"filename", "/f"}}, numArgs{{"flags", flags}, {"mode", mode}})
 }
 
 func writeEvent(count int64, ret int64, err sys.Errno) trace.Event {
-	return trace.Event{
+	return withArgs(trace.Event{
 		Name: "write", PID: 1,
-		Args: map[string]int64{"fd": 3, "count": count},
-		Ret:  ret, Err: err,
-	}
+		Ret: ret, Err: err,
+	}, nil, numArgs{{"fd", 3}, {"count", count}})
 }
 
 func TestInputCoverageOpenFlags(t *testing.T) {
@@ -60,10 +78,10 @@ func TestInputCoverageOpenFlags(t *testing.T) {
 
 func TestVariantMerging(t *testing.T) {
 	a := NewAnalyzer(DefaultOptions())
-	a.Add(trace.Event{Name: "openat", Path: "/f", PID: 1,
-		Args: map[string]int64{"dfd": -100, "flags": 0, "mode": 0}, Ret: 3})
-	a.Add(trace.Event{Name: "creat", Path: "/f", PID: 1,
-		Args: map[string]int64{"mode": 0o644}, Ret: 4})
+	a.Add(withArgs(trace.Event{Name: "openat", Path: "/f", PID: 1,
+		Ret: 3}, nil, numArgs{{"dfd", -100}, {"flags", 0}, {"mode", 0}}))
+	a.Add(withArgs(trace.Event{Name: "creat", Path: "/f", PID: 1,
+		Ret: 4}, nil, numArgs{{"mode", 0o644}}))
 	a.Add(openEvent(0, 0, 5, sys.OK))
 	c := a.InputReport("open", "flags")
 	// creat has no flags argument, so only openat + open contribute.
@@ -79,8 +97,8 @@ func TestVariantMerging(t *testing.T) {
 
 func TestMergingDisabled(t *testing.T) {
 	a := NewAnalyzer(Options{MergeVariants: false})
-	a.Add(trace.Event{Name: "openat", Path: "/f", PID: 1,
-		Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3})
+	a.Add(withArgs(trace.Event{Name: "openat", Path: "/f", PID: 1,
+		Ret: 3}, nil, numArgs{{"flags", 0}, {"mode", 0}}))
 	a.Add(openEvent(0, 0, 4, sys.OK))
 	if a.OutputReport("open").Count("OK") != 1 {
 		t.Errorf("open OK = %d, want 1", a.OutputReport("open").Count("OK"))
@@ -145,9 +163,8 @@ func TestExtraErrnoOutsideManPage(t *testing.T) {
 	a := NewAnalyzer(DefaultOptions())
 	// read's man page does not document ENOSPC; the analyzer must surface
 	// it as an extra partition, not lose it.
-	a.Add(trace.Event{Name: "read", PID: 1,
-		Args: map[string]int64{"fd": 3, "count": 10},
-		Ret:  -int64(sys.ENOSPC), Err: sys.ENOSPC})
+	a.Add(withArgs(trace.Event{Name: "read", PID: 1,
+		Ret: -int64(sys.ENOSPC), Err: sys.ENOSPC}, nil, numArgs{{"fd", 3}, {"count", 10}}))
 	rep := a.OutputReport("read")
 	if len(rep.Extra) != 1 || rep.Extra[0].Label != "ENOSPC" {
 		t.Errorf("extra = %v", rep.Extra)
@@ -182,7 +199,7 @@ func TestComboStats(t *testing.T) {
 func TestSkippedOutOfScope(t *testing.T) {
 	a := NewAnalyzer(DefaultOptions())
 	a.Add(trace.Event{Name: "unlink", Path: "/f", PID: 1})
-	a.Add(trace.Event{Name: "fsync", PID: 1, Args: map[string]int64{"fd": 3}})
+	a.Add(withArgs(trace.Event{Name: "fsync", PID: 1}, nil, numArgs{{"fd", 3}}))
 	a.Add(openEvent(0, 0, 3, sys.OK))
 	if a.Analyzed() != 1 || a.Skipped() != 2 {
 		t.Errorf("analyzed/skipped = %d/%d", a.Analyzed(), a.Skipped())
@@ -193,13 +210,13 @@ func TestPreadOffsetOnlyForPread(t *testing.T) {
 	a := NewAnalyzer(DefaultOptions())
 	// A plain read event carrying a "pos" key by accident must not count,
 	// because the spec restricts the pos argument to pread64.
-	a.Add(trace.Event{Name: "read", PID: 1,
-		Args: map[string]int64{"fd": 3, "count": 10, "pos": 5}, Ret: 10})
+	a.Add(withArgs(trace.Event{Name: "read", PID: 1,
+		Ret: 10}, nil, numArgs{{"fd", 3}, {"count", 10}, {"pos", 5}}))
 	if c := a.InputReport("read", "pos"); c != nil {
 		t.Errorf("read pos counted: %v", c.Rows)
 	}
-	a.Add(trace.Event{Name: "pread64", PID: 1,
-		Args: map[string]int64{"fd": 3, "count": 10, "pos": 5}, Ret: 10})
+	a.Add(withArgs(trace.Event{Name: "pread64", PID: 1,
+		Ret: 10}, nil, numArgs{{"fd", 3}, {"count", 10}, {"pos", 5}}))
 	c := a.InputReport("read", "pos")
 	if c == nil || c.Count("2^2") != 1 {
 		t.Errorf("pread pos missing: %+v", c)
@@ -209,8 +226,8 @@ func TestPreadOffsetOnlyForPread(t *testing.T) {
 func TestLseekWhenceCoverage(t *testing.T) {
 	a := NewAnalyzer(DefaultOptions())
 	for w := int64(0); w < 3; w++ {
-		a.Add(trace.Event{Name: "lseek", PID: 1,
-			Args: map[string]int64{"fd": 3, "offset": 0, "whence": w}, Ret: 0})
+		a.Add(withArgs(trace.Event{Name: "lseek", PID: 1,
+			Ret: 0}, nil, numArgs{{"fd", 3}, {"offset", 0}, {"whence", w}}))
 	}
 	rep := a.InputReport("lseek", "whence")
 	if rep.Covered() != 3 {
@@ -226,15 +243,14 @@ func TestIdentifierTracking(t *testing.T) {
 	a := NewAnalyzer(Options{MergeVariants: true, TrackIdentifiers: true})
 	a.Add(openEvent(0, 0, 3, sys.OK))
 	a.Add(openEvent(0, 0, 4, sys.OK)) // same path
-	a.Add(trace.Event{Name: "open", Path: "/g", PID: 1,
-		Strs: map[string]string{"filename": "/g"},
-		Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 5})
+	a.Add(withArgs(trace.Event{Name: "open", Path: "/g", PID: 1,
+		Ret: 5}, strArgs{{"filename", "/g"}}, numArgs{{"flags", 0}, {"mode", 0}}))
 	if got := a.IdentifierCardinality("open", "filename"); got != 2 {
 		t.Errorf("distinct paths = %d, want 2", got)
 	}
 	// fd identifiers on read.
-	a.Add(trace.Event{Name: "read", PID: 1, Args: map[string]int64{"fd": 3, "count": 1}, Ret: 1})
-	a.Add(trace.Event{Name: "read", PID: 1, Args: map[string]int64{"fd": 4, "count": 1}, Ret: 1})
+	a.Add(withArgs(trace.Event{Name: "read", PID: 1, Ret: 1}, nil, numArgs{{"fd", 3}, {"count", 1}}))
+	a.Add(withArgs(trace.Event{Name: "read", PID: 1, Ret: 1}, nil, numArgs{{"fd", 4}, {"count", 1}}))
 	if got := a.IdentifierCardinality("read", "fd"); got != 2 {
 		t.Errorf("distinct fds = %d, want 2", got)
 	}

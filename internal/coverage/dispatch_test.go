@@ -24,10 +24,10 @@ func rawNames(opts Options) []string {
 // key the name's spec tracks, so the event lands in input and output
 // partitions.
 func eventFor(opts Options, name string, v int64) trace.Event {
-	ev := trace.Event{Name: name, PID: 1, Args: map[string]int64{}, Ret: v}
+	ev := trace.Event{Name: name, PID: 1, Ret: v}
 	if spec := sharedTable(opts.ExtendedSyscalls).Base(name); spec != nil {
 		for _, arg := range spec.Args {
-			ev.Args[arg.Key] = v
+			ev.AddArg(arg.Key, v)
 		}
 	}
 	return ev

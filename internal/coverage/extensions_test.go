@@ -57,14 +57,13 @@ func TestCombinationCap(t *testing.T) {
 
 func TestExtendedSyscalls(t *testing.T) {
 	a := NewAnalyzer(Options{MergeVariants: true, ExtendedSyscalls: true})
-	a.Add(trace.Event{Name: "unlink", Path: "/f",
-		Strs: map[string]string{"pathname": "/f"}, Ret: 0})
-	a.Add(trace.Event{Name: "rename", Path: "/a",
-		Strs: map[string]string{"oldname": "/a", "newname": "/b"},
-		Ret:  -int64(sys.ENOENT), Err: sys.ENOENT})
-	a.Add(trace.Event{Name: "fsync", Args: map[string]int64{"fd": 3}, Ret: 0})
-	a.Add(trace.Event{Name: "renameat2", Path: "/a",
-		Strs: map[string]string{"oldname": "/a", "newname": "/b"}, Ret: 0})
+	a.Add(withArgs(trace.Event{Name: "unlink", Path: "/f",
+		Ret: 0}, strArgs{{"pathname", "/f"}}, nil))
+	a.Add(withArgs(trace.Event{Name: "rename", Path: "/a",
+		Ret: -int64(sys.ENOENT), Err: sys.ENOENT}, strArgs{{"oldname", "/a"}, {"newname", "/b"}}, nil))
+	a.Add(withArgs(trace.Event{Name: "fsync", Ret: 0}, nil, numArgs{{"fd", 3}}))
+	a.Add(withArgs(trace.Event{Name: "renameat2", Path: "/a",
+		Ret: 0}, strArgs{{"oldname", "/a"}, {"newname", "/b"}}, nil))
 	if a.Skipped() != 0 {
 		t.Errorf("extended analyzer skipped %d", a.Skipped())
 	}
@@ -89,10 +88,10 @@ func TestExtendedSyscalls(t *testing.T) {
 
 func TestExtendedIdentifierTracking(t *testing.T) {
 	a := NewAnalyzer(Options{MergeVariants: true, ExtendedSyscalls: true, TrackIdentifiers: true})
-	a.Add(trace.Event{Name: "rename", Path: "/a",
-		Strs: map[string]string{"oldname": "/a", "newname": "/b"}, Ret: 0})
-	a.Add(trace.Event{Name: "rename", Path: "/c",
-		Strs: map[string]string{"oldname": "/c", "newname": "/b"}, Ret: 0})
+	a.Add(withArgs(trace.Event{Name: "rename", Path: "/a",
+		Ret: 0}, strArgs{{"oldname", "/a"}, {"newname", "/b"}}, nil))
+	a.Add(withArgs(trace.Event{Name: "rename", Path: "/c",
+		Ret: 0}, strArgs{{"oldname", "/c"}, {"newname", "/b"}}, nil))
 	if got := a.IdentifierCardinality("rename", "oldname"); got != 2 {
 		t.Errorf("oldname cardinality = %d", got)
 	}

@@ -20,8 +20,8 @@ func FuzzSnapshotRestore(f *testing.F) {
 	an.Add(openEvent(0, 0, -int64(sys.ENOENT), sys.ENOENT))
 	an.Add(writeEvent(4096, 4096, sys.OK))
 	an.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES)) // undocumented: Extra
-	an.Add(trace.Event{Name: "lseek", PID: 1,
-		Args: map[string]int64{"fd": 3, "offset": -1, "whence": 9}, Ret: -int64(sys.EINVAL), Err: sys.EINVAL})
+	an.Add(withArgs(trace.Event{Name: "lseek", PID: 1,
+		Ret: -int64(sys.EINVAL), Err: sys.EINVAL}, nil, numArgs{{"fd", 3}, {"offset", -1}, {"whence", 9}}))
 	an.Add(trace.Event{Name: "bogus_syscall", PID: 1})
 	live := an.Snapshot(0)
 	var seed bytes.Buffer

@@ -84,7 +84,7 @@ func TestMergeMatchesSerial(t *testing.T) {
 		writeEvent(0, 0, sys.OK),
 		writeEvent(2000, 2000, sys.OK),
 		writeEvent(10, 0, sys.ENOSPC),
-		{Name: "lseek", PID: 1, Args: map[string]int64{"fd": 3, "offset": -5, "whence": 1}, Ret: 0},
+		withArgs(trace.Event{Name: "lseek", PID: 1, Ret: 0}, nil, numArgs{{"fd", 3}, {"offset", -5}, {"whence", 1}}),
 		{Name: "unlink", Path: "/f", PID: 1},
 	}
 	serial := NewAnalyzer(DefaultOptions())
@@ -105,9 +105,8 @@ func TestMergeMatchesSerial(t *testing.T) {
 func TestMergeIdentifierCapSaturation(t *testing.T) {
 	opts := Options{MergeVariants: true, TrackIdentifiers: true, IdentifierCap: 2}
 	pathOpen := func(p string) trace.Event {
-		return trace.Event{Name: "open", Path: p, PID: 1,
-			Strs: map[string]string{"filename": p},
-			Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3}
+		return withArgs(trace.Event{Name: "open", Path: p, PID: 1,
+			Ret: 3}, strArgs{{"filename", p}}, numArgs{{"flags", 0}, {"mode", 0}})
 	}
 	a := NewAnalyzer(opts)
 	a.Add(pathOpen("/a"))

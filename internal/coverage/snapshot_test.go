@@ -143,8 +143,8 @@ func TestRestoreRoundTrip(t *testing.T) {
 		a := NewAnalyzer(opts)
 		a.Add(openEvent(int64(sys.O_RDWR|sys.O_CREAT|sys.O_TRUNC), 0o600, 5, sys.OK))
 		a.Add(openEvent(0, 0, -2, sys.ENOENT))
-		a.Add(trace.Event{Name: "openat", PID: 1, Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3})
-		a.Add(trace.Event{Name: "pread64", PID: 1, Args: map[string]int64{"fd": 3, "count": 10, "pos": 5}, Ret: 10})
+		a.Add(withArgs(trace.Event{Name: "openat", PID: 1, Ret: 3}, nil, numArgs{{"flags", 0}, {"mode", 0}}))
+		a.Add(withArgs(trace.Event{Name: "pread64", PID: 1, Ret: 10}, nil, numArgs{{"fd", 3}, {"count", 10}, {"pos", 5}}))
 		a.Add(writeEvent(1<<40, 1<<40, sys.OK))
 		a.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES)) // undocumented: Extra
 		a.Add(trace.Event{Name: "bogus_syscall", PID: 1})

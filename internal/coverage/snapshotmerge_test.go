@@ -32,8 +32,8 @@ func TestMergeSnapshotsMatchesAnalyzerMerge(t *testing.T) {
 	b := NewAnalyzer(DefaultOptions())
 	b.Add(openEvent(int64(sys.O_RDWR|sys.O_TRUNC), 0, -int64(sys.ENOENT), sys.ENOENT))
 	b.Add(writeEvent(1, 0, sys.ENOSPC))
-	b.Add(trace.Event{Name: "lseek", PID: 1,
-		Args: map[string]int64{"fd": 3, "offset": 512, "whence": int64(sys.SEEK_SET)}, Ret: 512})
+	b.Add(withArgs(trace.Event{Name: "lseek", PID: 1,
+		Ret: 512}, nil, numArgs{{"fd", 3}, {"offset", 512}, {"whence", int64(sys.SEEK_SET)}}))
 	// An errno outside write's documented universe lands in Extra.
 	b.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES))
 

@@ -31,9 +31,8 @@ func TestRenderManyStable(t *testing.T) {
 		return a
 	}
 	pathOpen := func(p string) trace.Event {
-		return trace.Event{Name: "open", Path: p, PID: 1,
-			Strs: map[string]string{"filename": p},
-			Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3}
+		return withArgs(trace.Event{Name: "open", Path: p, PID: 1,
+			Ret: 3}, strArgs{{"filename", p}}, numArgs{{"flags", 0}, {"mode", 0}})
 	}
 	identOpts := Options{MergeVariants: true, TrackIdentifiers: true, IdentifierCap: 8}
 
@@ -56,8 +55,8 @@ func TestRenderManyStable(t *testing.T) {
 	extra := NewAnalyzer(DefaultOptions())
 	for _, e := range []sys.Errno{sys.ENOSPC, sys.EEXIST, sys.ENOENT, sys.EROFS, sys.EMFILE,
 		sys.ENFILE, sys.ENOTDIR, sys.ELOOP, sys.EACCES, sys.ENAMETOOLONG} {
-		extra.Add(trace.Event{Name: "read", PID: 1,
-			Args: map[string]int64{"fd": 3, "count": 10}, Ret: -int64(e), Err: e})
+		extra.Add(withArgs(trace.Event{Name: "read", PID: 1,
+			Ret: -int64(e), Err: e}, nil, numArgs{{"fd", 3}, {"count", 10}}))
 	}
 
 	// Opens that combined one to eight flags.

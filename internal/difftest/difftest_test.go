@@ -156,7 +156,10 @@ func TestGuidanceImprovesInputCoverage(t *testing.T) {
 func TestBoundaryFromLabel(t *testing.T) {
 	an := coverage.NewAnalyzer(coverage.DefaultOptions())
 	write := func(count int64) {
-		an.Add(trace.Event{Name: "write", PID: 1, Args: map[string]int64{"fd": 3, "count": count}})
+		ev := trace.Event{Name: "write", PID: 1}
+		ev.AddArg("fd", 3)
+		ev.AddArg("count", count)
+		an.Add(ev)
 	}
 	boundary := func() (int64, bool) { return guidedValue(an, "write", "count", 1<<24) }
 	if _, ok := boundary(); ok {

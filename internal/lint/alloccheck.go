@@ -36,7 +36,7 @@ import (
 //   - //iocov:coldpath stops traversal: an acknowledged slow path
 //     (first-sight compilation, option-gated features) may allocate;
 //   - any construct inside an `if x == nil { ... }` guard is exempt:
-//     lazy one-time initialization (map spill storage, per-pid tables)
+//     lazy one-time initialization (spill storage, per-pid tables)
 //     amortizes to zero;
 //   - map index writes are exempt (growth is amortized, and the
 //     AllocsPerRun pins measure steady state the same way);

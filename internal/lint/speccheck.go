@@ -26,7 +26,7 @@ import (
 //     extended table (with one level of constant propagation through
 //     forwarding helpers like openCommon), and every standard-table variant
 //     has a dispatch site;
-//   - where an emit site passes its argument map as a literal, the keys
+//   - where an emit site passes its argument pairs as a literal, the keys
 //     cover every tracked argument the spec records for that variant.
 type SpecCheck struct {
 	// KernelPaths are import-path prefixes holding the syscall dispatch.
@@ -171,7 +171,8 @@ func (s *SpecCheck) checkErrnos(table string, spec *sysspec.Spec) []Finding {
 }
 
 // emitSite is one resolved kernel dispatch site: the syscall name it emits
-// and, when the call passes a map literal, the argument keys it records.
+// and, when the call passes a pair-slice literal, the argument keys it
+// records.
 type emitSite struct {
 	name    string
 	pos     token.Pos
@@ -307,7 +308,7 @@ func (s *SpecCheck) collectEmitSites(t *Target) []emitSite {
 				if !ok || len(call.Args) == 0 || calleeName(call) != "emit" {
 					return true
 				}
-				resolveArg(call.Args[0], literalMapKeys(pkg, call.Args, 3), call.Args[0].Pos())
+				resolveArg(call.Args[0], literalPairKeys(pkg, call.Args, 3), call.Args[0].Pos())
 				return true
 			})
 		}
@@ -338,13 +339,12 @@ func (s *SpecCheck) collectEmitSites(t *Target) []emitSite {
 	return sites
 }
 
-// literalMapKeys extracts the constant argument keys of the composite
-// literal at args[index], returning nil when the expression is absent or
-// not a literal. Two emit-site shapes are understood: map literals
-// (map[string]int64{"fd": ...}) and pair-slice literals
-// ([]ekv{{"fd", ...}}), whose elements are positional composite literals
-// with the key as the first field.
-func literalMapKeys(pkg *Package, args []ast.Expr, index int) map[string]bool {
+// literalPairKeys extracts the constant argument keys of the pair-slice
+// literal at args[index] ([]ekv{{"fd", ...}}, the kernel's emit-site
+// shape), whose elements are positional composite literals with the key as
+// the first field. It returns nil when the expression is absent or not
+// such a literal.
+func literalPairKeys(pkg *Package, args []ast.Expr, index int) map[string]bool {
 	if index >= len(args) {
 		return nil
 	}
@@ -354,19 +354,11 @@ func literalMapKeys(pkg *Package, args []ast.Expr, index int) map[string]bool {
 	}
 	keys := make(map[string]bool, len(lit.Elts))
 	for _, elt := range lit.Elts {
-		var keyExpr ast.Expr
-		switch e := elt.(type) {
-		case *ast.KeyValueExpr:
-			keyExpr = e.Key
-		case *ast.CompositeLit:
-			if len(e.Elts) == 0 {
-				return nil
-			}
-			keyExpr = e.Elts[0]
-		default:
+		e, ok := elt.(*ast.CompositeLit)
+		if !ok || len(e.Elts) == 0 {
 			return nil
 		}
-		k, ok := constString(pkg, keyExpr)
+		k, ok := constString(pkg, e.Elts[0])
 		if !ok {
 			return nil
 		}

@@ -18,8 +18,8 @@ func TestSpecCheckTablesClean(t *testing.T) {
 
 // TestSpecCheckBadFixture runs the dispatch check against a mimic kernel
 // with three violations: a bogus literal name, a bogus name reaching emit
-// through a forwarding helper, and a real syscall whose argument map drops a
-// tracked key.
+// through a forwarding helper, and a real syscall whose argument pairs drop
+// a tracked key.
 func TestSpecCheckBadFixture(t *testing.T) {
 	sc := &SpecCheck{KernelPaths: []string{"speccheck_bad"}}
 	findings := sc.Run(fixtureTarget(t, "speccheck_bad"))

@@ -12,13 +12,15 @@ import (
 func analyzerWithData(t *testing.T) *coverage.Analyzer {
 	t.Helper()
 	a := coverage.NewAnalyzer(coverage.DefaultOptions())
-	a.Add(trace.Event{Name: "open", Path: "/f", PID: 1,
-		Strs: map[string]string{"filename": "/f"},
-		Args: map[string]int64{"flags": int64(sys.O_RDWR | sys.O_CREAT), "mode": 0o644}, Ret: 3})
-	a.Add(trace.Event{Name: "open", Path: "/g", PID: 1,
-		Strs: map[string]string{"filename": "/g"},
-		Args: map[string]int64{"flags": 0, "mode": 0},
-		Ret:  -int64(sys.ENOENT), Err: sys.ENOENT})
+	open := func(path string, flags, mode, ret int64, err sys.Errno) {
+		ev := trace.Event{Name: "open", Path: path, PID: 1, Ret: ret, Err: err}
+		ev.AddStr("filename", path)
+		ev.AddArg("flags", flags)
+		ev.AddArg("mode", mode)
+		a.Add(ev)
+	}
+	open("/f", int64(sys.O_RDWR|sys.O_CREAT), 0o644, 3, sys.OK)
+	open("/g", 0, 0, -int64(sys.ENOENT), sys.ENOENT)
 	return a
 }
 

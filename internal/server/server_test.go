@@ -23,6 +23,27 @@ import (
 	"iocov/internal/trace"
 )
 
+// strArgs and numArgs are a test event's string and numeric arguments,
+// in recording order.
+type (
+	strArgs []struct{ name, v string }
+	numArgs []struct {
+		name string
+		v    int64
+	}
+)
+
+// withArgs returns ev with s and n recorded through AddStr and AddArg.
+func withArgs(ev trace.Event, s strArgs, n numArgs) trace.Event {
+	for _, p := range s {
+		ev.AddStr(p.name, p.v)
+	}
+	for _, p := range n {
+		ev.AddArg(p.name, p.v)
+	}
+	return ev
+}
+
 // streamEvents builds the deterministic event sequence for stream i: a mix
 // of in-mount opens/writes/reads, out-of-mount traffic the filter must
 // drop, a failed open, and an unknown syscall the analyzer must skip.
@@ -35,28 +56,17 @@ func streamEvents(i int) []trace.Event {
 	}
 	path := fmt.Sprintf("/mnt/test/f%d", i)
 	evs := []trace.Event{
-		{Name: "open", PID: 1 + i, Ret: 3,
-			Strs: map[string]string{"filename": path},
-			Args: map[string]int64{"flags": flags[i%len(flags)], "mode": 0o644}},
-		{Name: "write", PID: 1 + i, Ret: 1 << (i % 12),
-			Args: map[string]int64{"fd": 3, "count": 1 << (i % 12)}},
-		{Name: "read", PID: 1 + i, Ret: 0,
-			Args: map[string]int64{"fd": 3, "count": 4096}},
+		withArgs(trace.Event{Name: "open", PID: 1 + i, Ret: 3}, strArgs{{"filename", path}}, numArgs{{"flags", flags[i%len(flags)]}, {"mode", 0o644}}),
+		withArgs(trace.Event{Name: "write", PID: 1 + i, Ret: 1 << (i % 12)}, nil, numArgs{{"fd", 3}, {"count", 1 << (i % 12)}}),
+		withArgs(trace.Event{Name: "read", PID: 1 + i, Ret: 0}, nil, numArgs{{"fd", 3}, {"count", 4096}}),
 		// Out-of-mount open and a write through its descriptor: both dropped.
-		{Name: "open", PID: 1 + i, Ret: 4,
-			Strs: map[string]string{"filename": "/etc/passwd"},
-			Args: map[string]int64{"flags": 0, "mode": 0}},
-		{Name: "write", PID: 1 + i, Ret: 10,
-			Args: map[string]int64{"fd": 4, "count": 10}},
-		{Name: "close", PID: 1 + i, Ret: 0,
-			Args: map[string]int64{"fd": 3}},
+		withArgs(trace.Event{Name: "open", PID: 1 + i, Ret: 4}, strArgs{{"filename", "/etc/passwd"}}, numArgs{{"flags", 0}, {"mode", 0}}),
+		withArgs(trace.Event{Name: "write", PID: 1 + i, Ret: 10}, nil, numArgs{{"fd", 4}, {"count", 10}}),
+		withArgs(trace.Event{Name: "close", PID: 1 + i, Ret: 0}, nil, numArgs{{"fd", 3}}),
 		// Failed open stays in the mount's input+output spaces.
-		{Name: "open", PID: 1 + i, Ret: -int64(sys.ENOENT), Err: sys.ENOENT,
-			Strs: map[string]string{"filename": "/mnt/test/missing"},
-			Args: map[string]int64{"flags": int64(sys.O_RDWR), "mode": 0}},
+		withArgs(trace.Event{Name: "open", PID: 1 + i, Ret: -int64(sys.ENOENT), Err: sys.ENOENT}, strArgs{{"filename", "/mnt/test/missing"}}, numArgs{{"flags", int64(sys.O_RDWR)}, {"mode", 0}}),
 		// Kept by the path filter but outside the analyzer's spec: skipped.
-		{Name: "bogus_syscall", PID: 1 + i, Ret: 0,
-			Strs: map[string]string{"pathname": "/mnt/test/x"}},
+		withArgs(trace.Event{Name: "bogus_syscall", PID: 1 + i, Ret: 0}, strArgs{{"pathname", "/mnt/test/x"}}, nil),
 	}
 	return evs
 }
@@ -569,9 +579,7 @@ func TestTCDDeterministic(t *testing.T) {
 	var evs []trace.Event
 	for i, f := range sys.OpenFlagNames {
 		for n := 0; n < 1+i*i*7; n++ {
-			evs = append(evs, trace.Event{Name: "open", PID: 1, Ret: 3,
-				Strs: map[string]string{"filename": "/mnt/test/f"},
-				Args: map[string]int64{"flags": int64(f.Bit), "mode": 0o644}})
+			evs = append(evs, withArgs(trace.Event{Name: "open", PID: 1, Ret: 3}, strArgs{{"filename", "/mnt/test/f"}}, numArgs{{"flags", int64(f.Bit)}, {"mode", 0o644}}))
 		}
 	}
 	if resp, _ := ingest(t, ts.URL, "", encodeStream(t, evs)); resp.StatusCode != http.StatusOK {

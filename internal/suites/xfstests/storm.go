@@ -3,6 +3,7 @@ package xfstests
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"sync"
 
 	"iocov/internal/suites/workload"
@@ -285,12 +286,15 @@ func (r *runner) stormTruncates(c, lo, hi int) {
 
 func (r *runner) stormMkdirs(c, lo, hi int) {
 	p := r.root
-	dir := func(j int) string {
-		return fmt.Sprintf("%s/storm-d-c%02d-%03d", r.mnt, c, j%256)
-	}
 	n := hi - lo
+	// Op j uses the chunk's name j%256, so the names are built once.
+	prefix := r.mnt + "/storm-d-c" + zeroPad(c, 2) + "-"
+	dirs := make([]string, min(n, 256))
+	for j := range dirs {
+		dirs[j] = prefix + zeroPad(j, 3)
+	}
 	for j := 0; j < n; j++ {
-		d := dir(j)
+		d := dirs[j%256]
 		mode := mkdirModes[r.rng.Intn(len(mkdirModes))]
 		if r.rng.Intn(5) == 0 {
 			r.check(p.Mkdirat(sys.AT_FDCWD, d, mode))
@@ -302,9 +306,15 @@ func (r *runner) stormMkdirs(c, lo, hi int) {
 		}
 	}
 	// Sweep the chunk's name space so nothing leaks past the item.
-	for j := 0; j < 256 && j < n; j++ {
-		_ = p.Rmdir(dir(j))
+	for _, d := range dirs {
+		_ = p.Rmdir(d)
 	}
+}
+
+// zeroPad formats a non-negative v as fmt's %0*d does.
+func zeroPad(v, width int) string {
+	s := strconv.Itoa(v)
+	return strings.Repeat("0", max(0, width-len(s))) + s
 }
 
 func (r *runner) stormChmods(c, lo, hi int) {

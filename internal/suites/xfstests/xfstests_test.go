@@ -1,6 +1,7 @@
 package xfstests
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -154,5 +155,17 @@ func TestItemRNGAllocs(t *testing.T) {
 	}
 	if want := rand.New(rand.NewSource(workload.ItemSeed(1, uint64(r.nextItem-1)))).Int63(); draw != want {
 		t.Fatalf("item %d drew %d, a fresh source with its seed draws %d", r.nextItem-1, draw, want)
+	}
+}
+
+// TestZeroPadMatchesSprintf: the mkdir storm's names are byte-identical to
+// the %02d/%03d forms they replace.
+func TestZeroPadMatchesSprintf(t *testing.T) {
+	for _, width := range []int{2, 3} {
+		for v := 0; v < 1200; v++ {
+			if got, want := zeroPad(v, width), fmt.Sprintf("%0*d", width, v); got != want {
+				t.Fatalf("zeroPad(%d, %d) = %q, want %q", v, width, got, want)
+			}
+		}
 	}
 }

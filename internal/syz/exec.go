@@ -104,10 +104,7 @@ func fillArgs(ev *trace.Event, c Call, sig []string, resolve func(int) int64) {
 		switch kind {
 		case "path", "name":
 			if a.Kind == KindString {
-				if ev.Strs == nil {
-					ev.Strs = make(map[string]string)
-				}
-				ev.Strs[key] = a.Str
+				ev.AddStr(key, a.Str)
 				if kind == "path" {
 					ev.Path = a.Str
 				}
@@ -116,9 +113,6 @@ func fillArgs(ev *trace.Event, c Call, sig []string, resolve func(int) int64) {
 			// The pointer itself is not traced; its length arrives via the
 			// count/size argument.
 		default:
-			if ev.Args == nil {
-				ev.Args = make(map[string]int64)
-			}
 			switch a.Kind {
 			case KindConst:
 				v := a.Const
@@ -128,9 +122,9 @@ func fillArgs(ev *trace.Event, c Call, sig []string, resolve func(int) int64) {
 						v = sys.AT_FDCWD
 					}
 				}
-				ev.Args[key] = v
+				ev.AddArg(key, v)
 			case KindResult:
-				ev.Args[key] = resolve(a.Ref)
+				ev.AddArg(key, resolve(a.Ref))
 			}
 		}
 	}

@@ -4,10 +4,22 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"iocov/internal/raceflag"
 	"iocov/internal/sys"
 )
+
+// TestEventSize pins the Event's size on 64-bit platforms: every Sink
+// takes it by value, so each emitted event copies it at least once.
+func TestEventSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Event{}); got > 240 {
+		t.Errorf("unsafe.Sizeof(Event{}) = %d, want at most 240", got)
+	}
+}
 
 // TestKeepSteadyStateAllocs pins the filter hot path: classifying events —
 // tracked and untracked descriptors, matching and non-matching paths, pids
@@ -115,10 +127,9 @@ func allocTestStream(t *testing.T, n int) []byte {
 	return encodeEvents(t, events)
 }
 
-// TestBinaryParserSteadyStateAllocs pins the Event-returning adapter's
-// allocation regression fix: Next used to build a fresh Args and Strs map
-// per event; with the inline-storage decode the steady state (all strings
-// already interned) must not allocate at all.
+// TestBinaryParserSteadyStateAllocs pins the Event-returning adapter: with
+// the inline-storage decode the steady state (all strings already
+// interned) must not allocate at all.
 func TestBinaryParserSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are unreliable under -race")

@@ -11,7 +11,7 @@ import (
 // BatchDecoder is the ingest fast path: a frame-oriented binary decoder
 // that walks raw stream bytes in a reused block buffer and decodes each
 // record into a caller-owned Event, so the per-event steady state performs
-// no allocation at all — no Event construction, no argument maps, no
+// no allocation at all — no Event construction, no argument storage, no
 // buffered-reader byte calls. It is the package's only decoder: BinaryParser
 // is a thin adapter over it, and the fuzz harness checks it against an
 // independent reference decoder kept with the tests.
@@ -25,9 +25,9 @@ import (
 //     sight every name, key, and path is an interned string — literal
 //     string materialization (first sight, or spill past the dictionary
 //     cap) is the cold path;
-//   - events decode through Event's inline argument storage, spilling to
-//     maps only past the inline capacity (the same contract the kernel's
-//     hot-path producers follow).
+//   - events decode through Event's inline argument storage (the kernel's
+//     contract too). Next zeroes the event first, so a spill is allocated
+//     fresh for each event that needs one, never shared with a kept event.
 //
 // Next additionally reports the syscall name's dictionary ordinal, which is
 // stable for the life of the stream: consumers key per-name dispatch state
@@ -332,6 +332,9 @@ func (d *BatchDecoder) Next(ev *Event) (nameID int, err error) {
 		if err != nil {
 			return -1, unexpectedEOF(err)
 		}
+		if _, dup := ev.Str(k); dup {
+			return -1, d.repeatedNameErr("string-arg", k)
+		}
 		ev.AddStr(k, v)
 	}
 	nArgs, err := d.uvarint()
@@ -349,6 +352,9 @@ func (d *BatchDecoder) Next(ev *Event) (nameID int, err error) {
 		v, err := d.varint()
 		if err != nil {
 			return -1, unexpectedEOF(err)
+		}
+		if _, dup := ev.Arg(k); dup {
+			return -1, d.repeatedNameErr("arg", k)
 		}
 		ev.AddArg(k, v)
 	}
@@ -380,4 +386,9 @@ func (d *BatchDecoder) errnoOverflowErr(errno uint64) error {
 //iocov:coldpath
 func (d *BatchDecoder) pairCountErr(kind string, n uint64) error {
 	return fmt.Errorf("trace: unreasonable %s count %d: %w", kind, n, ErrMalformed)
+}
+
+//iocov:coldpath
+func (d *BatchDecoder) repeatedNameErr(kind, name string) error {
+	return fmt.Errorf("trace: repeated %s name %q: %w", kind, name, ErrMalformed)
 }

@@ -32,12 +32,9 @@ func batchTestEvents(n int) []Event {
 			ev.AddArg("flags", int64(rng.Intn(1<<20)))
 			ev.AddArg("mode", 0o644)
 		case 1: // spills both inline stores
-			ev.Strs = map[string]string{
-				"filename": "/mnt/test/b", "name": "user.k", "path": "/mnt/test/c",
-			}
-			ev.Args = map[string]int64{
-				"fd": 3, "count": 4096, "offset": 1 << 30, "whence": 1, "size": 9,
-			}
+			ev = withArgs(ev,
+				strArgs{{"filename", "/mnt/test/b"}, {"name", "user.k"}, {"path", "/mnt/test/c"}},
+				numArgs{{"fd", 3}, {"count", 4096}, {"offset", 1 << 30}, {"whence", 1}, {"size", 9}})
 		case 2: // a fresh literal per event: dictionary keeps growing
 			ev.AddStr("pathname", "/mnt/test/"+names[i%len(names)]+string(rune('a'+i%26)))
 		case 3: // bare numeric event

@@ -22,6 +22,9 @@ import (
 //	  zigzag  ret
 //	  uvarint errno
 //
+// Pairs are written sorted by key. A key appears at most once per kind in
+// an event; the decoder rejects a repeated one as ErrMalformed.
+//
 // Strings are dictionary-compressed per stream: uvarint id, where id 0
 // introduces a new entry (followed by uvarint length + bytes) and id N
 // references the (N-1)th previously introduced string. Syscall names and
@@ -68,8 +71,8 @@ const (
 	// caps (64 string pairs of maxStringLen each would otherwise be
 	// 128 MiB for a single event).
 	maxEventBytes = 1 << 22
-	// maxPairs caps the per-event argument-pair counts; no real syscall
-	// has more than a handful.
+	// maxPairs caps the per-event argument-pair counts of each kind; no
+	// real syscall has more than a handful. The text parser shares it.
 	maxPairs = 64
 )
 
@@ -132,17 +135,17 @@ func (w *BinaryWriter) Emit(ev Event) {
 	w.prevSeq = ev.Seq
 	w.uvarint(uint64(ev.PID))
 	w.str(ev.Name)
-	w.uvarint(uint64(ev.numStrs()))
-	for _, k := range ev.strNames() {
-		w.str(k)
-		v, _ := ev.Str(k)
-		w.str(v)
+	strs := ev.sortedStrs()
+	w.uvarint(uint64(len(strs)))
+	for _, p := range strs {
+		w.str(p.name)
+		w.str(p.val)
 	}
-	w.uvarint(uint64(ev.numArgs()))
-	for _, k := range ev.argNames() {
-		w.str(k)
-		v, _ := ev.Arg(k)
-		w.varint(v)
+	args := ev.sortedArgs()
+	w.uvarint(uint64(len(args)))
+	for _, p := range args {
+		w.str(p.name)
+		w.varint(p.val)
 	}
 	w.varint(ev.Ret)
 	w.uvarint(uint64(ev.Err))
@@ -198,20 +201,7 @@ func checkMagic(buf []byte) error {
 const maxIntValue = 1<<63 - 1
 
 // ParseAllBinary reads every event from a binary stream.
-func ParseAllBinary(r io.Reader) ([]Event, error) {
-	p := NewBinaryParser(r)
-	var out []Event
-	for {
-		ev, err := p.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ev)
-	}
-}
+func ParseAllBinary(r io.Reader) ([]Event, error) { return drain(NewBinaryParser(r).Next) }
 
 // unexpectedEOF converts a mid-event EOF into a hard error so truncated
 // traces are reported rather than silently accepted.

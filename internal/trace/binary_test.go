@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,42 +14,23 @@ import (
 )
 
 // eventsEquivalent compares two events semantically: scalar fields plus the
-// full argument sets through the accessor API, so map-built and
-// inline-built events compare equal when they carry the same data. (The
-// decoders use inline storage, so reflect.DeepEqual against a map-built
-// original would spuriously fail on representation.)
+// argument sets in any recording order. (The writers sort arguments by
+// name, so a decoded event need not record them in its original's order,
+// and reflect.DeepEqual would fail on that alone.)
 func eventsEquivalent(a, b *Event) bool {
-	if a.Seq != b.Seq || a.PID != b.PID || a.Name != b.Name ||
-		a.Path != b.Path || a.Ret != b.Ret || a.Err != b.Err {
-		return false
-	}
-	if a.numArgs() != b.numArgs() || a.numStrs() != b.numStrs() {
-		return false
-	}
-	ok := true
-	a.EachArg(func(name string, v int64) {
-		if got, found := b.Arg(name); !found || got != v {
-			ok = false
-		}
-	})
-	a.EachStr(func(name, v string) {
-		if got, found := b.Str(name); !found || got != v {
-			ok = false
-		}
-	})
-	return ok
+	return a.Seq == b.Seq && a.PID == b.PID && a.Name == b.Name &&
+		a.Path == b.Path && a.Ret == b.Ret && a.Err == b.Err &&
+		slices.Equal(a.sortedArgs(), b.sortedArgs()) &&
+		slices.Equal(a.sortedStrs(), b.sortedStrs())
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
 	events := []Event{
 		sampleEvent(),
-		{Seq: 43, PID: 7, Name: "write",
-			Args: map[string]int64{"fd": 3, "count": 4096},
-			Ret:  -int64(sys.ENOSPC), Err: sys.ENOSPC},
+		withArgs(Event{Seq: 43, PID: 7, Name: "write",
+			Ret: -int64(sys.ENOSPC), Err: sys.ENOSPC}, nil, numArgs{{"fd", 3}, {"count", 4096}}),
 		{Seq: 44, PID: 8, Name: "sync"},
-		{Seq: 45, PID: 7, Name: "setxattr", Path: "/mnt/test/x",
-			Strs: map[string]string{"pathname": "/mnt/test/x", "name": "user.k"},
-			Args: map[string]int64{"size": 0, "flags": 2}},
+		withArgs(Event{Seq: 45, PID: 7, Name: "setxattr", Path: "/mnt/test/x"}, strArgs{{"pathname", "/mnt/test/x"}, {"name", "user.k"}}, numArgs{{"size", 0}, {"flags", 2}}),
 	}
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)
@@ -78,11 +60,10 @@ func TestBinaryDictionaryCompression(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var events []Event
 	for i := 0; i < 2000; i++ {
-		events = append(events, Event{
+		events = append(events, withArgs(Event{
 			Seq: uint64(i + 1), PID: 1, Name: "write",
-			Args: map[string]int64{"fd": 3, "count": int64(rng.Intn(1 << 20))},
-			Ret:  1,
-		})
+			Ret: 1,
+		}, nil, numArgs{{"fd", 3}, {"count", int64(rng.Intn(1 << 20))}}))
 	}
 	var bin, txt bytes.Buffer
 	bw := NewBinaryWriter(&bin)
@@ -182,12 +163,11 @@ func TestBinaryLargeTrace(t *testing.T) {
 	var want []Event
 	names := []string{"open", "read", "write", "close", "lseek"}
 	for i := 0; i < 10_000; i++ {
-		ev := Event{
+		ev := withArgs(Event{
 			Seq: uint64(i + 1), PID: 1 + rng.Intn(3),
 			Name: names[rng.Intn(len(names))],
-			Args: map[string]int64{"fd": int64(rng.Intn(20)), "count": rng.Int63n(1 << 30)},
 			Ret:  int64(rng.Intn(1 << 20)),
-		}
+		}, nil, numArgs{{"fd", int64(rng.Intn(20))}, {"count", rng.Int63n(1 << 30)}})
 		if rng.Intn(5) == 0 {
 			ev.Err = sys.ENOENT
 			ev.Ret = -int64(sys.ENOENT)
@@ -216,11 +196,10 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 	seqs := []uint64{1, 2, 3, 3, 1 << 40, 7, 0, ^uint64(0), 5}
 	var events []Event
 	for i, seq := range seqs {
-		events = append(events, Event{
+		events = append(events, withArgs(Event{
 			Seq: seq, PID: i + 1, Name: "write",
-			Args: map[string]int64{"fd": 3, "count": int64(i * 100)},
-			Ret:  int64(i * 100),
-		})
+			Ret: int64(i * 100),
+		}, nil, numArgs{{"fd", 3}, {"count", int64(i * 100)}}))
 	}
 	var buf bytes.Buffer
 	w := NewBinaryWriter(&buf)

@@ -9,23 +9,24 @@
 package trace
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"iocov/internal/sys"
 )
 
 // Event is one completed syscall observation: name, arguments, and outcome.
-// Numeric arguments live in Args; string arguments (paths, xattr names) in
-// Strs. Path carries the syscall's primary path argument when it has one,
-// duplicated from Strs for cheap filtering.
+// Path carries the syscall's primary path argument when it has one, a copy
+// of that string argument kept for cheap filtering.
 //
-// Arguments have two equivalent representations. Producers that build
-// events by hand (parsers, tests, the syz executor) populate the Args/Strs
-// maps directly. Hot-path producers (the simulated kernel) record through
-// AddArg/AddStr, which fill fixed-size inline storage first and spill to
-// the maps only past capacity, so a typical syscall event allocates
-// nothing. The Arg/Str accessors and the serializers read both
-// representations; no syscall records the same key twice.
+// Arguments are recorded with AddArg (numeric: flags, mode, count, ...) and
+// AddStr (string: paths, xattr names) and read with Arg/Str or
+// EachArg/EachStr. They live in fixed-size inline arrays, which cover every
+// syscall the simulated kernel traces, so a typical event allocates
+// nothing; an event with more arguments of one kind keeps the rest in a
+// spill allocated on first use. Every producer records a name at most once
+// per kind: the kernel by construction, the decoders by rejecting a
+// repeated name as malformed.
 type Event struct {
 	// Seq is a monotonically increasing sequence number assigned by the
 	// emitting process.
@@ -36,11 +37,6 @@ type Event struct {
 	Name string
 	// Path is the primary path argument ("" for fd-only syscalls).
 	Path string
-	// Args holds the numeric arguments keyed by their ABI names
-	// ("flags", "mode", "count", "offset", "whence", "size", ...).
-	Args map[string]int64
-	// Strs holds string arguments keyed by name ("filename", "name", ...).
-	Strs map[string]string
 	// Ret is the return value (valid when Err == sys.OK).
 	Ret int64
 	// Err is the errno outcome; sys.OK on success.
@@ -53,6 +49,10 @@ type Event struct {
 	istrs [2]strPair
 	nargs uint8
 	nstrs uint8
+	// spill is nil until an argument kind outgrows its inline array; from
+	// then on it holds all of that kind's arguments. Copies of an event
+	// share it.
+	spill *argSpill
 }
 
 type argPair struct {
@@ -64,8 +64,15 @@ type strPair struct {
 	name, val string
 }
 
-// AddArg records a numeric argument, using inline storage while it lasts
-// and spilling to the Args map past capacity.
+// argSpill holds an event's arguments of each kind that outgrew its inline
+// array: the inline pairs first, then the rest in recording order. A nil
+// slice means that kind still fits inline.
+type argSpill struct {
+	args []argPair
+	strs []strPair
+}
+
+// AddArg records a numeric argument, using inline storage while it lasts.
 //
 //iocov:hotpath
 func (e *Event) AddArg(name string, v int64) {
@@ -74,14 +81,10 @@ func (e *Event) AddArg(name string, v int64) {
 		e.nargs++
 		return
 	}
-	if e.Args == nil {
-		e.Args = make(map[string]int64)
-	}
-	e.Args[name] = v
+	e.spillArg(argPair{name, v})
 }
 
-// AddStr records a string argument, using inline storage while it lasts
-// and spilling to the Strs map past capacity.
+// AddStr records a string argument, using inline storage while it lasts.
 //
 //iocov:hotpath
 func (e *Event) AddStr(name, v string) {
@@ -90,118 +93,122 @@ func (e *Event) AddStr(name, v string) {
 		e.nstrs++
 		return
 	}
-	if e.Strs == nil {
-		e.Strs = make(map[string]string)
-	}
-	e.Strs[name] = v
+	e.spillStr(strPair{name, v})
 }
 
-// Arg returns a numeric argument and whether it was recorded. nargs never
-// exceeds len(iargs): AddArg spills to the Args map once the inline array
-// is full.
+//iocov:coldpath
+func (e *Event) spillArg(p argPair) {
+	if e.spill == nil {
+		e.spill = new(argSpill)
+	}
+	if e.spill.args == nil {
+		e.spill.args = append(make([]argPair, 0, 2*len(e.iargs)), e.iargs[:]...)
+	}
+	e.spill.args = append(e.spill.args, p)
+}
+
+//iocov:coldpath
+func (e *Event) spillStr(p strPair) {
+	if e.spill == nil {
+		e.spill = new(argSpill)
+	}
+	if e.spill.strs == nil {
+		e.spill.strs = append(make([]strPair, 0, 2*len(e.istrs)), e.istrs[:]...)
+	}
+	e.spill.strs = append(e.spill.strs, p)
+}
+
+// args returns the numeric arguments in recording order.
+//
+//iocov:hotpath
+func (e *Event) args() []argPair {
+	if e.spill != nil && e.spill.args != nil {
+		return e.spill.args
+	}
+	return e.iargs[:e.nargs]
+}
+
+// strs returns the string arguments in recording order.
+//
+//iocov:hotpath
+func (e *Event) strs() []strPair {
+	if e.spill != nil && e.spill.strs != nil {
+		return e.spill.strs
+	}
+	return e.istrs[:e.nstrs]
+}
+
+// Arg returns a numeric argument and whether it was recorded.
 //
 //iocov:hotpath
 func (e *Event) Arg(name string) (int64, bool) {
-	for i := 0; i < int(e.nargs); i++ {
-		if e.iargs[i].name == name {
-			return e.iargs[i].val, true
+	for _, p := range e.args() {
+		if p.name == name {
+			return p.val, true
 		}
 	}
-	v, ok := e.Args[name]
-	return v, ok
+	return 0, false
 }
 
-// Str returns a string argument and whether it was recorded. nstrs never
-// exceeds len(istrs): AddStr spills to the Strs map once the inline array
-// is full.
+// Str returns a string argument and whether it was recorded.
 //
 //iocov:hotpath
 func (e *Event) Str(name string) (string, bool) {
-	for i := 0; i < int(e.nstrs); i++ {
-		if e.istrs[i].name == name {
-			return e.istrs[i].val, true
+	for _, p := range e.strs() {
+		if p.name == name {
+			return p.val, true
 		}
 	}
-	v, ok := e.Strs[name]
-	return v, ok
+	return "", false
 }
 
 // Failed reports whether the syscall returned an error.
 func (e *Event) Failed() bool { return e.Err != sys.OK }
 
 // primaryPathArg reconstructs the event's primary path argument from its
-// string arguments — inline or spilled — in the precedence the kernel layer
-// uses when emitting. The parsers call it to rebuild Path after decoding.
+// string arguments in the precedence the kernel layer uses when emitting.
+// The parsers call it to rebuild Path after decoding.
 //
 //iocov:hotpath
 func (e *Event) primaryPathArg() string {
-	if v, ok := e.Str("filename"); ok {
-		return v
-	}
-	if v, ok := e.Str("pathname"); ok {
-		return v
-	}
-	if v, ok := e.Str("path"); ok {
-		return v
-	}
-	if v, ok := e.Str("oldname"); ok {
-		return v
+	for _, k := range pathArgs {
+		if v, ok := e.Str(k); ok {
+			return v
+		}
 	}
 	return ""
 }
 
-// EachArg calls fn for every numeric argument, in unspecified order.
+// pathArgs lists the primary path argument's names in precedence order.
+var pathArgs = [...]string{"filename", "pathname", "path", "oldname"}
+
+// EachArg calls fn for every numeric argument, in recording order.
 func (e *Event) EachArg(fn func(name string, v int64)) {
-	for i := 0; i < int(e.nargs); i++ {
-		fn(e.iargs[i].name, e.iargs[i].val)
-	}
-	for k, v := range e.Args {
-		fn(k, v)
+	for _, p := range e.args() {
+		fn(p.name, p.val)
 	}
 }
 
-// EachStr calls fn for every string argument, in unspecified order.
+// EachStr calls fn for every string argument, in recording order.
 func (e *Event) EachStr(fn func(name, v string)) {
-	for i := 0; i < int(e.nstrs); i++ {
-		fn(e.istrs[i].name, e.istrs[i].val)
-	}
-	for k, v := range e.Strs {
-		fn(k, v)
+	for _, p := range e.strs() {
+		fn(p.name, p.val)
 	}
 }
 
-// numArgs returns the total numeric argument count across both
-// representations.
-func (e *Event) numArgs() int { return int(e.nargs) + len(e.Args) }
-
-// numStrs returns the total string argument count across both
-// representations.
-func (e *Event) numStrs() int { return int(e.nstrs) + len(e.Strs) }
-
-// argNames returns the numeric argument keys in deterministic order.
-func (e *Event) argNames() []string {
-	names := make([]string, 0, e.numArgs())
-	for i := 0; i < int(e.nargs); i++ {
-		names = append(names, e.iargs[i].name)
-	}
-	for k := range e.Args {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+// sortedArgs returns a copy of the numeric arguments ordered by name, the
+// order both writers serialize them in.
+func (e *Event) sortedArgs() []argPair {
+	s := slices.Clone(e.args())
+	slices.SortStableFunc(s, func(a, b argPair) int { return strings.Compare(a.name, b.name) })
+	return s
 }
 
-// strNames returns the string argument keys in deterministic order.
-func (e *Event) strNames() []string {
-	names := make([]string, 0, e.numStrs())
-	for i := 0; i < int(e.nstrs); i++ {
-		names = append(names, e.istrs[i].name)
-	}
-	for k := range e.Strs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+// sortedStrs returns a copy of the string arguments ordered by name.
+func (e *Event) sortedStrs() []strPair {
+	s := slices.Clone(e.strs())
+	slices.SortStableFunc(s, func(a, b strPair) int { return strings.Compare(a.name, b.name) })
+	return s
 }
 
 // Sink receives completed syscall events. Every implementation, Collector

@@ -146,8 +146,7 @@ func (f *Filter) KeepRef(ev *Event) bool {
 
 // classify decides scope from first principles: open-family path match,
 // descriptor propagation through dup, then any absolute string argument
-// under the mount. Indexing istrs below nstrs is in bounds: AddStr spills
-// to the Strs map once the inline array is full.
+// under the mount.
 func (f *Filter) classify(ev *Event) bool {
 	switch ev.Name {
 	case "open", "openat", "creat", "openat2":
@@ -196,13 +195,8 @@ func (f *Filter) classify(ev *Event) bool {
 	if ev.Path != "" && f.matchMount(ev.Path) {
 		return true
 	}
-	for i := 0; i < int(ev.nstrs); i++ {
-		if v := ev.istrs[i].val; len(v) > 0 && v[0] == '/' && f.matchMount(v) {
-			return true
-		}
-	}
-	for _, v := range ev.Strs {
-		if len(v) > 0 && v[0] == '/' && f.matchMount(v) {
+	for _, p := range ev.strs() {
+		if len(p.val) > 0 && p.val[0] == '/' && f.matchMount(p.val) {
 			return true
 		}
 	}

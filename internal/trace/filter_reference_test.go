@@ -100,17 +100,11 @@ func (f *refFilter) classify(ev *Event) bool {
 	if ev.Path != "" && f.mount.MatchString(ev.Path) {
 		return true
 	}
-	for i := 0; i < int(ev.nstrs); i++ {
-		if v := ev.istrs[i].val; len(v) > 0 && v[0] == '/' && f.mount.MatchString(v) {
-			return true
-		}
-	}
-	for _, v := range ev.Strs {
-		if len(v) > 0 && v[0] == '/' && f.mount.MatchString(v) {
-			return true
-		}
-	}
-	return false
+	matched := false
+	ev.EachStr(func(_, v string) {
+		matched = matched || len(v) > 0 && v[0] == '/' && f.mount.MatchString(v)
+	})
+	return matched
 }
 
 func (f *refFilter) pidFds(pid int) map[int64]string {

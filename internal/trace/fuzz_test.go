@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
-	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,27 +13,34 @@ import (
 )
 
 // FuzzBinaryRoundTrip pins the codec's round-trip contract: any event the
-// writer can serialize — whether built through the Args/Strs maps or the
-// inline AddArg/AddStr storage — must come back from the parser semantically
-// identical, from both the reference decoder and BatchDecoder. The ingest
-// daemon depends on this equivalence: clients stream inline-built kernel
-// events, the daemon analyzes the decoded form.
+// writer can serialize — its fuzzed pair in inline or in spill storage —
+// must come back from the parser semantically identical, from both the
+// reference decoder and BatchDecoder. The ingest daemon depends on this
+// equivalence: clients stream kernel events, the daemon analyzes the
+// decoded form.
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add(uint64(1), 7, "open", "pathname", "/mnt/test/a", "flags", int64(0x42), int64(3), uint16(0), true)
 	f.Add(uint64(99), 1, "write", "", "", "count", int64(-9000), int64(-28), uint16(28), false)
 	f.Add(uint64(0), 0, "", "name", "user.attr", "size", int64(1<<40), int64(0), uint16(22), true)
-	f.Fuzz(func(t *testing.T, seq uint64, pid int, name, sk, sv, ak string, av, ret int64, errno uint16, inline bool) {
+	f.Fuzz(func(t *testing.T, seq uint64, pid int, name, sk, sv, ak string, av, ret int64, errno uint16, spill bool) {
 		// The codec only transports non-negative pids (a >= 2^63 wire value
 		// is rejected as malformed, by design); fuzz within the contract.
 		pid &= 1<<63 - 1
 		ev := Event{Seq: seq, PID: pid, Name: name, Ret: ret, Err: sys.Errno(errno)}
-		if inline {
-			ev.AddStr(sk, sv)
-			ev.AddArg(ak, av)
-		} else {
-			ev.Strs = map[string]string{sk: sv}
-			ev.Args = map[string]int64{ak: av}
+		pairs := 1
+		if spill {
+			// Four extra pairs of each kind fill the inline arrays, so the
+			// fuzzed pairs land in spill storage. The '#' suffix keeps
+			// their names distinct from the fuzzed ones.
+			for i := range 4 {
+				ev.AddStr(sk+"#"+strconv.Itoa(i), sv)
+				ev.AddArg(ak+"#"+strconv.Itoa(i), av+int64(i))
+			}
+			pairs = 5
 		}
+		ev.AddStr(sk, sv)
+		ev.AddArg(ak, av)
+		ev.Path = ev.primaryPathArg()
 		check := func(decoder string, g *Event) {
 			t.Helper()
 			if g.Seq != seq || g.PID != pid || g.Name != name || g.Ret != ret || g.Err != sys.Errno(errno) {
@@ -45,11 +52,11 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			if v, ok := g.Arg(ak); !ok || v != av {
 				t.Errorf("%s Arg(%q) = %d, %v; want %d", decoder, ak, v, ok, av)
 			}
-			if g.numStrs() != 1 || g.numArgs() != 1 {
-				t.Errorf("%s pair counts: %d strs, %d args; want 1, 1", decoder, g.numStrs(), g.numArgs())
+			if len(g.strs()) != pairs || len(g.args()) != pairs {
+				t.Errorf("%s pair counts: %d strs, %d args; want %d each", decoder, len(g.strs()), len(g.args()), pairs)
 			}
-			if want := ev.primaryPathArg(); g.Path != want {
-				t.Errorf("%s Path = %q, want %q", decoder, g.Path, want)
+			if !eventsEquivalent(g, &ev) {
+				t.Errorf("%s decoded %+v, want %+v", decoder, g, ev)
 			}
 		}
 		var buf bytes.Buffer
@@ -90,10 +97,9 @@ func FuzzBinaryReaderMalformed(f *testing.F) {
 	// A small valid stream.
 	var valid bytes.Buffer
 	w := NewBinaryWriter(&valid)
-	w.Emit(Event{Seq: 1, PID: 2, Name: "open",
-		Strs: map[string]string{"pathname": "/mnt/test/f"},
-		Args: map[string]int64{"flags": 66}, Ret: 3})
-	w.Emit(Event{Seq: 2, PID: 2, Name: "close", Args: map[string]int64{"fd": 3}})
+	w.Emit(withArgs(Event{Seq: 1, PID: 2, Name: "open",
+		Ret: 3}, strArgs{{"pathname", "/mnt/test/f"}}, numArgs{{"flags", 66}}))
+	w.Emit(withArgs(Event{Seq: 2, PID: 2, Name: "close"}, nil, numArgs{{"fd", 3}}))
 	if err := w.Flush(); err != nil {
 		f.Fatal(err)
 	}
@@ -127,6 +133,15 @@ func FuzzBinaryReaderMalformed(f *testing.F) {
 	f.Add([]byte(binaryMagicPrefix + "\x07"))
 	// The zero-byte stream: must be ErrMalformed, never a silent empty trace.
 	f.Add([]byte{})
+
+	// An event that records fd twice: malformed.
+	var dup bytes.Buffer
+	w = NewBinaryWriter(&dup)
+	w.Emit(withArgs(Event{Seq: 1, PID: 1, Name: "read"}, nil, numArgs{{"fd", 3}, {"count", 10}, {"fd", 4}}))
+	if err := w.Flush(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dup.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Both decoders: never panic, always terminate with a typed error
@@ -349,7 +364,7 @@ func FuzzFilter(f *testing.F) {
 			ev.AddStr("oldname", p1)
 			ev.AddStr("newname", p2)
 			if bits&32 != 0 {
-				// A third string spills to the Strs map.
+				// A third string spills past the inline slots.
 				ev.AddStr("target", p2+"/b")
 			}
 			if got, want := filter.Keep(ev), ref.Keep(&ev); got != want {
@@ -376,6 +391,8 @@ func FuzzTextParser(f *testing.F) {
 	f.Add(`[1] syscall_exit_x: pid = 1 { a = 1, ,b = 2, c = 3,, ,d = 4 } ret = 0`)
 	f.Add(`[] syscall_exit_: pid = 0 {, = ""} ret = 0`)
 	f.Add(`[1] syscall_exit_x: pid = 1 { } ret = -99999`)
+	f.Add(`[1] syscall_exit_read: pid = 1 { fd = 3, count = 10, fd = 4 } ret = 10`)
+	f.Add(`[1] syscall_exit_fallocate: pid = 1 { fd = 3, mode = 0, offset = 0, len = 9, x = 1, y = -2 } ret = 0`)
 	f.Fuzz(func(t *testing.T, input string) {
 		events, err := ParseAll(strings.NewReader(input))
 		if err != nil {
@@ -391,8 +408,41 @@ func FuzzTextParser(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-parse of written events: %v\nwritten:\n%s", err, buf.String())
 		}
-		if !reflect.DeepEqual(again, events) {
-			t.Fatalf("round trip changed the events:\n got %+v\nwant %+v\nwritten:\n%s", again, events, buf.String())
+		if len(again) != len(events) {
+			t.Fatalf("round trip parsed %d events, want %d\nwritten:\n%s", len(again), len(events), buf.String())
+		}
+		for i := range events {
+			if !eventsEquivalent(&again[i], &events[i]) {
+				t.Fatalf("round trip changed event %d:\n got %+v\nwant %+v\nwritten:\n%s", i, again[i], events[i], buf.String())
+			}
+		}
+		// The binary leg: the format transports only non-negative pids and
+		// errnos, the contract FuzzBinaryRoundTrip fuzzes within.
+		buf.Reset()
+		bw := NewBinaryWriter(&buf)
+		var sent []Event
+		for _, ev := range events {
+			if ev.PID >= 0 && ev.Err >= 0 {
+				bw.Emit(ev)
+				sent = append(sent, ev)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatalf("binary Flush: %v", err)
+		}
+		d := NewBatchDecoder(&buf)
+		for i := range sent {
+			var got Event
+			if _, err := d.Next(&got); err != nil {
+				t.Fatalf("binary decode of event %d: %v", i, err)
+			}
+			if !eventsEquivalent(&got, &sent[i]) {
+				t.Fatalf("binary round trip changed event %d:\n got %+v\nwant %+v", i, got, sent[i])
+			}
+		}
+		var tail Event
+		if _, err := d.Next(&tail); err != io.EOF {
+			t.Fatalf("binary decode tail: err = %v, want EOF", err)
 		}
 	})
 }

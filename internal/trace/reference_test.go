@@ -141,6 +141,7 @@ func (p *refParser) Next() (Event, error) {
 	if nStrs > maxPairs {
 		return Event{}, fmt.Errorf("trace: unreasonable string-arg count %d: %w", nStrs, ErrMalformed)
 	}
+	seen := make(map[string]bool)
 	for i := uint64(0); i < nStrs; i++ {
 		k, err := p.str()
 		if err != nil {
@@ -150,6 +151,10 @@ func (p *refParser) Next() (Event, error) {
 		if err != nil {
 			return Event{}, unexpectedEOF(err)
 		}
+		if seen[k] {
+			return Event{}, fmt.Errorf("trace: repeated string-arg name %q: %w", k, ErrMalformed)
+		}
+		seen[k] = true
 		ev.AddStr(k, v)
 	}
 	nArgs, err := p.uvarint()
@@ -159,6 +164,7 @@ func (p *refParser) Next() (Event, error) {
 	if nArgs > maxPairs {
 		return Event{}, fmt.Errorf("trace: unreasonable arg count %d: %w", nArgs, ErrMalformed)
 	}
+	clear(seen)
 	for i := uint64(0); i < nArgs; i++ {
 		k, err := p.str()
 		if err != nil {
@@ -168,6 +174,10 @@ func (p *refParser) Next() (Event, error) {
 		if err != nil {
 			return Event{}, unexpectedEOF(err)
 		}
+		if seen[k] {
+			return Event{}, fmt.Errorf("trace: repeated arg name %q: %w", k, ErrMalformed)
+		}
+		seen[k] = true
 		ev.AddArg(k, v)
 	}
 	if ev.Ret, err = p.varint(); err != nil {
@@ -187,17 +197,4 @@ func (p *refParser) Next() (Event, error) {
 
 // parseAllRef reads every event from a binary stream with the reference
 // decoder.
-func parseAllRef(r io.Reader) ([]Event, error) {
-	p := newRefParser(r)
-	var out []Event
-	for {
-		ev, err := p.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, ev)
-	}
-}
+func parseAllRef(r io.Reader) ([]Event, error) { return drain(newRefParser(r).Next) }

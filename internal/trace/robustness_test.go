@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"iocov/internal/sys"
@@ -14,13 +16,12 @@ import (
 func corpusBytes(t *testing.T) (text, bin []byte) {
 	t.Helper()
 	events := []Event{
-		{Seq: 1, PID: 1, Name: "openat", Path: "/mnt/test/f",
-			Strs: map[string]string{"filename": "/mnt/test/f"},
-			Args: map[string]int64{"dfd": -100, "flags": 577, "mode": 420}, Ret: 3},
-		{Seq: 2, PID: 1, Name: "write",
-			Args: map[string]int64{"fd": 3, "count": 4096}, Ret: 4096},
-		{Seq: 3, PID: 1, Name: "close",
-			Args: map[string]int64{"fd": 3}, Ret: -int64(sys.EBADF), Err: sys.EBADF},
+		withArgs(Event{Seq: 1, PID: 1, Name: "openat", Path: "/mnt/test/f",
+			Ret: 3}, strArgs{{"filename", "/mnt/test/f"}}, numArgs{{"dfd", -100}, {"flags", 577}, {"mode", 420}}),
+		withArgs(Event{Seq: 2, PID: 1, Name: "write",
+			Ret: 4096}, nil, numArgs{{"fd", 3}, {"count", 4096}}),
+		withArgs(Event{Seq: 3, PID: 1, Name: "close",
+			Ret: -int64(sys.EBADF), Err: sys.EBADF}, nil, numArgs{{"fd", 3}}),
 	}
 	var tb, bb bytes.Buffer
 	tw, bw := NewWriter(&tb), NewBinaryWriter(&bb)
@@ -155,18 +156,87 @@ func TestBinaryDecoderBudgets(t *testing.T) {
 	}
 }
 
-// TestFilterNeverPanicsOnArbitraryEvents: events with nil maps, weird
+// TestRepeatedArgumentNameRejected pins the one rule every decoder applies
+// to an untrusted event that records an argument name twice in one kind:
+// the event is malformed in both formats, so no decoder picks a winner and
+// every accepted event round-trips.
+func TestRepeatedArgumentNameRejected(t *testing.T) {
+	cases := []struct {
+		line string
+		ev   Event
+	}{
+		{"[00000001] syscall_exit_read: pid = 1 { fd = 3, count = 10, fd = 4 } ret = 10",
+			withArgs(Event{Seq: 1, PID: 1, Name: "read", Ret: 10}, nil, numArgs{{"fd", 3}, {"count", 10}, {"fd", 4}})},
+		{`[00000001] syscall_exit_rename: pid = 1 { oldname = "/mnt/test/a", oldname = "/tmp/b" } ret = 0`,
+			withArgs(Event{Seq: 1, PID: 1, Name: "rename"}, strArgs{{"oldname", "/mnt/test/a"}, {"oldname", "/tmp/b"}}, nil)},
+	}
+	for _, c := range cases {
+		var pe *ParseError
+		if evs, err := ParseAll(strings.NewReader(c.line)); !errors.As(err, &pe) {
+			t.Errorf("text %q: %d events, err %v; want a *ParseError", c.line, len(evs), err)
+		}
+		// The writer emits what the event holds; the decoders refuse it.
+		data := encodeEvents(t, []Event{c.ev})
+		if evs, err := ParseAllBinary(bytes.NewReader(data)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("binary %s: %d events, err %v; want ErrMalformed", c.ev.Name, len(evs), err)
+		}
+		if evs, err := parseAllRef(bytes.NewReader(data)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("reference %s: %d events, err %v; want ErrMalformed", c.ev.Name, len(evs), err)
+		}
+	}
+}
+
+// TestTextParserPairCap: the text parser shares the binary decoder's cap of
+// maxPairs pairs per argument kind. An event at the cap is accepted and
+// round-trips through the binary format; one over it is malformed.
+func TestTextParserPairCap(t *testing.T) {
+	line := func(n int, str bool) string {
+		var b strings.Builder
+		b.WriteString("[00000001] syscall_exit_x: pid = 1 {")
+		for i := range n {
+			if i > 0 {
+				b.WriteString(",")
+			}
+			if str {
+				fmt.Fprintf(&b, " s%d = \"/v%d\"", i, i)
+			} else {
+				fmt.Fprintf(&b, " a%d = %d", i, i)
+			}
+		}
+		b.WriteString(" } ret = 0")
+		return b.String()
+	}
+	for _, str := range []bool{false, true} {
+		evs, err := ParseAll(strings.NewReader(line(maxPairs, str)))
+		if err != nil || len(evs) != 1 {
+			t.Fatalf("%d pairs (strings %v): %d events, err %v; want 1 event", maxPairs, str, len(evs), err)
+		}
+		if n := len(evs[0].args()) + len(evs[0].strs()); n != maxPairs {
+			t.Errorf("%d pairs (strings %v): parsed %d", maxPairs, str, n)
+		}
+		back, err := ParseAllBinary(bytes.NewReader(encodeEvents(t, evs)))
+		if err != nil || len(back) != 1 || !eventsEquivalent(&back[0], &evs[0]) {
+			t.Errorf("%d pairs (strings %v): binary round trip gave %d events, err %v", maxPairs, str, len(back), err)
+		}
+		var pe *ParseError
+		if evs, err := ParseAll(strings.NewReader(line(maxPairs+1, str))); !errors.As(err, &pe) {
+			t.Errorf("%d pairs (strings %v): %d events, err %v; want a *ParseError", maxPairs+1, str, len(evs), err)
+		}
+	}
+}
+
+// TestFilterNeverPanicsOnArbitraryEvents: events with no arguments, weird
 // names, and hostile paths pass through the filter without panics.
 func TestFilterNeverPanicsOnArbitraryEvents(t *testing.T) {
 	f, _ := NewFilter(`^/mnt/test(/|$)`)
 	events := []Event{
 		{},
 		{Name: "close"},
-		{Name: "read", Args: map[string]int64{}},
+		withArgs(Event{Name: "read"}, nil, nil),
 		{Name: "open", Ret: 3},
 		{Name: "open", Path: "\x00\xff", Ret: 3},
-		{Name: "write", Args: map[string]int64{"fd": -1 << 62}},
-		{Name: "rename", Strs: map[string]string{"oldname": "", "newname": "/"}},
+		withArgs(Event{Name: "write"}, nil, numArgs{{"fd", -1 << 62}}),
+		withArgs(Event{Name: "rename"}, strArgs{{"oldname", ""}, {"newname", "/"}}, nil),
 	}
 	for _, ev := range events {
 		_ = f.Keep(ev)

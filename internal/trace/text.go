@@ -52,22 +52,14 @@ func (w *Writer) Flush() error {
 func WriteEvent(w io.Writer, ev Event) error {
 	var b strings.Builder
 	fmt.Fprintf(&b, "[%08d] syscall_exit_%s: pid = %d {", ev.Seq, ev.Name, ev.PID)
-	first := true
-	for _, k := range ev.strNames() {
-		if !first {
-			b.WriteString(",")
-		}
-		first = false
-		v, _ := ev.Str(k)
-		fmt.Fprintf(&b, " %s = %s", k, strconv.Quote(v))
+	sep := " "
+	for _, p := range ev.sortedStrs() {
+		fmt.Fprintf(&b, "%s%s = %s", sep, p.name, strconv.Quote(p.val))
+		sep = ", "
 	}
-	for _, k := range ev.argNames() {
-		if !first {
-			b.WriteString(",")
-		}
-		first = false
-		v, _ := ev.Arg(k)
-		fmt.Fprintf(&b, " %s = %d", k, v)
+	for _, p := range ev.sortedArgs() {
+		fmt.Fprintf(&b, "%s%s = %d", sep, p.name, p.val)
+		sep = ", "
 	}
 	b.WriteString(" }")
 	if ev.Err == sys.OK {
@@ -130,11 +122,14 @@ func (p *Parser) Next() (Event, error) {
 }
 
 // ParseAll reads every event from r.
-func ParseAll(r io.Reader) ([]Event, error) {
-	p := NewParser(r)
+func ParseAll(r io.Reader) ([]Event, error) { return drain(NewParser(r).Next) }
+
+// drain collects events from next up to io.EOF, or up to and with the
+// first error.
+func drain(next func() (Event, error)) ([]Event, error) {
 	var out []Event
 	for {
-		ev, err := p.Next()
+		ev, err := next()
 		if err == io.EOF {
 			return out, nil
 		}
@@ -181,34 +176,25 @@ func parseLine(text string) (Event, error) {
 	}
 	ev.PID = pid
 
-	argBlock, retPart, ok := cutLast(rest, "} ret = ")
-	if !ok {
+	const retMark = "} ret = "
+	i := strings.LastIndex(rest, retMark)
+	if i < 0 {
 		return ev, fmt.Errorf("missing return value")
 	}
-	if err := parseArgs(strings.TrimSpace(argBlock), &ev); err != nil {
+	if err := parseArgs(strings.TrimSpace(rest[:i]), &ev); err != nil {
 		return ev, err
 	}
-	if err := parseRet(strings.TrimSpace(retPart), &ev); err != nil {
+	if err := parseRet(strings.TrimSpace(rest[i+len(retMark):]), &ev); err != nil {
 		return ev, err
 	}
 	ev.Path = ev.primaryPathArg()
 	return ev, nil
 }
 
-// cutLast cuts s at the last occurrence of sep.
-func cutLast(s, sep string) (before, after string, found bool) {
-	idx := strings.LastIndex(s, sep)
-	if idx < 0 {
-		return s, "", false
-	}
-	return s[:idx], s[idx+len(sep):], true
-}
-
+// parseArgs records the pairs of a trimmed argument block on ev. Untrusted
+// input gets the binary decoder's rules: a name repeated within one kind is
+// malformed, and so is a kind with more than maxPairs pairs.
 func parseArgs(block string, ev *Event) error {
-	block = strings.TrimSpace(block)
-	if block == "" {
-		return nil
-	}
 	for len(block) > 0 {
 		eq := strings.Index(block, " = ")
 		if eq < 0 {
@@ -226,10 +212,13 @@ func parseArgs(block string, ev *Event) error {
 			if err != nil {
 				return err
 			}
-			if ev.Strs == nil {
-				ev.Strs = make(map[string]string)
+			if len(ev.strs()) == maxPairs {
+				return fmt.Errorf("more than %d string arguments", maxPairs)
 			}
-			ev.Strs[key] = str
+			if _, dup := ev.Str(key); dup {
+				return fmt.Errorf("repeated string argument %q", key)
+			}
+			ev.AddStr(key, str)
 			block = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), ","))
 		} else {
 			numStr, rest, _ := strings.Cut(val, ",")
@@ -237,10 +226,13 @@ func parseArgs(block string, ev *Event) error {
 			if err != nil {
 				return fmt.Errorf("bad numeric argument %s=%q", key, numStr)
 			}
-			if ev.Args == nil {
-				ev.Args = make(map[string]int64)
+			if len(ev.args()) == maxPairs {
+				return fmt.Errorf("more than %d numeric arguments", maxPairs)
 			}
-			ev.Args[key] = n
+			if _, dup := ev.Arg(key); dup {
+				return fmt.Errorf("repeated numeric argument %q", key)
+			}
+			ev.AddArg(key, n)
 			block = strings.TrimSpace(rest)
 		}
 	}

@@ -12,27 +12,45 @@ import (
 	"iocov/internal/sys"
 )
 
+// strArgs and numArgs are a test event's string and numeric arguments,
+// in recording order.
+type (
+	strArgs []struct{ name, v string }
+	numArgs []struct {
+		name string
+		v    int64
+	}
+)
+
+// withArgs returns ev with s and n recorded through AddStr and AddArg.
+func withArgs(ev Event, s strArgs, n numArgs) Event {
+	for _, p := range s {
+		ev.AddStr(p.name, p.v)
+	}
+	for _, p := range n {
+		ev.AddArg(p.name, p.v)
+	}
+	return ev
+}
+
 func sampleEvent() Event {
-	return Event{
+	return withArgs(Event{
 		Seq:  42,
 		PID:  7,
 		Name: "openat",
 		Path: "/mnt/test/f0",
-		Strs: map[string]string{"filename": "/mnt/test/f0"},
-		Args: map[string]int64{"dfd": -100, "flags": 577, "mode": 420},
 		Ret:  3,
-	}
+	}, strArgs{{"filename", "/mnt/test/f0"}}, numArgs{{"dfd", -100}, {"flags", 577}, {"mode", 420}})
 }
 
 func TestWriteParseRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	ev1 := sampleEvent()
-	ev2 := Event{
+	ev2 := withArgs(Event{
 		Seq: 43, PID: 7, Name: "write",
-		Args: map[string]int64{"fd": 3, "count": 4096},
-		Ret:  -int64(sys.ENOSPC), Err: sys.ENOSPC,
-	}
+		Ret: -int64(sys.ENOSPC), Err: sys.ENOSPC,
+	}, nil, numArgs{{"fd", 3}, {"count", 4096}})
 	w.Emit(ev1)
 	w.Emit(ev2)
 	if err := w.Flush(); err != nil {
@@ -45,10 +63,10 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("parsed %d events, want 2", len(got))
 	}
-	if !reflect.DeepEqual(got[0], ev1) {
+	if !eventsEquivalent(&got[0], &ev1) {
 		t.Errorf("event 1:\n got %+v\nwant %+v", got[0], ev1)
 	}
-	if !reflect.DeepEqual(got[1], ev2) {
+	if !eventsEquivalent(&got[1], &ev2) {
 		t.Errorf("event 2:\n got %+v\nwant %+v", got[1], ev2)
 	}
 }
@@ -64,9 +82,8 @@ func TestRoundTripQuirkyStrings(t *testing.T) {
 		`/mnt/test/comma, equals = brace }`,
 	}
 	for _, p := range paths {
-		ev := Event{Seq: 1, PID: 1, Name: "open", Path: p,
-			Strs: map[string]string{"filename": p},
-			Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3}
+		ev := withArgs(Event{Seq: 1, PID: 1, Name: "open", Path: p,
+			Ret: 3}, strArgs{{"filename", p}}, numArgs{{"flags", 0}, {"mode", 0}})
 		var buf bytes.Buffer
 		if err := WriteEvent(&buf, ev); err != nil {
 			t.Fatal(err)
@@ -88,16 +105,15 @@ func TestRoundTripProperty(t *testing.T) {
 		if count < 0 {
 			count = -count // syscall byte counts are non-negative
 		}
-		ev := Event{
+		ev := withArgs(Event{
 			Seq:  seq,
 			PID:  int(pid),
 			Name: names[int(nameIdx)%len(names)],
-			Args: map[string]int64{"flags": flags, "count": count},
-		}
+		}, nil, numArgs{{"flags", flags}, {"count", count}})
 		if pathSuffix != "" {
 			path := "/mnt/test/" + strings.ReplaceAll(pathSuffix, "\x00", "_")
 			ev.Path = path
-			ev.Strs = map[string]string{"filename": path}
+			ev.AddStr("filename", path)
 		}
 		if fail {
 			ev.Err = sys.ENOENT
@@ -113,7 +129,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil || len(got) != 1 {
 			return false
 		}
-		return reflect.DeepEqual(got[0], ev)
+		return eventsEquivalent(&got[0], &ev)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Error(err)
@@ -183,10 +199,10 @@ func TestFilterFdTracking(t *testing.T) {
 	events := []Event{
 		{Name: "open", Path: "/mnt/test/a", PID: 1, Ret: 3},
 		{Name: "open", Path: "/etc/passwd", PID: 1, Ret: 4},
-		{Name: "write", PID: 1, Args: map[string]int64{"fd": 3, "count": 10}, Ret: 10},
-		{Name: "write", PID: 1, Args: map[string]int64{"fd": 4, "count": 10}, Ret: 10},
-		{Name: "close", PID: 1, Args: map[string]int64{"fd": 3}},
-		{Name: "write", PID: 1, Args: map[string]int64{"fd": 3, "count": 5}, Ret: 5},
+		withArgs(Event{Name: "write", PID: 1, Ret: 10}, nil, numArgs{{"fd", 3}, {"count", 10}}),
+		withArgs(Event{Name: "write", PID: 1, Ret: 10}, nil, numArgs{{"fd", 4}, {"count", 10}}),
+		withArgs(Event{Name: "close", PID: 1}, nil, numArgs{{"fd", 3}}),
+		withArgs(Event{Name: "write", PID: 1, Ret: 5}, nil, numArgs{{"fd", 3}, {"count", 5}}),
 	}
 	var kept []string
 	for _, ev := range events {
@@ -206,9 +222,9 @@ func TestFilterFdReuseAcrossMounts(t *testing.T) {
 	f, _ := NewFilter(`^/mnt/test(/|$)`)
 	events := []Event{
 		{Name: "open", Path: "/mnt/test/a", PID: 1, Ret: 3},
-		{Name: "close", PID: 1, Args: map[string]int64{"fd": 3}},
+		withArgs(Event{Name: "close", PID: 1}, nil, numArgs{{"fd", 3}}),
 		{Name: "open", Path: "/etc/x", PID: 1, Ret: 3}, // fd reused elsewhere
-		{Name: "read", PID: 1, Args: map[string]int64{"fd": 3, "count": 1}, Ret: 1},
+		withArgs(Event{Name: "read", PID: 1, Ret: 1}, nil, numArgs{{"fd", 3}, {"count", 1}}),
 	}
 	var keptReads int
 	for _, ev := range events {
@@ -225,7 +241,7 @@ func TestFilterPerPIDIsolation(t *testing.T) {
 	f, _ := NewFilter(`^/mnt/test(/|$)`)
 	f.Keep(Event{Name: "open", Path: "/mnt/test/a", PID: 1, Ret: 3})
 	// Same fd number in a different pid is not tracked.
-	if f.Keep(Event{Name: "read", PID: 2, Args: map[string]int64{"fd": 3, "count": 1}}) {
+	if f.Keep(withArgs(Event{Name: "read", PID: 2}, nil, numArgs{{"fd", 3}, {"count", 1}})) {
 		t.Error("fd table leaked across pids")
 	}
 }
@@ -238,7 +254,7 @@ func TestFilterFailedOpenNotTracked(t *testing.T) {
 	if !f.Keep(ev) {
 		t.Error("failed in-mount open dropped")
 	}
-	if f.Keep(Event{Name: "read", PID: 1, Args: map[string]int64{"fd": -2, "count": 1}}) {
+	if f.Keep(withArgs(Event{Name: "read", PID: 1}, nil, numArgs{{"fd", -2}, {"count", 1}})) {
 		t.Error("negative fd tracked")
 	}
 }
@@ -297,13 +313,12 @@ func TestLargeTraceRoundTrip(t *testing.T) {
 	w := NewWriter(&buf)
 	var want []Event
 	for i := 0; i < 5000; i++ {
-		ev := Event{
+		ev := withArgs(Event{
 			Seq:  uint64(i + 1),
 			PID:  1 + rng.Intn(4),
 			Name: "write",
-			Args: map[string]int64{"fd": int64(3 + rng.Intn(10)), "count": int64(rng.Intn(1 << 20))},
-		}
-		ev.Ret = ev.Args["count"]
+		}, nil, numArgs{{"fd", int64(3 + rng.Intn(10))}, {"count", int64(rng.Intn(1 << 20))}})
+		ev.Ret, _ = ev.Arg("count")
 		want = append(want, ev)
 		w.Emit(ev)
 	}
@@ -318,7 +333,7 @@ func TestLargeTraceRoundTrip(t *testing.T) {
 		t.Fatalf("parsed %d, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
+		if !eventsEquivalent(&got[i], &want[i]) {
 			t.Fatalf("event %d mismatch: %+v vs %+v", i, got[i], want[i])
 		}
 	}

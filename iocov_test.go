@@ -124,8 +124,10 @@ func TestTCDHelpers(t *testing.T) {
 
 func TestNewAnalyzerWithOptions(t *testing.T) {
 	an := NewAnalyzerWith(Options{MergeVariants: false})
-	an.Add(Event{Name: "openat", Path: "/f",
-		Args: map[string]int64{"flags": 0, "mode": 0}, Ret: 3})
+	ev := Event{Name: "openat", Path: "/f", Ret: 3}
+	ev.AddArg("flags", 0)
+	ev.AddArg("mode", 0)
+	an.Add(ev)
 	if an.OutputReport("openat") == nil {
 		t.Error("unmerged analyzer lost openat space")
 	}
