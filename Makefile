@@ -10,8 +10,9 @@
 #                   (four passes) over the whole repository (exit 1 on any
 #                   finding); -v prints per-pass analysis times
 #   make fuzz     - short fuzz passes over the binary trace codec, the text
-#                   trace parser, the mount filter, checkpoint restore and
-#                   the vfs read/write oracle
+#                   trace parser, the mount filter, checkpoint restore, the
+#                   snapshot JSON writer (against encoding/json) and the
+#                   vfs read/write oracle
 #
 # Every go test line carries -timeout, so an analysis or test that stops
 # terminating fails in minutes instead of the default ten.
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzTextParser -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzFilter -fuzztime 15s ./internal/trace/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzSnapshotRestore -fuzztime 15s ./internal/coverage/
+	$(GO) test -timeout 5m -run xxx -fuzz FuzzSnapshotJSON -fuzztime 15s ./internal/coverage/
 	$(GO) test -timeout 5m -run xxx -fuzz FuzzReadWriteOracle -fuzztime 15s ./internal/vfs/
 
 smoke:

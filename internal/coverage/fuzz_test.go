@@ -2,6 +2,10 @@ package coverage
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"iocov/internal/sys"
@@ -15,25 +19,10 @@ import (
 // encode to the bytes of the label-keyed reference,
 // MergeSnapshots(restored.Snapshot(0), live.Snapshot(0)).
 func FuzzSnapshotRestore(f *testing.F) {
-	an := NewAnalyzer(DefaultOptions())
-	an.Add(openEvent(int64(sys.O_WRONLY|sys.O_CREAT|sys.O_SYNC), 0o644, 3, sys.OK))
-	an.Add(openEvent(0, 0, -int64(sys.ENOENT), sys.ENOENT))
-	an.Add(writeEvent(4096, 4096, sys.OK))
-	an.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES)) // undocumented: Extra
-	an.Add(withArgs(trace.Event{Name: "lseek", PID: 1,
-		Ret: -int64(sys.EINVAL), Err: sys.EINVAL}, nil, numArgs{{"fd", 3}, {"offset", -1}, {"whence", 9}}))
-	an.Add(trace.Event{Name: "bogus_syscall", PID: 1})
+	an := seedAnalyzer()
 	live := an.Snapshot(0)
-	var seed bytes.Buffer
-	if err := live.WriteJSON(&seed); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed.Bytes())
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"analyzed":1,"inputs":[{"syscall":"open","arg":"flags","domain":2,"covered":1,"counts":{"O_RDONLY":1},"untested":["O_RDONLY","O_RDONLY"]},{"syscall":"open","arg":"flags","domain":-3}],"outputs":[{"syscall":"zz"},{"syscall":"open","extra":{"E":9223372036854775807}}],"open_combos":{"all":{"-1":1},"rdonly":null}}`))
-	for _, body := range corruptCheckpoints {
-		f.Add([]byte(body))
+	for _, seed := range snapshotFuzzSeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := LoadSnapshot(bytes.NewReader(data))
@@ -54,4 +43,55 @@ func FuzzSnapshotRestore(f *testing.F) {
 			t.Fatalf("restore+merge differs from MergeSnapshots\n got: %s\nwant: %s", got, want)
 		}
 	})
+}
+
+// seedAnalyzer has seen an event of each kind a snapshot records: opens
+// that count flag combinations, a write with an undocumented errno (an
+// Extra section), an lseek with out-of-domain arguments and an unknown
+// syscall.
+func seedAnalyzer() *Analyzer {
+	an := NewAnalyzer(DefaultOptions())
+	an.Add(openEvent(int64(sys.O_WRONLY|sys.O_CREAT|sys.O_SYNC), 0o644, 3, sys.OK))
+	an.Add(openEvent(0, 0, -int64(sys.ENOENT), sys.ENOENT))
+	an.Add(writeEvent(4096, 4096, sys.OK))
+	an.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES)) // undocumented: Extra
+	an.Add(withArgs(trace.Event{Name: "lseek", PID: 1,
+		Ret: -int64(sys.EINVAL), Err: sys.EINVAL}, nil, numArgs{{"fd", 3}, {"offset", -1}, {"whence", 9}}))
+	an.Add(trace.Event{Name: "bogus_syscall", PID: 1})
+	return an
+}
+
+// snapshotFuzzSeeds are the snapshot fuzz targets' seed inputs:
+// seedAnalyzer's snapshot, degenerate documents, one snapshot breaking
+// several Restore rules at once, every corrupt checkpoint, and the inputs
+// saved in FuzzSnapshotRestore's corpus.
+func snapshotFuzzSeeds(tb testing.TB) [][]byte {
+	var live bytes.Buffer
+	if err := seedAnalyzer().Snapshot(0).WriteJSON(&live); err != nil {
+		tb.Fatal(err)
+	}
+	seeds := [][]byte{live.Bytes(), []byte(`{}`), []byte(`null`),
+		[]byte(`{"analyzed":1,"inputs":[{"syscall":"open","arg":"flags","domain":2,"covered":1,"counts":{"O_RDONLY":1},"untested":["O_RDONLY","O_RDONLY"]},{"syscall":"open","arg":"flags","domain":-3}],"outputs":[{"syscall":"zz"},{"syscall":"open","extra":{"E":9223372036854775807}}],"open_combos":{"all":{"-1":1},"rdonly":null}}`)}
+	for _, body := range corruptCheckpoints {
+		seeds = append(seeds, []byte(body))
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzSnapshotRestore", "*"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, name := range files {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		// A corpus file is a header line and one []byte("...") line.
+		_, arg, _ := strings.Cut(strings.TrimSpace(string(data)), "\n")
+		quoted, ok := strings.CutPrefix(arg, "[]byte(")
+		body, err := strconv.Unquote(strings.TrimSuffix(quoted, ")"))
+		if !ok || err != nil {
+			tb.Fatalf("%s: not a one-[]byte corpus entry", name)
+		}
+		seeds = append(seeds, []byte(body))
+	}
+	return seeds
 }

@@ -76,20 +76,26 @@ func (a *Analyzer) Snapshot(maxNumeric int) *Snapshot {
 }
 
 func snapshotSpace(rep *Report, class string) SnapshotSpace {
+	covered := rep.Covered()
 	sp := SnapshotSpace{
 		Syscall: rep.Syscall,
 		Arg:     rep.Arg,
 		Class:   class,
 		Domain:  rep.DomainSize(),
-		Covered: rep.Covered(),
-		Counts:  make(map[string]int64),
+		Covered: covered,
+		Counts:  make(map[string]int64, covered),
+	}
+	// One pass fills Counts and Untested (rep.Untested()), each sized once.
+	if n := len(rep.Rows) - covered; n > 0 {
+		sp.Untested = make([]string, 0, n)
 	}
 	for _, row := range rep.Rows {
 		if row.Count != 0 {
 			sp.Counts[row.Label] = row.Count
+		} else {
+			sp.Untested = append(sp.Untested, row.Label)
 		}
 	}
-	sp.Untested = rep.Untested()
 	if len(rep.Extra) > 0 {
 		sp.Extra = make(map[string]int64, len(rep.Extra))
 		for _, row := range rep.Extra {
@@ -213,13 +219,6 @@ func (a *Analyzer) restoreArg(name, arg string) *sysspec.ArgSpec {
 		}
 	}
 	return nil
-}
-
-// WriteJSON serializes the snapshot as indented JSON.
-func (s *Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }
 
 // LoadSnapshot reads a snapshot back from JSON.

@@ -98,7 +98,7 @@ func (c *Config) fill() {
 // 0} over ≈12.2k total opens with an O_RDONLY share of 0.65, reproducing
 // the O_RDONLY row {9.3, 2.8, 21.9, 65.6, 0.5, 0} — minus those fixed
 // contributions. Weights are full-scale counts.
-var openCombos = []workload.FlagWeight{
+var openCombos = workload.NewWeightedFlags([]workload.FlagWeight{
 	// 1 flag: storm share 493 (rd 117)
 	{Flags: sys.O_RDONLY, Weight: 117},
 	{Flags: sys.O_WRONLY, Weight: 250},
@@ -117,16 +117,16 @@ var openCombos = []workload.FlagWeight{
 	// 5 flags: storm share 61 (rd 40)
 	{Flags: sys.O_RDONLY | sys.O_CREAT | sys.O_TRUNC | sys.O_SYNC | sys.O_DIRECT, Weight: 40},
 	{Flags: sys.O_RDWR | sys.O_CREAT | sys.O_TRUNC | sys.O_SYNC | sys.O_DIRECT, Weight: 21},
-}
+})
 
 // writeSizes covers only the small buckets, per Figure 3's CrashMonkey
 // series: nothing at "equal to 0" and nothing above 128 KiB.
-var writeSizes = []workload.BucketWeight{
+var writeSizes = workload.NewSizeDist([]workload.BucketWeight{
 	{Bucket: 0, Weight: 180}, {Bucket: 3, Weight: 260},
 	{Bucket: 8, Weight: 420}, {Bucket: 10, Weight: 640},
 	{Bucket: 12, Weight: 900}, {Bucket: 14, Weight: 300},
 	{Bucket: 16, Weight: 90},
-}
+}, 128<<10)
 
 // Full-scale magnitudes. The storm issues fullOpens opens; together with
 // the seq-1/generic fixed opens the run totals ≈12.2k opens of which ≈7.9k
@@ -450,7 +450,6 @@ func (r *runner) stormPhase(chunks, n int, fn func(c, lo, hi int)) {
 
 func (r *runner) stormOpens(c, lo, hi int) {
 	p := r.p
-	combos := workload.NewWeightedFlags(openCombos)
 	d := fmt.Sprintf("%s/cm-storm-o%02d", r.mnt, c)
 	r.check(p.Mkdir(d, 0o755))
 	var files []string
@@ -467,7 +466,7 @@ func (r *runner) stormOpens(c, lo, hi int) {
 	}
 	dirs := []string{d}
 	for i := lo; i < hi; i++ {
-		flags := combos.Pick(r.rng)
+		flags := openCombos.Pick(r.rng)
 		path := files[r.rng.Intn(len(files))]
 		if flags&sys.O_DIRECTORY != 0 {
 			path = dirs[r.rng.Intn(len(dirs))]
@@ -485,7 +484,6 @@ func (r *runner) stormOpens(c, lo, hi int) {
 
 func (r *runner) stormWrites(c, lo, hi int) {
 	p := r.p
-	wdist := workload.NewSizeDist(writeSizes, 128<<10)
 	wfd, e := p.Open(fmt.Sprintf("%s/cm-storm-w%02d", r.mnt, c), sys.O_WRONLY|sys.O_CREAT|sys.O_TRUNC, 0o644)
 	r.check(e)
 	if e != sys.OK {
@@ -493,7 +491,7 @@ func (r *runner) stormWrites(c, lo, hi int) {
 	}
 	var pos int64
 	for i := lo; i < hi; i++ {
-		size := wdist.Pick(r.rng)
+		size := writeSizes.Pick(r.rng)
 		_, we := p.Write(wfd, r.buf.Get(size))
 		r.check(we)
 		pos += size

@@ -69,9 +69,8 @@ func (r *runner) stormPhase(chunks, n int, fn func(c, lo, hi int)) {
 
 func (r *runner) stormOpens(c, lo, hi int) {
 	p := r.root
-	combos := workload.NewWeightedFlags(openCombos)
 	for i := lo; i < hi; i++ {
-		flags := combos.Pick(r.rng)
+		flags := openCombos.Pick(r.rng)
 		var path string
 		excl := flags&sys.O_EXCL != 0
 		switch {
@@ -118,7 +117,6 @@ func (r *runner) stormOpens(c, lo, hi int) {
 
 func (r *runner) stormWrites(c, lo, hi int) {
 	p := r.root
-	dist := workload.NewSizeDist(writeSizes, MaxWriteSize)
 	small := fmt.Sprintf("%s/storm-w-c%02d", r.mnt, c)
 	big := fmt.Sprintf("%s/storm-wbig-c%02d", r.mnt, c)
 	sfd, e := p.Open(small, sys.O_CREAT|sys.O_WRONLY|sys.O_TRUNC, 0o644)
@@ -131,7 +129,7 @@ func (r *runner) stormWrites(c, lo, hi int) {
 	const smallLimit = 4 << 20 // rotate the sequential file at 4 MiB
 	var pos int64
 	for i := lo; i < hi; i++ {
-		size := dist.Pick(r.rng)
+		size := writeSizes.Pick(r.rng)
 		switch {
 		case size > smallLimit:
 			// Big writes land at offset 0 of the dedicated file so the
@@ -175,7 +173,6 @@ var readBufs = sync.Pool{New: func() any { return new([maxStormRead]byte) }}
 
 func (r *runner) stormReads(c, lo, hi int) {
 	p := r.root
-	dist := workload.NewSizeDist(readSizes, maxStormRead)
 	f := fmt.Sprintf("%s/storm-r-c%02d", r.mnt, c)
 	wfd, e := p.Open(f, sys.O_CREAT|sys.O_WRONLY|sys.O_TRUNC, 0o644)
 	r.check(e)
@@ -196,7 +193,7 @@ func (r *runner) stormReads(c, lo, hi int) {
 	rbuf := rb[:]
 	var pos int64
 	for i := lo; i < hi; i++ {
-		size := dist.Pick(r.rng)
+		size := readSizes.Pick(r.rng)
 		switch v := r.rng.Intn(100); {
 		case v < 15:
 			_, re := p.Pread64(fd, rbuf[:size], int64(r.rng.Intn(fileSize)))
@@ -221,6 +218,13 @@ func (r *runner) stormReads(c, lo, hi int) {
 	r.check(p.Unlink(f))
 }
 
+// seekOffsets is the lseek storm's offset distribution, uncapped.
+var seekOffsets = workload.NewSizeDist([]workload.BucketWeight{
+	{Bucket: -1, Weight: 30}, {Bucket: 0, Weight: 4}, {Bucket: 4, Weight: 6},
+	{Bucket: 9, Weight: 12}, {Bucket: 12, Weight: 20}, {Bucket: 16, Weight: 14},
+	{Bucket: 19, Weight: 8}, {Bucket: 24, Weight: 3}, {Bucket: 30, Weight: 1},
+}, 0)
+
 func (r *runner) stormLseeks(c, lo, hi int) {
 	p := r.root
 	f := fmt.Sprintf("%s/storm-s-c%02d", r.mnt, c)
@@ -231,13 +235,8 @@ func (r *runner) stormLseeks(c, lo, hi int) {
 	}
 	_, we := p.Write(fd, r.buf.Get(1<<20))
 	r.check(we)
-	offsets := workload.NewSizeDist([]workload.BucketWeight{
-		{Bucket: -1, Weight: 30}, {Bucket: 0, Weight: 4}, {Bucket: 4, Weight: 6},
-		{Bucket: 9, Weight: 12}, {Bucket: 12, Weight: 20}, {Bucket: 16, Weight: 14},
-		{Bucket: 19, Weight: 8}, {Bucket: 24, Weight: 3}, {Bucket: 30, Weight: 1},
-	}, 0)
 	for i := lo; i < hi; i++ {
-		off := offsets.Pick(r.rng)
+		off := seekOffsets.Pick(r.rng)
 		var whence int
 		switch v := r.rng.Intn(1000); {
 		case v < 700:
@@ -264,7 +263,6 @@ func (r *runner) stormLseeks(c, lo, hi int) {
 
 func (r *runner) stormTruncates(c, lo, hi int) {
 	p := r.root
-	dist := workload.NewSizeDist(truncLengths, 64<<20)
 	f := fmt.Sprintf("%s/storm-t-c%02d", r.mnt, c)
 	fd, e := p.Open(f, sys.O_CREAT|sys.O_RDWR, 0o644)
 	r.check(e)
@@ -272,7 +270,7 @@ func (r *runner) stormTruncates(c, lo, hi int) {
 		return
 	}
 	for i := lo; i < hi; i++ {
-		length := dist.Pick(r.rng)
+		length := truncLengths.Pick(r.rng)
 		if r.rng.Intn(10) < 3 {
 			r.check(p.Ftruncate(fd, length))
 		} else {
@@ -348,7 +346,6 @@ var stormXattrNames = [4]string{"user.s0", "user.s1", "user.s2", "user.s3"}
 
 func (r *runner) stormXattrs(c, slo, shi, glo, ghi int) {
 	p := r.root
-	dist := workload.NewSizeDist(xattrSizes, 60000)
 	f := fmt.Sprintf("%s/storm-x-c%02d", r.mnt, c)
 	link := fmt.Sprintf("%s/storm-xl-c%02d", r.mnt, c)
 	fd, e := p.Open(f, sys.O_CREAT|sys.O_RDWR, 0o644)
@@ -359,7 +356,7 @@ func (r *runner) stormXattrs(c, slo, shi, glo, ghi int) {
 	r.check(p.Symlink(f, link))
 	for i := slo; i < shi; i++ {
 		name := stormXattrNames[i%4]
-		size := dist.Pick(r.rng)
+		size := xattrSizes.Pick(r.rng)
 		var flags int
 		switch v := r.rng.Intn(10); {
 		case v < 8:
@@ -384,7 +381,7 @@ func (r *runner) stormXattrs(c, slo, shi, glo, ghi int) {
 		if r.rng.Intn(10) == 0 {
 			name = "user.absent" // ENODATA path
 		}
-		size := dist.Pick(r.rng)
+		size := xattrSizes.Pick(r.rng)
 		if size > int64(len(gbuf)) {
 			size = int64(len(gbuf))
 		}

@@ -109,7 +109,7 @@ const (
 // {6.1, 28.2, 18.2, 46.8, 0.5, 0.4} split into O_RDONLY-containing and
 // other combinations with an overall O_RDONLY share of 0.60, which yields
 // the O_RDONLY-row percentages {6.0, 30.8, 10.5, 51.9, 0.5, 0.3}.
-var openCombos = []workload.FlagWeight{
+var openCombos = workload.NewWeightedFlags([]workload.FlagWeight{
 	// 1 flag (6.1%): rd 3.60, other 2.50
 	{Flags: sys.O_RDONLY, Weight: 3.60},
 	{Flags: sys.O_WRONLY, Weight: 1.50},
@@ -139,12 +139,12 @@ var openCombos = []workload.FlagWeight{
 	// 6 flags (0.4%): rd 0.18, other 0.22
 	{Flags: sys.O_RDONLY | sys.O_CREAT | sys.O_EXCL | sys.O_NONBLOCK | sys.O_NOFOLLOW | sys.O_CLOEXEC, Weight: 0.18},
 	{Flags: sys.O_RDWR | sys.O_CREAT | sys.O_EXCL | sys.O_TRUNC | sys.O_NONBLOCK | sys.O_CLOEXEC, Weight: 0.22},
-}
+})
 
 // writeSizes covers every bucket Figure 3 shows for xfstests: "equal to 0"
 // and 2^0 through 2^28, with frequency decaying roughly log-linearly from
 // ~2M around page-sized writes down to single digits at the 258 MiB tail.
-var writeSizes = []workload.BucketWeight{
+var writeSizes = workload.NewSizeDist([]workload.BucketWeight{
 	{Bucket: -1, Weight: 900}, // size 0, the POSIX boundary case
 	{Bucket: 0, Weight: 21000}, {Bucket: 1, Weight: 16000},
 	{Bucket: 2, Weight: 45000}, {Bucket: 3, Weight: 52000},
@@ -161,10 +161,10 @@ var writeSizes = []workload.BucketWeight{
 	{Bucket: 24, Weight: 40}, {Bucket: 25, Weight: 18},
 	{Bucket: 26, Weight: 8}, {Bucket: 27, Weight: 4},
 	{Bucket: 28, Weight: 2},
-}
+}, MaxWriteSize)
 
 // readSizes has a similar profile, capped at 1 MiB buffers.
-var readSizes = []workload.BucketWeight{
+var readSizes = workload.NewSizeDist([]workload.BucketWeight{
 	{Bucket: -1, Weight: 300},
 	{Bucket: 0, Weight: 9000}, {Bucket: 2, Weight: 17000},
 	{Bucket: 4, Weight: 26000}, {Bucket: 6, Weight: 40000},
@@ -173,21 +173,21 @@ var readSizes = []workload.BucketWeight{
 	{Bucket: 13, Weight: 60000}, {Bucket: 14, Weight: 26000},
 	{Bucket: 16, Weight: 9000}, {Bucket: 18, Weight: 1800},
 	{Bucket: 20, Weight: 400},
-}
+}, maxStormRead)
 
 // xattrSizes spans the whole legal setxattr value range, including the
 // empty value and the in-inode capacity region, but — deliberately, like
 // the real suite per Figure 1's missed bug — not the exact maximum size.
-var xattrSizes = []workload.BucketWeight{
+var xattrSizes = workload.NewSizeDist([]workload.BucketWeight{
 	{Bucket: -1, Weight: 200},
 	{Bucket: 2, Weight: 800}, {Bucket: 4, Weight: 2200},
 	{Bucket: 6, Weight: 3600}, {Bucket: 8, Weight: 2600},
 	{Bucket: 10, Weight: 1100}, {Bucket: 12, Weight: 320},
 	{Bucket: 14, Weight: 60},
-}
+}, 60000)
 
 // truncLengths spans 0 to 64 MiB.
-var truncLengths = []workload.BucketWeight{
+var truncLengths = workload.NewSizeDist([]workload.BucketWeight{
 	{Bucket: -1, Weight: 3000},
 	{Bucket: 0, Weight: 900}, {Bucket: 6, Weight: 2600},
 	{Bucket: 9, Weight: 4800}, {Bucket: 12, Weight: 8600},
@@ -195,7 +195,7 @@ var truncLengths = []workload.BucketWeight{
 	{Bucket: 18, Weight: 900}, {Bucket: 20, Weight: 420},
 	{Bucket: 22, Weight: 160}, {Bucket: 24, Weight: 70},
 	{Bucket: 26, Weight: 20},
-}
+}, 64<<20)
 
 // chmodModes is the suite's palette of permission arguments, including the
 // boundary values 0 and the setuid/setgid/sticky bits.

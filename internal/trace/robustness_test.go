@@ -186,6 +186,32 @@ func TestRepeatedArgumentNameRejected(t *testing.T) {
 	}
 }
 
+// TestTextParserRejectsWhatBinaryCannotCarry: `iocov convert` turns every
+// event the text parser accepts into the binary format, which carries a
+// pid and an errno as unsigned varints. A negative pid, and a return of the
+// smallest int64 (whose errno would be negative), are malformed text; the
+// largest values either format carries are accepted and round-trip.
+func TestTextParserRejectsWhatBinaryCannotCarry(t *testing.T) {
+	for _, line := range []string{
+		"[00000001] syscall_exit_read: pid = -1 { fd = 3, count = 10 } ret = 10",
+		"[00000001] syscall_exit_read: pid = 1 { fd = 3, count = 10 } ret = -9223372036854775808",
+	} {
+		var pe *ParseError
+		if evs, err := ParseAll(strings.NewReader(line)); !errors.As(err, &pe) {
+			t.Errorf("text %q: %d events, err %v; want a *ParseError", line, len(evs), err)
+		}
+	}
+	edge := "[00000001] syscall_exit_read: pid = 9223372036854775807 { fd = 3, count = 10 } ret = -9223372036854775807"
+	evs, err := ParseAll(strings.NewReader(edge))
+	if err != nil || len(evs) != 1 {
+		t.Fatalf("text %q: %d events, err %v", edge, len(evs), err)
+	}
+	back, err := ParseAllBinary(bytes.NewReader(encodeEvents(t, evs)))
+	if err != nil || len(back) != 1 || !eventsEquivalent(&back[0], &evs[0]) {
+		t.Fatalf("binary round trip of %q: %+v, err %v; want %+v", edge, back, err, evs[0])
+	}
+}
+
 // TestTextParserPairCap: the text parser shares the binary decoder's cap of
 // maxPairs pairs per argument kind. An event at the cap is accepted and
 // round-trips through the binary format; one over it is malformed.

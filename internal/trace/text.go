@@ -170,8 +170,10 @@ func parseLine(text string) (Event, error) {
 	if !ok {
 		return ev, fmt.Errorf("missing argument block")
 	}
+	// The binary format carries a pid as an unsigned varint, so a negative
+	// one could not be converted and read back.
 	pid, err := strconv.Atoi(strings.TrimSpace(pidStr))
-	if err != nil {
+	if err != nil || pid < 0 {
 		return ev, fmt.Errorf("bad pid %q", pidStr)
 	}
 	ev.PID = pid
@@ -279,6 +281,11 @@ func parseRet(s string, ev *Event) error {
 		return nil
 	}
 	if n < 0 {
+		// -n overflows for the smallest int64, which names no errno the
+		// binary format could carry.
+		if -n < 0 {
+			return fmt.Errorf("return value %d names no errno", n)
+		}
 		ev.Err = sys.Errno(-n)
 	}
 	ev.Ret = n
