@@ -37,15 +37,11 @@ func checkAgainstOracle(t testing.TB, s *Snapshot) {
 	}
 }
 
-// analyzerSnapshot is seedAnalyzer's snapshot: inputs with classes and
-// untested rows, an output with extra errnos, and open combinations.
-func analyzerSnapshot() *Snapshot { return seedAnalyzer().Snapshot(0) }
-
 // TestWriteJSONMatchesEncodingJSON holds the writer to the encoder it
 // replaced: an analyzer's snapshot, each edge of the encoding rules, and
 // random snapshots built from awkward labels.
 func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
-	checkAgainstOracle(t, analyzerSnapshot())
+	checkAgainstOracle(t, seedAnalyzer().Snapshot(0))
 	checkAgainstOracle(t, NewAnalyzer(DefaultOptions()).Snapshot(0))
 	checkAgainstOracle(t, nil)
 	for name, s := range map[string]*Snapshot{
@@ -171,7 +167,7 @@ func TestWriteJSONAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("alloc counts are unreliable under -race")
 	}
-	s := analyzerSnapshot()
+	s := seedAnalyzer().Snapshot(0)
 	var buf bytes.Buffer
 	buf.Grow(1 << 16)
 	n := testing.AllocsPerRun(100, func() {
@@ -202,7 +198,7 @@ func (w *writeRecorder) Write(p []byte) (int, error) {
 // TestWriteJSONOneWrite checks a writer that is not a bytes.Buffer: the
 // render arrives in one Write call, and that call's error is WriteJSON's.
 func TestWriteJSONOneWrite(t *testing.T) {
-	s := analyzerSnapshot()
+	s := seedAnalyzer().Snapshot(0)
 	var w writeRecorder
 	if err := s.WriteJSON(&w); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
