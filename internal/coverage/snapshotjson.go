@@ -31,7 +31,9 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 
 // jsonSize estimates the indented encoding's length, and returns the size
 // of the largest string-keyed map, so that the buffer and the key scratch
-// are sized once.
+// are sized once. The per-space and per-entry sizes slightly overshoot
+// the suites' snapshots (about 19 KB estimated for 15.4 KB written); an
+// undershoot only costs the buffer one more growth.
 func (s *Snapshot) jsonSize() (est, maxKeys int) {
 	est = 128
 	if s == nil {
