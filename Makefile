@@ -6,9 +6,11 @@
 #                   gate for shard-isolation regressions (shared state
 #                   written by two shards)
 #   make vet      - the standard go vet checks
-#   make lint     - iocovlint: speccheck, shardcheck, errcheck, alloccheck
-#                   (four passes) over the whole repository (exit 1 on any
-#                   finding); -v prints per-pass analysis times
+#   make lint     - iocovlint: speccheck, shardcheck, errcheck (three
+#                   passes) over the whole repository (exit 1 on any
+#                   finding); -v prints per-pass analysis times. The
+#                   zero-allocation per-event path is guarded by tests, not
+#                   lint: the allocation pins CI selects by name
 #   make fuzz     - short fuzz passes over the binary trace codec, the text
 #                   trace parser, the mount filter, checkpoint restore, the
 #                   snapshot JSON writer (against encoding/json) and the

@@ -1,16 +1,14 @@
 // Command iocovlint runs iocov's static-analysis suite over the repository
 // itself, proving the invariants the coverage pipeline depends on:
 //
-//	iocovlint [-root DIR] [-passes LIST] [-json] [-v]
+//	iocovlint [-root DIR] [-json] [-v]
 //
-// Passes (default: all, see internal/lint):
+// It runs every pass (see internal/lint):
 //
 //	speccheck    sysspec tables vs kernel dispatch
 //	shardcheck   no package-level writes in worker paths or the iocovd daemon
 //	errcheck     silently dropped error returns in internal/ and cmd/
-//	alloccheck   //iocov:hotpath reachability proof of zero allocation
 //
-// -passes takes one pass name or a comma-separated subset.
 // -json emits one JSON object per finding ({"pass","file","line","col",
 // "message"}) on stdout followed by a {"timings":[{"pass","ms"},...]}
 // trailer with each pass's wall-clock analysis time, for tooling. -v
@@ -27,7 +25,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"iocov/internal/lint"
 )
@@ -36,14 +33,13 @@ func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// realMain is the testable body of main: it parses args, runs the selected
-// passes, writes findings to stdout and diagnostics to stderr, and returns
-// the process exit code (0 no findings, 1 findings, 2 usage or load error).
+// realMain is the testable body of main: it parses args, runs every pass,
+// writes findings to stdout and diagnostics to stderr, and returns the
+// process exit code (0 no findings, 1 findings, 2 usage or load error).
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("iocovlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	root := fs.String("root", "", "module root to analyze (default: nearest go.mod at or above the working directory)")
-	passes := fs.String("passes", "", "comma-separated pass subset (default: "+strings.Join(lint.PassNames(), ",")+")")
 	asJSON := fs.Bool("json", false, "emit one JSON object per finding on stdout")
 	verbose := fs.Bool("v", false, "report load statistics and per-pass analysis times")
 	if err := fs.Parse(args); err != nil {
@@ -59,11 +55,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	selected, err := lint.SelectPasses(*passes)
-	if err != nil {
-		fmt.Fprintln(stderr, "iocovlint:", err)
-		return 2
-	}
 	target, err := lint.LoadRepo(dir)
 	if err != nil {
 		fmt.Fprintln(stderr, "iocovlint:", err)
@@ -72,7 +63,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if *verbose {
 		fmt.Fprintf(stderr, "iocovlint: %d packages loaded from %s\n", len(target.Pkgs), dir)
 	}
-	findings, times := lint.RunAllTimed(target, selected)
+	findings, times := lint.RunAllTimed(target, lint.AllPasses())
 	if *verbose {
 		for _, pt := range times {
 			fmt.Fprintf(stderr, "iocovlint: %-12s %8.1fms\n",

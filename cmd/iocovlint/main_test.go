@@ -19,7 +19,6 @@ func TestExitCodes(t *testing.T) {
 	}{
 		{"clean module", []string{"-root", "testdata/cleanmod"}, 0},
 		{"findings", []string{"-root", "testdata/badmod"}, 1},
-		{"unknown pass", []string{"-root", "testdata/cleanmod", "-passes", "nosuchpass"}, 2},
 		{"bad root", []string{"-root", "testdata/nosuchdir"}, 2},
 		{"bad flag", []string{"-nosuchflag"}, 2},
 	}
@@ -79,7 +78,7 @@ func TestFindingOutput(t *testing.T) {
 	if err := json.Unmarshal([]byte(last), &tr); err != nil {
 		t.Fatalf("timing trailer not decodable: %v\n%s", err, last)
 	}
-	if want := len(lint.PassNames()); len(tr.Timings) != want {
+	if want := len(lint.AllPasses()); len(tr.Timings) != want {
 		t.Errorf("trailer has %d timings, want one per pass (%d):\n%s", len(tr.Timings), want, last)
 	}
 	for _, pt := range tr.Timings {

@@ -33,8 +33,6 @@ func (a *Analyzer) NewBatch() *Batch { return &Batch{a: a} }
 // dictionary ordinal from trace.BatchDecoder.Next (-1 when the name was
 // not interned, which falls back to the analyzer's by-name dispatch). The event
 // is not retained.
-//
-//iocov:hotpath
 func (b *Batch) Add(ev *trace.Event, nameID int) {
 	// One unsigned comparison covers both the negative and the
 	// out-of-range case.
@@ -51,8 +49,6 @@ func (b *Batch) Add(ev *trace.Event, nameID int) {
 // addSlow resolves the dispatch entry for a first-sight name (or a
 // non-interned one) through the analyzer's by-name compilation path and
 // caches it under the dictionary ordinal for every later event.
-//
-//iocov:coldpath
 func (b *Batch) addSlow(ev *trace.Event, nameID int) {
 	e := b.a.lookup(ev.Name)
 	if nameID >= 0 {

@@ -247,8 +247,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 }
 
 // Emit implements trace.Sink.
-//
-//iocov:hotpath
 func (a *Analyzer) Emit(ev trace.Event) { a.add(&ev) }
 
 // Add analyzes one event. Events for syscalls outside the 27-syscall scope
@@ -258,14 +256,10 @@ func (a *Analyzer) Emit(ev trace.Event) { a.add(&ev) }
 // ordinal arithmetic: no name hashing, no label formatting, no []string
 // partitions, no string-keyed counter maps. The first event of each raw
 // syscall name pays the spec lookup and ArgAppliesTo walk once, in compile.
-//
-//iocov:hotpath
 func (a *Analyzer) Add(ev trace.Event) { a.add(&ev) }
 
 // add is the body of Add and Emit. It takes the event by pointer, so an
 // event that reaches the analyzer through Emit is not copied again.
-//
-//iocov:hotpath
 func (a *Analyzer) add(ev *trace.Event) {
 	a.addCompiled(a.lookup(ev.Name), ev)
 }
@@ -273,8 +267,6 @@ func (a *Analyzer) add(ev *trace.Event) {
 // lookup returns the compiled entry for a raw syscall name (nil when out of
 // scope). A slot hit costs one string compare; a miss takes the compiled
 // map, compiling on first sight, and refills the slot.
-//
-//iocov:hotpath
 func (a *Analyzer) lookup(name string) *compiledEntry {
 	if len(name) < 2 {
 		return a.compiledFor(name)
@@ -288,8 +280,6 @@ func (a *Analyzer) lookup(name string) *compiledEntry {
 
 // slotOf maps a name of at least two bytes to its dispatch slot from its
 // length and its first, second and last bytes.
-//
-//iocov:hotpath
 func slotOf(name string) int {
 	n := len(name)
 	return (n*7 + int(name[0])*5 + int(name[1])*3 + int(name[n-1])*4) & (dispatchSlots - 1)
@@ -297,8 +287,6 @@ func slotOf(name string) int {
 
 // compiledFor is the slots' fallback: the compiled map, compiling the entry
 // on first sight.
-//
-//iocov:coldpath
 func (a *Analyzer) compiledFor(name string) *compiledEntry {
 	e, seen := a.compiled[name]
 	if !seen {
@@ -314,8 +302,6 @@ func (a *Analyzer) compiledFor(name string) *compiledEntry {
 // Every ord is in bounds: dense counters are allocated len(Domain()) long
 // and every ord comes from PartitionIndices/Index over that same domain
 // (partition's domain-invariant tests keep every ordinal inside Domain()).
-//
-//iocov:hotpath
 func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 	if e == nil {
 		a.skipped++
@@ -370,8 +356,6 @@ func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 // construction — the documented universe covers every errno the simulated
 // kernel emits, so reaching here means a foreign trace — and Errno.Name can
 // format, so the hot path must not inline it.
-//
-//iocov:coldpath
 func (oc *outputCounter) addExtra(ev *trace.Event) {
 	if oc.extra == nil {
 		oc.extra = make(map[string]int64)
@@ -381,8 +365,6 @@ func (oc *outputCounter) addExtra(ev *trace.Event) {
 
 // compile resolves everything Add needs for one raw syscall name and caches
 // it. Out-of-scope names cache a nil entry.
-//
-//iocov:coldpath
 func (a *Analyzer) compile(raw string) *compiledEntry {
 	spec := a.table.Base(raw)
 	if spec == nil {
@@ -458,7 +440,6 @@ func (a *Analyzer) outputFor(name string, spec *sysspec.Spec) *outputCounter {
 	return oc
 }
 
-//iocov:coldpath
 func (a *Analyzer) addIdentifier(name string, arg *sysspec.ArgSpec, ev *trace.Event) {
 	k := argKey{name, arg.Name}
 	c := a.idents[k]
@@ -489,8 +470,6 @@ func (a *Analyzer) addIdentifier(name string, arg *sysspec.ArgSpec, ev *trace.Ev
 // names in partition order, e.g. "O_RDWR|O_CREAT|O_TRUNC", rebuilt here
 // from the ordinals the hot path produced. Cold: only runs when the
 // BitCombos option is on, which the paper-replication configs leave off.
-//
-//iocov:coldpath
 func (a *Analyzer) addCombination(k argKey, labels []string, idxs []int) {
 	m := a.bitCombos[k]
 	if m == nil {

@@ -102,8 +102,8 @@ func Run(seed []syz.Program, cfg Config) (*Result, error) {
 }
 
 // loop is the evolutionary search. Candidate evaluation hides behind the
-// evaluator interface: the loop itself is annotation-proven deterministic,
-// and the evaluator's only contract is to return each candidate's isolated
+// evaluator interface: the loop itself is deterministic
+// (TestEvolveDeterministic), and the evaluator's only contract is to return each candidate's isolated
 // analyzer and hit bitset in input order — parallelism inside it cannot
 // reorder the fold.
 type loop struct {

@@ -269,10 +269,8 @@ type eskv struct {
 }
 
 // emit sends one completed-syscall event to the kernel's sink. The
-// AllocsPerRun pin on the syscall cycle budgets event emission at zero;
-// alloccheck proves it from here down.
-//
-//iocov:hotpath
+// AllocsPerRun pin on the syscall cycle (TestSyscallCycleAllocs) budgets
+// event emission at zero.
 func (p *Proc) emit(name, path string, strs []eskv, args []ekv, ret int64, err sys.Errno) {
 	if p.k.sink == nil {
 		return

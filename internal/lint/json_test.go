@@ -25,7 +25,6 @@ func TestJSONGolden(t *testing.T) {
 		&SpecCheck{KernelPaths: []string{"speccheck_bad"}},
 		&ShardCheck{Paths: []string{"shardcheck_bad"}},
 		&ErrCheck{Paths: []string{"errcheck_bad"}},
-		NewAllocCheck(),
 	}
 	// The golden suite must cover exactly the canonical pass list, in order,
 	// so a new pass cannot ship without a schema golden.
@@ -42,7 +41,7 @@ func TestJSONGolden(t *testing.T) {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			tgt := fixtureTarget(t, p.Name()+"_bad")
-			findings := RunAll(tgt, []Pass{p})
+			findings, _ := RunAllTimed(tgt, []Pass{p})
 			if len(findings) == 0 {
 				t.Fatalf("%s produced no findings on its bad fixture", p.Name())
 			}

@@ -8,22 +8,16 @@
 //     internal/evolve) and the iocovd daemon (internal/server) write no
 //     package-level variable, which would be state shared across shards or
 //     sessions;
-//   - errcheck: no error return is silently dropped in internal/ or cmd/;
-//   - alloccheck: functions reachable from //iocov:hotpath roots are proven
-//     free of allocating constructs, making the zero-allocation contract
-//     static — the AllocsPerRun regressions self-skip under -race, this
-//     pass does not.
-//
-// alloccheck walks a lazily built package-spanning call graph of static
-// edges (see callgraph.go).
+//   - errcheck: no error return is silently dropped in internal/ or cmd/.
 //
 // Invariants a test already guards are left to the test: the partition
 // domain contract to internal/partition's domain-invariant tests, HTTP
 // status codes to internal/server's handler tests, index bounds to Go's
 // run-time checks plus the trace fuzzers, lock discipline and goroutine
-// exits to the -race lane and the goroutine-leak test, and byte-identical
+// exits to the -race lane and the goroutine-leak test, byte-identical
 // output to the serial-vs-parallel, render-many and two-run byte
-// comparisons (DESIGN.md §16).
+// comparisons, and the zero-allocation per-event path to the
+// testing.AllocsPerRun pins, whose names end in Allocs (DESIGN.md §16).
 //
 // The suite is built only on the standard library's go/parser, go/ast,
 // go/token and go/types packages; repository packages are type-checked
@@ -36,7 +30,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -61,7 +54,7 @@ func (f Finding) String() string {
 
 // Pass is one analysis over a loaded target.
 type Pass interface {
-	// Name identifies the pass in findings and CLI -passes selection.
+	// Name identifies the pass in findings and timings.
 	Name() string
 	// Run analyzes the target and returns its findings.
 	Run(t *Target) []Finding
@@ -74,40 +67,7 @@ func AllPasses() []Pass {
 		NewSpecCheck(),
 		NewShardCheck(),
 		NewErrCheck(),
-		NewAllocCheck(),
 	}
-}
-
-// PassNames returns the names of the full suite in canonical order.
-func PassNames() []string {
-	var names []string
-	for _, p := range AllPasses() {
-		names = append(names, p.Name())
-	}
-	return names
-}
-
-// SelectPasses resolves a comma-separated pass list ("" means all).
-func SelectPasses(spec string) ([]Pass, error) {
-	all := AllPasses()
-	if spec == "" {
-		return all, nil
-	}
-	byName := make(map[string]Pass, len(all))
-	for _, p := range all {
-		byName[p.Name()] = p
-	}
-	var out []Pass
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		p, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown pass %q (have %s)",
-				name, strings.Join(PassNames(), ", "))
-		}
-		out = append(out, p)
-	}
-	return out, nil
 }
 
 // PassTime records one pass's wall-clock analysis time.
@@ -116,16 +76,10 @@ type PassTime struct {
 	Elapsed time.Duration
 }
 
-// RunAll runs the given passes over the target and returns the combined
-// findings sorted by position then message, for deterministic output.
-func RunAll(t *Target, passes []Pass) []Finding {
-	findings, _ := RunAllTimed(t, passes)
-	return findings
-}
-
-// RunAllTimed is RunAll plus per-pass wall-clock analysis times, in the
-// order the passes ran; CI logs them so regressions in engine cost are
-// visible in history.
+// RunAllTimed runs the given passes over the target. It returns the combined
+// findings sorted by position then message, for deterministic output, and
+// each pass's wall-clock analysis time in the order the passes ran; CI logs
+// them so regressions in engine cost are visible in history.
 func RunAllTimed(t *Target, passes []Pass) ([]Finding, []PassTime) {
 	var out []Finding
 	times := make([]PassTime, 0, len(passes))

@@ -28,8 +28,7 @@ func repoTarget(t *testing.T) *Target {
 }
 
 // fixtures memoizes fixtureTarget per fixture name. Sharing is safe because
-// passes only read a Target; the one thing they add to it is the cached
-// call graph, which is a pure function of the loaded packages.
+// passes only read a Target.
 var fixtures sync.Map // name -> *Target
 
 // fixtureTarget loads one testdata package as a standalone target, once per
@@ -83,37 +82,9 @@ func requireFinding(t *testing.T, findings []Finding, substr string) Finding {
 // TestRepoSelfCheck is the suite's own acceptance gate: the full pass list
 // over the live repository must come back clean.
 func TestRepoSelfCheck(t *testing.T) {
-	findings := RunAll(repoTarget(t), AllPasses())
+	findings, _ := RunAllTimed(repoTarget(t), AllPasses())
 	for _, f := range findings {
 		t.Errorf("unexpected finding: %s", f)
-	}
-}
-
-func TestSelectPasses(t *testing.T) {
-	all, err := SelectPasses("")
-	if want := len(PassNames()); err != nil || len(all) != want {
-		t.Fatalf("SelectPasses(\"\") = %d passes, err %v; want %d, nil", len(all), err, want)
-	}
-	if last := all[len(all)-1].Name(); last != "alloccheck" {
-		t.Fatalf("last pass = %s, want alloccheck", last)
-	}
-	two, err := SelectPasses("alloccheck, errcheck")
-	if err != nil || len(two) != 2 || two[0].Name() != "alloccheck" || two[1].Name() != "errcheck" {
-		t.Fatalf("SelectPasses(alloccheck, errcheck) = %v, err %v", two, err)
-	}
-	err = func() error { _, err := SelectPasses("nosuchpass"); return err }()
-	if err == nil {
-		t.Fatal("SelectPasses(nosuchpass) did not fail")
-	}
-	// The error must name the offender and enumerate every valid pass, so a
-	// CLI typo is self-correcting.
-	if !strings.Contains(err.Error(), `unknown pass "nosuchpass"`) {
-		t.Errorf("error does not name the unknown pass: %v", err)
-	}
-	for _, name := range PassNames() {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error does not list valid pass %s: %v", name, err)
-		}
 	}
 }
 

@@ -33,15 +33,7 @@ type Target struct {
 	Fset *token.FileSet
 	// Pkgs is sorted by import path.
 	Pkgs []*Package
-
-	byPath map[string]*Package
-	// cg is the lazily built module call graph (see callgraph.go), shared
-	// by every whole-program pass of one run.
-	cg *CallGraph
 }
-
-// Package returns the loaded package with the given import path, or nil.
-func (t *Target) Package(path string) *Package { return t.byPath[path] }
 
 // Position resolves a token.Pos against the target's file set.
 func (t *Target) Position(p token.Pos) token.Position { return t.Fset.Position(p) }
@@ -142,9 +134,8 @@ func parseDir(fset *token.FileSet, dir, path string) (*Package, error) {
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		// ParseComments keeps doc and line comments in the AST: the passes
-		// read the //iocov: annotation grammar (hotpath, coldpath,
-		// deterministic, shared-ok) from them.
+		// ParseComments keeps doc and line comments in the AST: shardcheck
+		// reads its //iocov:shared-ok exemptions from them.
 		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil,
 			parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
@@ -195,7 +186,7 @@ func typecheck(fset *token.FileSet, pkgs []*Package) (*Target, error) {
 		imp.checked[p.Path] = tpkg
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return &Target{Fset: fset, Pkgs: pkgs, byPath: byPath}, nil
+	return &Target{Fset: fset, Pkgs: pkgs}, nil
 }
 
 // chainImporter serves already-checked module packages, falling back to the

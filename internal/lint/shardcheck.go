@@ -83,12 +83,8 @@ func (s *ShardCheck) sharedOKVars(t *Target, pkg *Package) (map[*types.Var]bool,
 				if !ok {
 					continue
 				}
-				for _, a := range annotationsIn(gd.Doc, vs.Doc, vs.Comment) {
-					directive, arg, _ := strings.Cut(a, " ")
-					if directive != "shared-ok" {
-						continue
-					}
-					if strings.TrimSpace(arg) == "" {
+				for _, reason := range sharedOKReasons(gd.Doc, vs.Doc, vs.Comment) {
+					if reason == "" {
 						out = append(out, Finding{
 							Pass:    s.Name(),
 							Pos:     t.Position(vs.Pos()),
@@ -109,6 +105,26 @@ func (s *ShardCheck) sharedOKVars(t *Target, pkg *Package) (map[*types.Var]bool,
 		}
 	}
 	return exempt, out
+}
+
+// sharedOKReasons returns the reason of every //iocov:shared-ok directive in
+// the comment groups, "" for a directive that gives none. It is the one
+// //iocov: annotation form; like go:build, the directive must start the
+// comment line.
+func sharedOKReasons(groups ...*ast.CommentGroup) []string {
+	var out []string
+	for _, g := range groups {
+		if g == nil {
+			continue
+		}
+		for _, c := range g.List {
+			rest, ok := strings.CutPrefix(c.Text, "//iocov:shared-ok")
+			if ok && (rest == "" || rest[0] == ' ') {
+				out = append(out, strings.TrimSpace(rest))
+			}
+		}
+	}
+	return out
 }
 
 // checkWrite flags an assignment target rooted in a package-level variable

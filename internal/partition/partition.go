@@ -67,8 +67,6 @@ func Log2Label(k int) string {
 // power-of-two bucket, so Log2Bucket returns the sentinel -1 for them
 // (rather than letting uint64 wraparound misclassify a negative into
 // bucket 63).
-//
-//iocov:hotpath
 func Log2Bucket(v int64) int {
 	if v <= 0 {
 		return -1
@@ -126,8 +124,6 @@ func (s numericScheme) Scheme() string { return string(s) }
 func (numericScheme) Domain() []string { return numericDomain("") }
 
 // PartitionIndices implements Input.
-//
-//iocov:hotpath
 func (numericScheme) PartitionIndices(v int64, scratch []int) []int {
 	return append(scratch, numericIndex(v))
 }
@@ -226,8 +222,6 @@ var openFlagOrds = func() (t struct {
 
 // PartitionIndices implements Input, mirroring sys.DecodeOpenFlags without
 // allocating label slices.
-//
-//iocov:hotpath
 func (openFlagsScheme) PartitionIndices(v int64, scratch []int) []int {
 	flags := int(v)
 	switch flags & sys.O_ACCMODE {
@@ -278,8 +272,6 @@ func (modeBitsScheme) Domain() []string {
 // PartitionIndices implements Input: the domain is "=0" at ordinal 0
 // followed by sys.ModeBitNames in order, so each set bit's ordinal is its
 // table position plus one, and a mode with no tracked bit hits "=0".
-//
-//iocov:hotpath
 func (modeBitsScheme) PartitionIndices(v int64, scratch []int) []int {
 	n := len(scratch)
 	for i, b := range sys.ModeBitNames {
@@ -304,8 +296,6 @@ func (whenceScheme) Domain() []string {
 
 // PartitionIndices implements Input: whence values index the domain
 // directly, with the trailing "invalid" ordinal for out-of-range values.
-//
-//iocov:hotpath
 func (whenceScheme) PartitionIndices(v int64, scratch []int) []int {
 	if v >= 0 && v < int64(len(sys.WhenceNames)) {
 		return append(scratch, int(v))
@@ -325,8 +315,6 @@ func (xattrFlagsScheme) Domain() []string {
 
 // PartitionIndices implements Input: the three legal values index the
 // domain directly (XATTR_CREATE = 1, XATTR_REPLACE = 2).
-//
-//iocov:hotpath
 func (xattrFlagsScheme) PartitionIndices(v int64, scratch []int) []int {
 	switch v {
 	case 0, sys.XATTR_CREATE, sys.XATTR_REPLACE:
@@ -384,8 +372,6 @@ func NewOutputIndexer(spec *sysspec.Spec) *OutputIndexer {
 
 // Index returns the OutputDomain ordinal for one outcome: the errno's
 // partition on failure, else the success partition of retVal. ok is false for an errno the spec does not document.
-//
-//iocov:hotpath
 func (x *OutputIndexer) Index(retVal int64, err sys.Errno) (idx int, ok bool) {
 	if err != sys.OK {
 		idx, ok = x.errno[err]
@@ -426,8 +412,6 @@ const MaxFlagComboSize = 16
 // (the access mode counts as one flag, so the minimum is 1). Table 1 is
 // built from this. It equals len(sys.DecodeOpenFlags(flags)) but performs
 // no allocation, and it never exceeds MaxFlagComboSize.
-//
-//iocov:hotpath
 func FlagComboSize(flags int64) int {
 	f := int(flags)
 	n := 1 + bits.OnesCount(uint(f&openFlagSimpleMask))
@@ -442,8 +426,6 @@ func FlagComboSize(flags int64) int {
 
 // HasRdonly reports whether the flags word's access mode is O_RDONLY, which
 // is how Table 1's "O_RDONLY" rows restrict combinations.
-//
-//iocov:hotpath
 func HasRdonly(flags int64) bool {
 	return int(flags)&sys.O_ACCMODE == sys.O_RDONLY
 }

@@ -61,8 +61,6 @@ func NewMetrics() *Metrics {
 }
 
 // ObserveMerge records one store-merge latency.
-//
-//iocov:hotpath
 func (m *Metrics) ObserveMerge(d time.Duration) {
 	m.mergeCount.Add(1)
 	m.mergeNanos.Add(d.Nanoseconds())
@@ -70,8 +68,6 @@ func (m *Metrics) ObserveMerge(d time.Duration) {
 
 // hitStripeFor hashes a syscall name onto its stripe (FNV-1a folded to the
 // stripe count).
-//
-//iocov:hotpath
 func hitStripeFor(name string) int {
 	const (
 		offset64 = 14695981039346656037

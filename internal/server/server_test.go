@@ -19,6 +19,7 @@ import (
 
 	"iocov/internal/coverage"
 	iometrics "iocov/internal/metrics"
+	"iocov/internal/raceflag"
 	"iocov/internal/sys"
 	"iocov/internal/trace"
 )
@@ -530,6 +531,29 @@ func TestMetricsEndpoint(t *testing.T) {
 		if _, again := get(t, ts.URL+"/metrics"); !bytes.Equal(again, body) {
 			t.Fatalf("scrape %d differs from the first:\n%s\nfirst:\n%s", i, again, body)
 		}
+	}
+}
+
+// TestObserveMergeAllocs pins the per-session metrics path: recording a
+// merge latency and folding hit counts for syscalls the daemon has already
+// seen allocate nothing, so counters added there stay cheap to leave on.
+func TestObserveMergeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	m := NewMetrics()
+	hits := map[string]int64{"openat": 3, "write": 40, "lseek": 2, "setxattr": 1}
+	m.AddHits(hits)
+	d := 1500 * time.Microsecond
+	allocs := testing.AllocsPerRun(200, func() {
+		m.ObserveMerge(d)
+		m.AddHits(hits)
+	})
+	if allocs != 0 {
+		t.Fatalf("ObserveMerge plus AddHits allocate %.1f times per session, want 0", allocs)
+	}
+	if got := m.mergeCount.Load(); got == 0 {
+		t.Fatal("no merge recorded")
 	}
 }
 

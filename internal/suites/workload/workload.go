@@ -210,8 +210,6 @@ func NewSharedBuf(max int64) *SharedBuf {
 
 // Get returns an n-byte slice (n is clamped to the buffer size). The slice
 // must be treated as read-only.
-//
-//iocov:hotpath
 func (b *SharedBuf) Get(n int64) []byte {
 	if n > int64(b.max) {
 		n = int64(b.max)

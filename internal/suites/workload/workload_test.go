@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"iocov/internal/raceflag"
 	"iocov/internal/sys"
 )
 
@@ -186,5 +187,25 @@ func TestSharedBuf(t *testing.T) {
 	}
 	if got := len(b.Get(0)); got != 0 {
 		t.Errorf("Get(0) len = %d", got)
+	}
+}
+
+// TestSharedBufGetAllocs pins the storm write payload: every write of the
+// xfstests storms takes its buffer from Get, so once the arena holds the
+// buffer's size, Get allocates nothing.
+func TestSharedBufGetAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	b := NewSharedBuf(1 << 16)
+	var n int
+	allocs := testing.AllocsPerRun(200, func() {
+		n += len(b.Get(512)) + len(b.Get(1<<20))
+	})
+	if allocs != 0 {
+		t.Fatalf("SharedBuf.Get allocates %.1f times per two calls, want 0", allocs)
+	}
+	if n == 0 {
+		t.Fatal("Get returned empty slices")
 	}
 }

@@ -16,8 +16,7 @@ import (
 // is a thin adapter over it, and the fuzz harness checks it against an
 // independent reference decoder kept with the tests.
 //
-// Allocation discipline (statically proven via //iocov:hotpath, pinned by
-// TestBatchDecodeSteadyStateAllocs):
+// Allocation discipline (pinned by TestBatchDecodeSteadyStateAllocs):
 //
 //   - varints decode straight out of the block buffer; the refill path
 //     that straddles a buffer boundary is an acknowledged cold path;
@@ -86,8 +85,6 @@ func (d *BatchDecoder) Version() int { return binaryVersion }
 // ReadHeader validates the stream header eagerly (idempotent). The ingest
 // daemon calls it before the decode loop so a missing or foreign header is
 // rejected prior to any event work.
-//
-//iocov:coldpath
 func (d *BatchDecoder) ReadHeader() error {
 	if d.header {
 		return nil
@@ -115,8 +112,6 @@ func (d *BatchDecoder) ReadHeader() error {
 // bytes from the underlying reader, reporting whether it made progress
 // (read at least one new byte). The reader's terminal error is parked in
 // rerr, not returned: buffered bytes are always drained first.
-//
-//iocov:coldpath
 func (d *BatchDecoder) fill() bool {
 	if d.pos > 0 {
 		d.end = copy(d.buf, d.buf[d.pos:d.end])
@@ -145,8 +140,6 @@ func (d *BatchDecoder) fill() bool {
 // eofErr classifies an exhausted stream mid-value: a transport error passes
 // through, a bare EOF becomes ErrUnexpectedEOF (bytes of the current value
 // were already consumed).
-//
-//iocov:coldpath
 func (d *BatchDecoder) eofErr() error {
 	if d.rerr != nil && d.rerr != io.EOF {
 		return d.rerr
@@ -157,8 +150,6 @@ func (d *BatchDecoder) eofErr() error {
 // uvarint decodes one unsigned varint. The fast path requires a maximal
 // varint's worth of buffered bytes, so a single branch guards the direct
 // buffer walk.
-//
-//iocov:hotpath
 func (d *BatchDecoder) uvarint() (uint64, error) {
 	if d.end-d.pos >= binary.MaxVarintLen64 {
 		v, n := binary.Uvarint(d.buf[d.pos:d.end])
@@ -173,8 +164,6 @@ func (d *BatchDecoder) uvarint() (uint64, error) {
 
 // uvarintSlow handles the buffer-boundary and end-of-stream cases: refill
 // until the varint completes, hitting EOF classification when it cannot.
-//
-//iocov:coldpath
 func (d *BatchDecoder) uvarintSlow() (uint64, error) {
 	for {
 		v, n := binary.Uvarint(d.buf[d.pos:d.end])
@@ -198,15 +187,11 @@ func (d *BatchDecoder) uvarintSlow() (uint64, error) {
 }
 
 // overflowErr types an overlong varint as malformed input.
-//
-//iocov:coldpath
 func (d *BatchDecoder) overflowErr() error {
 	return fmt.Errorf("trace: varint overflows 64 bits: %w", ErrMalformed)
 }
 
 // varint decodes one zigzag varint.
-//
-//iocov:hotpath
 func (d *BatchDecoder) varint() (int64, error) {
 	ux, err := d.uvarint()
 	x := int64(ux >> 1)
@@ -220,8 +205,6 @@ func (d *BatchDecoder) varint() (int64, error) {
 // its dictionary ordinal (-1 when the string is a literal past the
 // dictionary cap). The dictionary-hit path — every string after first
 // sight — allocates nothing.
-//
-//iocov:hotpath
 func (d *BatchDecoder) str() (string, int, error) {
 	id, err := d.uvarint()
 	if err != nil {
@@ -238,7 +221,6 @@ func (d *BatchDecoder) str() (string, int, error) {
 	return d.strLiteral()
 }
 
-//iocov:coldpath
 func (d *BatchDecoder) danglingRefErr(id uint64) error {
 	return fmt.Errorf("trace: dangling dictionary reference %d: %w", id, ErrMalformed)
 }
@@ -246,8 +228,6 @@ func (d *BatchDecoder) danglingRefErr(id uint64) error {
 // strLiteral materializes a newly introduced string and interns it in the
 // dictionary (until the cap). Cold by construction: a conforming writer
 // emits each distinct string literally exactly once per stream.
-//
-//iocov:coldpath
 func (d *BatchDecoder) strLiteral() (string, int, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -287,8 +267,6 @@ func (d *BatchDecoder) strLiteral() (string, int, error) {
 // literal past the dictionary cap). io.EOF marks a clean end of stream; any
 // structural failure is ErrMalformed, any truncation io.ErrUnexpectedEOF,
 // and transport errors pass through untouched.
-//
-//iocov:hotpath
 func (d *BatchDecoder) Next(ev *Event) (nameID int, err error) {
 	if !d.header {
 		if err := d.ReadHeader(); err != nil {
@@ -373,22 +351,18 @@ func (d *BatchDecoder) Next(ev *Event) (nameID int, err error) {
 	return nameID, nil
 }
 
-//iocov:coldpath
 func (d *BatchDecoder) pidOverflowErr(pid uint64) error {
 	return fmt.Errorf("trace: pid %d overflows int: %w", pid, ErrMalformed)
 }
 
-//iocov:coldpath
 func (d *BatchDecoder) errnoOverflowErr(errno uint64) error {
 	return fmt.Errorf("trace: errno %d overflows int: %w", errno, ErrMalformed)
 }
 
-//iocov:coldpath
 func (d *BatchDecoder) pairCountErr(kind string, n uint64) error {
 	return fmt.Errorf("trace: unreasonable %s count %d: %w", kind, n, ErrMalformed)
 }
 
-//iocov:coldpath
 func (d *BatchDecoder) repeatedNameErr(kind, name string) error {
 	return fmt.Errorf("trace: repeated %s name %q: %w", kind, name, ErrMalformed)
 }

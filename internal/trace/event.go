@@ -73,8 +73,6 @@ type argSpill struct {
 }
 
 // AddArg records a numeric argument, using inline storage while it lasts.
-//
-//iocov:hotpath
 func (e *Event) AddArg(name string, v int64) {
 	if int(e.nargs) < len(e.iargs) {
 		e.iargs[e.nargs] = argPair{name, v}
@@ -85,8 +83,6 @@ func (e *Event) AddArg(name string, v int64) {
 }
 
 // AddStr records a string argument, using inline storage while it lasts.
-//
-//iocov:hotpath
 func (e *Event) AddStr(name, v string) {
 	if int(e.nstrs) < len(e.istrs) {
 		e.istrs[e.nstrs] = strPair{name, v}
@@ -96,7 +92,6 @@ func (e *Event) AddStr(name, v string) {
 	e.spillStr(strPair{name, v})
 }
 
-//iocov:coldpath
 func (e *Event) spillArg(p argPair) {
 	if e.spill == nil {
 		e.spill = new(argSpill)
@@ -107,7 +102,6 @@ func (e *Event) spillArg(p argPair) {
 	e.spill.args = append(e.spill.args, p)
 }
 
-//iocov:coldpath
 func (e *Event) spillStr(p strPair) {
 	if e.spill == nil {
 		e.spill = new(argSpill)
@@ -119,8 +113,6 @@ func (e *Event) spillStr(p strPair) {
 }
 
 // args returns the numeric arguments in recording order.
-//
-//iocov:hotpath
 func (e *Event) args() []argPair {
 	if e.spill != nil && e.spill.args != nil {
 		return e.spill.args
@@ -129,8 +121,6 @@ func (e *Event) args() []argPair {
 }
 
 // strs returns the string arguments in recording order.
-//
-//iocov:hotpath
 func (e *Event) strs() []strPair {
 	if e.spill != nil && e.spill.strs != nil {
 		return e.spill.strs
@@ -139,8 +129,6 @@ func (e *Event) strs() []strPair {
 }
 
 // Arg returns a numeric argument and whether it was recorded.
-//
-//iocov:hotpath
 func (e *Event) Arg(name string) (int64, bool) {
 	for _, p := range e.args() {
 		if p.name == name {
@@ -151,8 +139,6 @@ func (e *Event) Arg(name string) (int64, bool) {
 }
 
 // Str returns a string argument and whether it was recorded.
-//
-//iocov:hotpath
 func (e *Event) Str(name string) (string, bool) {
 	for _, p := range e.strs() {
 		if p.name == name {
@@ -168,8 +154,6 @@ func (e *Event) Failed() bool { return e.Err != sys.OK }
 // primaryPathArg reconstructs the event's primary path argument from its
 // string arguments in the precedence the kernel layer uses when emitting.
 // The parsers call it to rebuild Path after decoding.
-//
-//iocov:hotpath
 func (e *Event) primaryPathArg() string {
 	for _, k := range pathArgs {
 		if v, ok := e.Str(k); ok {
@@ -261,6 +245,4 @@ type CountingSink struct {
 }
 
 // Emit increments the counter.
-//
-//iocov:hotpath
 func (c *CountingSink) Emit(Event) { c.N++ }

@@ -125,15 +125,11 @@ func (f *Filter) matchMount(path string) bool {
 // Keep decides whether ev belongs to the filesystem under test, updating the
 // reconstructed fd table as a side effect. Events must be offered in trace
 // order.
-//
-//iocov:hotpath
 func (f *Filter) Keep(ev Event) bool { return f.KeepRef(&ev) }
 
 // KeepRef is Keep without the event copy: the batch-decode ingest path
 // offers its reused decode event by pointer. The event is not retained or
 // mutated.
-//
-//iocov:hotpath
 func (f *Filter) KeepRef(ev *Event) bool {
 	keep := f.classify(ev)
 	if keep {
@@ -261,8 +257,6 @@ type FilteringSink struct {
 
 // Emit forwards ev when the filter keeps it, offering it to the filter by
 // pointer so the event is copied only into Next.
-//
-//iocov:hotpath
 func (s *FilteringSink) Emit(ev Event) {
 	if s.F.KeepRef(&ev) {
 		s.Next.Emit(ev)

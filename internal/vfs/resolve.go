@@ -36,8 +36,6 @@ func (fs *FS) validatePath(path string) sys.Errno {
 // resolve walks path starting at base (the process cwd or an openat dirfd
 // directory), enforcing permission, name-length, and symlink-depth rules.
 // It must be called with fs.mu held.
-//
-//iocov:hotpath
 func (fs *FS) resolve(base *Inode, cred Cred, path string, opt resolveOpts) (resolved, sys.Errno) {
 	if e := fs.validatePath(path); e != sys.OK {
 		return resolved{}, e

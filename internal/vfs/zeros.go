@@ -23,8 +23,6 @@ var (
 // read-only: writing through it would corrupt every concurrent user of the
 // arena, so it may serve only as a write-side payload (write, pwrite64,
 // setxattr values), which the kernel copies before it returns.
-//
-//iocov:hotpath
 func Zeros(n int) []byte {
 	if p := zeroArena.Load(); p != nil && len(*p) >= n {
 		return (*p)[:n:n]
@@ -33,8 +31,6 @@ func Zeros(n int) []byte {
 }
 
 // growZeros installs an arena of at least n bytes and returns n of them.
-//
-//iocov:coldpath
 func growZeros(n int) []byte {
 	zeroArenaGrow.Lock()
 	defer zeroArenaGrow.Unlock()
