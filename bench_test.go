@@ -366,6 +366,28 @@ func BenchmarkProfileRunParallel(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }
 
+// BenchmarkSnapshotRender measures the report layer alone: Snapshot(0)
+// then WriteJSON of one xfstests analyzer (the `iocov run -json` render,
+// on the run BenchmarkProfileRunParallel's first iteration makes), into a
+// buffer already grown to the render's size. The allocations reported
+// are the render's.
+func BenchmarkSnapshotRender(b *testing.B) {
+	an, err := harness.RunParallel(harness.SuiteXfstests, 0.002, 1000, 2, coverage.DefaultOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := an.Snapshot(0).WriteJSON(&buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(buf.Len()), "bytes")
+}
+
 // BenchmarkAnalyzerMerge measures the merge step in isolation: combining
 // two analyzers that each absorbed half of a suite's event stream.
 func BenchmarkAnalyzerMerge(b *testing.B) {

@@ -5,6 +5,7 @@ import (
 
 	"iocov/internal/raceflag"
 	"iocov/internal/sys"
+	"iocov/internal/sysspec"
 	"iocov/internal/trace"
 )
 
@@ -67,5 +68,39 @@ func TestAddSteadyStateAllocs(t *testing.T) {
 	n := testing.AllocsPerRun(200, events)
 	if n != 0 {
 		t.Fatalf("steady-state Add allocates %.1f times per 7 events, want 0", n)
+	}
+}
+
+// TestSnapshotAllocs pins the render's allocations to a fixed number,
+// whatever the number of spaces: the snapshot, its scratch of space
+// sources, its two pools, one backing array of counts, one of untested
+// labels, and the open-combination maps. seedAnalyzer has a few spaces;
+// the wide analyzer has every space of the standard table.
+func TestSnapshotAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("alloc counts are unreliable under -race")
+	}
+	wide := seedAnalyzer()
+	for _, base := range wide.table.Bases() {
+		ev := trace.Event{Name: base, PID: 1}
+		for _, arg := range wide.table.Spec(base).Args {
+			if arg.Class != sysspec.Identifier {
+				ev.AddArg(arg.Key, 1)
+			}
+		}
+		wide.Add(ev)
+	}
+	small := seedAnalyzer()
+	counts := make([]float64, 2)
+	for i, an := range []*Analyzer{small, wide} {
+		counts[i] = testing.AllocsPerRun(100, func() { an.Snapshot(0) })
+	}
+	if n := len(wide.Snapshot(0).Outputs); n != len(wide.table.Bases()) {
+		t.Fatalf("wide analyzer has %d output spaces, want one per syscall", n)
+	}
+	if counts[0] != counts[1] || counts[1] > 11 {
+		t.Fatalf("Snapshot allocates %.1f times for %d spaces and %.1f times for %d, want one fixed count of at most 11",
+			counts[0], len(small.Snapshot(0).Inputs)+len(small.Snapshot(0).Outputs),
+			counts[1], len(wide.Snapshot(0).Inputs)+len(wide.Snapshot(0).Outputs))
 	}
 }

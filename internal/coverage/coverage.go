@@ -8,6 +8,7 @@ package coverage
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,6 +75,10 @@ type Analyzer struct {
 	// a slot only ever holds a copy of one of its entries.
 	slots [dispatchSlots]dispatchSlot
 
+	// names lists, sorted, the syscall names with a counter; a snapshot
+	// walks it instead of sorting the counter maps' keys.
+	names []string
+
 	// freeDense holds zeroed dense counter slices retired by Reset, keyed
 	// by length, so a pooled analyzer's recompile step reuses its previous
 	// life's counter storage instead of allocating it again.
@@ -125,6 +130,7 @@ type argKey struct {
 type argCounter struct {
 	idx    partition.Input
 	labels []string // Domain(), cached once
+	order  []int    // partition.LabelOrder(labels), cached once
 	dense  []int64  // per-ordinal frequencies, indexed like labels
 }
 
@@ -134,7 +140,7 @@ type outputCounter struct {
 	dense []int64 // per-ordinal frequencies, indexed like out.Domain()
 	// extra counts errnos outside the spec's documented universe, which
 	// have no ordinal; reports surface them in their Extra section.
-	extra map[string]int64
+	extra Counts
 }
 
 // identCounter tracks distinct identifier values (future-work extension).
@@ -191,14 +197,15 @@ var (
 	// pointers are themselves process-wide statics from sysspec).
 	outputIndexers sync.Map // *sysspec.Spec -> *partition.OutputIndexer
 
-	// schemeIndexers caches the per-scheme indexer and its label domain,
-	// built once.
+	// schemeIndexers caches the per-scheme indexer, its label domain and
+	// the domain's label order, built once.
 	schemeIndexers sync.Map // scheme string -> schemeIndexer
 )
 
 type schemeIndexer struct {
 	idx    partition.Input
 	labels []string
+	order  []int
 }
 
 func sharedTable(extended bool) *sysspec.Table {
@@ -223,7 +230,8 @@ func sharedSchemeIndexer(scheme string) schemeIndexer {
 		return si.(schemeIndexer)
 	}
 	idx := partition.ForScheme(scheme)
-	si, _ := schemeIndexers.LoadOrStore(scheme, schemeIndexer{idx: idx, labels: idx.Domain()})
+	labels := idx.Domain()
+	si, _ := schemeIndexers.LoadOrStore(scheme, schemeIndexer{idx: idx, labels: labels, order: partition.LabelOrder(labels)})
 	return si.(schemeIndexer)
 }
 
@@ -357,10 +365,7 @@ func (a *Analyzer) addCompiled(e *compiledEntry, ev *trace.Event) {
 // kernel emits, so reaching here means a foreign trace — and Errno.Name can
 // format, so the hot path must not inline it.
 func (oc *outputCounter) addExtra(ev *trace.Event) {
-	if oc.extra == nil {
-		oc.extra = make(map[string]int64)
-	}
-	oc.extra[ev.Err.Name()]++
+	*oc.extra.at(ev.Err.Name())++
 }
 
 // compile resolves everything Add needs for one raw syscall name and caches
@@ -412,10 +417,18 @@ func (a *Analyzer) inputFor(name string, arg *sysspec.ArgSpec) *argCounter {
 	c := a.inputs[k]
 	if c == nil {
 		si := sharedSchemeIndexer(arg.Scheme)
-		c = &argCounter{idx: si.idx, labels: si.labels, dense: a.denseFor(len(si.labels))}
+		c = &argCounter{idx: si.idx, labels: si.labels, order: si.order, dense: a.denseFor(len(si.labels))}
 		a.inputs[k] = c
+		a.addName(name)
 	}
 	return c
+}
+
+// addName records that name has a counter, keeping names sorted.
+func (a *Analyzer) addName(name string) {
+	if i, found := slices.BinarySearch(a.names, name); !found {
+		a.names = slices.Insert(a.names, i, name)
+	}
 }
 
 // denseFor returns a zeroed dense counter slice of the given length,
@@ -436,6 +449,7 @@ func (a *Analyzer) outputFor(name string, spec *sysspec.Spec) *outputCounter {
 		out := sharedOutputIndexer(spec)
 		oc = &outputCounter{out: out, dense: a.denseFor(len(out.Domain()))}
 		a.outputs[name] = oc
+		a.addName(name)
 	}
 	return oc
 }
@@ -533,8 +547,8 @@ func (a *Analyzer) PartitionHits() map[string]int64 {
 		for _, n := range c.dense {
 			out[name] += n
 		}
-		for _, n := range c.extra {
-			out[name] += n
+		for _, r := range c.extra {
+			out[name] += r.Count
 		}
 	}
 	return out
@@ -561,17 +575,5 @@ func (a *Analyzer) IdentifierCardinality(syscall, arg string) int64 {
 
 // Syscalls returns the syscall names with any recorded coverage, sorted.
 func (a *Analyzer) Syscalls() []string {
-	seen := make(map[string]bool)
-	for k := range a.inputs {
-		seen[k.syscall] = true
-	}
-	for name := range a.outputs {
-		seen[name] = true
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return append(make([]string, 0, len(a.names)), a.names...)
 }

@@ -41,8 +41,9 @@ func (a *Analyzer) Merge(b *Analyzer) error {
 	for k, bc := range b.inputs {
 		ac := a.inputs[k]
 		if ac == nil {
-			ac = &argCounter{idx: bc.idx, labels: bc.labels, dense: a.denseFor(len(bc.dense))}
+			ac = &argCounter{idx: bc.idx, labels: bc.labels, order: bc.order, dense: a.denseFor(len(bc.dense))}
 			a.inputs[k] = ac
+			a.addName(k.syscall)
 		}
 		for ord, n := range bc.dense {
 			ac.dense[ord] += n
@@ -54,15 +55,13 @@ func (a *Analyzer) Merge(b *Analyzer) error {
 		if ac == nil {
 			ac = &outputCounter{out: bc.out, dense: a.denseFor(len(bc.dense))}
 			a.outputs[name] = ac
+			a.addName(name)
 		}
 		for ord, n := range bc.dense {
 			ac.dense[ord] += n
 		}
-		for label, n := range bc.extra {
-			if ac.extra == nil {
-				ac.extra = make(map[string]int64, len(bc.extra))
-			}
-			ac.extra[label] += n
+		if len(bc.extra) > 0 {
+			ac.extra = mergeCounts(ac.extra, bc.extra)
 		}
 	}
 

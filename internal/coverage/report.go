@@ -1,5 +1,10 @@
 package coverage
 
+import (
+	"math"
+	"slices"
+)
+
 // Row is one partition's frequency in a report.
 type Row struct {
 	Label string
@@ -134,15 +139,12 @@ func (a *Analyzer) OutputReport(syscall string) *Report {
 	return buildReport(syscall, "", c.out.Domain(), c.dense, c.extra)
 }
 
-// buildReport reads one space's dense counters, in domain order, and its
-// extra counts, in label order.
-func buildReport(syscall, arg string, domain []string, dense []int64, extra map[string]int64) *Report {
-	r := &Report{Syscall: syscall, Arg: arg, Rows: make([]Row, len(domain))}
+// buildReport reads one space's dense counters, in domain order, and
+// copies its extra counts, in label order.
+func buildReport(syscall, arg string, domain []string, dense []int64, extra Counts) *Report {
+	r := &Report{Syscall: syscall, Arg: arg, Rows: make([]Row, len(domain)), Extra: slices.Clone(extra)}
 	for ord, label := range domain {
 		r.Rows[ord] = Row{Label: label, Count: dense[ord]}
-	}
-	for _, label := range sortedKeys(extra) {
-		r.Extra = append(r.Extra, Row{Label: label, Count: extra[label]})
 	}
 	return r
 }
@@ -214,42 +216,35 @@ type UntestedSummary struct {
 	Labels  []string
 }
 
-// Untested produces the untested-partition summary across every tracked
-// space, in deterministic order.
+// UntestedAll produces the untested-partition summary across every tracked
+// space, in deterministic order: the Untested lists of the snapshot with
+// the same window (maxNumeric <= 0 shows every partition).
 func (a *Analyzer) UntestedAll(maxNumeric int) []UntestedSummary {
+	w := window(maxNumeric)
+	if maxNumeric <= 0 {
+		w = math.MaxInt
+	}
+	s := a.snapshot(w)
 	var out []UntestedSummary
-	for _, name := range a.Syscalls() {
-		spec := a.table.Spec(baseOf(a, name))
-		if spec == nil {
-			continue
+	add := func(sp *SnapshotSpace) {
+		if len(sp.Untested) > 0 {
+			out = append(out, UntestedSummary{Syscall: sp.Syscall, Arg: sp.Arg, Labels: sp.Untested})
 		}
-		for _, arg := range spec.TrackedArgs() {
-			rep := a.InputReport(name, arg.Name)
-			if rep == nil {
-				continue
-			}
-			labels := trimNumericDomain(rep, maxNumeric).Untested()
-			if len(labels) > 0 {
-				out = append(out, UntestedSummary{Syscall: name, Arg: arg.Name, Labels: labels})
-			}
+	}
+	// Both pools are in syscall order; each syscall's inputs precede its
+	// output.
+	in := s.Inputs
+	for i := range s.Outputs {
+		for len(in) > 0 && in[0].Syscall <= s.Outputs[i].Syscall {
+			add(&in[0])
+			in = in[1:]
 		}
-		if rep := a.OutputReport(name); rep != nil {
-			labels := trimNumericDomain(rep, maxNumeric).Untested()
-			if len(labels) > 0 {
-				out = append(out, UntestedSummary{Syscall: name, Labels: labels})
-			}
-		}
+		add(&s.Outputs[i])
+	}
+	for i := range in {
+		add(&in[i])
 	}
 	return out
-}
-
-func trimNumericDomain(r *Report, maxRows int) *Report {
-	if maxRows > 0 && len(r.Rows) > maxRows {
-		out := *r
-		out.Rows = r.Rows[:maxRows]
-		return &out
-	}
-	return r
 }
 
 // baseOf maps an analyzer syscall name back to its base spec name (identity

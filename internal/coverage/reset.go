@@ -22,6 +22,7 @@ func (a *Analyzer) Reset() {
 		a.freeDense[len(c.dense)] = append(a.freeDense[len(c.dense)], c.dense)
 	}
 	clear(a.outputs)
+	a.names = a.names[:0]
 	clear(a.idents)
 	a.combos = comboCounts{}
 	clear(a.bitCombos)

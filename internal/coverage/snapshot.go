@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"iocov/internal/sysspec"
 )
@@ -28,14 +27,14 @@ type Snapshot struct {
 // SnapshotSpace is one coverage space: its identity, domain size, covered
 // count, per-partition frequencies, and untested partitions.
 type SnapshotSpace struct {
-	Syscall  string           `json:"syscall"`
-	Arg      string           `json:"arg,omitempty"`
-	Class    string           `json:"class,omitempty"`
-	Domain   int              `json:"domain"`
-	Covered  int              `json:"covered"`
-	Counts   map[string]int64 `json:"counts"`
-	Untested []string         `json:"untested,omitempty"`
-	Extra    map[string]int64 `json:"extra,omitempty"`
+	Syscall  string   `json:"syscall"`
+	Arg      string   `json:"arg,omitempty"`
+	Class    string   `json:"class,omitempty"`
+	Domain   int      `json:"domain"`
+	Covered  int      `json:"covered"`
+	Counts   Counts   `json:"counts"`
+	Untested []string `json:"untested,omitempty"`
+	Extra    Counts   `json:"extra,omitempty"`
 }
 
 // SnapshotCombos serializes the flag-combination statistics.
@@ -44,65 +43,126 @@ type SnapshotCombos struct {
 	Rdonly map[int]int64 `json:"rdonly"`
 }
 
-// Snapshot builds the serializable view. Numeric domains are truncated to
-// maxNumeric partitions (0 means 34, the Figure 3 window).
+// Snapshot builds the serializable view. A domain longer than maxNumeric
+// partitions shows only its first maxNumeric (0 means 34, the Figure 3
+// window).
 func (a *Analyzer) Snapshot(maxNumeric int) *Snapshot {
 	if maxNumeric <= 0 {
 		maxNumeric = 34
 	}
+	return a.snapshot(window(maxNumeric))
+}
+
+// window is the Figure 3 window a snapshot applies to every domain: the
+// one predicate deciding which ordinals a space shows. Domain, Covered,
+// Counts and Untested are all derived from the ordinals it shows.
+type window int
+
+// shows reports whether a snapshot shows the partition at ord.
+func (w window) shows(ord int) bool { return ord < int(w) }
+
+// spaceSource is one space of a snapshot being built: its header, and the
+// analyzer state its rows are read from.
+type spaceSource struct {
+	sp     SnapshotSpace // Syscall, Arg, Class, Domain and Covered
+	output bool
+	labels []string // the domain, in ordinal order
+	order  []int    // the domain's ordinals in label order
+	dense  []int64
+	extra  Counts
+}
+
+// snapshot renders the analyzer in two passes over its spaces, in syscall
+// name order and, within a syscall, its inputs in spec order and then its
+// output. The first pass sizes every space; the second fills the counts of
+// all spaces from one backing array, walking each domain's precomputed
+// label order, and the untested labels from another, walking ordinals.
+func (a *Analyzer) snapshot(w window) *Snapshot {
 	s := &Snapshot{Analyzed: a.analyzed, Skipped: a.skipped}
-	for _, name := range a.Syscalls() {
+	srcs := make([]spaceSource, 0, len(a.inputs)+len(a.outputs))
+	for _, name := range a.names {
 		spec := a.table.Spec(baseOf(a, name))
 		if spec == nil {
 			continue
 		}
-		for _, arg := range spec.TrackedArgs() {
-			rep := a.InputReport(name, arg.Name)
-			if rep == nil {
+		for i := range spec.Args {
+			arg := &spec.Args[i]
+			if arg.Class == sysspec.Identifier {
 				continue
 			}
-			rep = trimNumericDomain(rep, maxNumeric)
-			s.Inputs = append(s.Inputs, snapshotSpace(rep, arg.Class.String()))
+			if c := a.inputs[argKey{name, arg.Name}]; c != nil {
+				srcs = append(srcs, spaceSource{
+					sp:     SnapshotSpace{Syscall: name, Arg: arg.Name, Class: arg.Class.String()},
+					labels: c.labels, order: c.order, dense: c.dense,
+				})
+			}
 		}
-		if rep := a.OutputReport(name); rep != nil {
-			rep = trimNumericDomain(rep, maxNumeric)
-			s.Outputs = append(s.Outputs, snapshotSpace(rep, ""))
+		if c := a.outputs[name]; c != nil {
+			srcs = append(srcs, spaceSource{
+				sp:     SnapshotSpace{Syscall: name},
+				output: true, labels: c.out.Domain(), order: c.out.LabelOrder(), dense: c.dense, extra: c.extra,
+			})
+		}
+	}
+	var nIn, nRows, nUntested int
+	for i := range srcs {
+		src := &srcs[i]
+		for ord, n := range src.dense {
+			if w.shows(ord) {
+				src.sp.Domain++
+				if n != 0 {
+					src.sp.Covered++
+				}
+			}
+		}
+		if !src.output {
+			nIn++
+		}
+		nRows += src.sp.Covered + len(src.extra)
+		nUntested += src.sp.Domain - src.sp.Covered
+	}
+	if nIn > 0 {
+		s.Inputs = make([]SnapshotSpace, 0, nIn)
+	}
+	if len(srcs) > nIn {
+		s.Outputs = make([]SnapshotSpace, 0, len(srcs)-nIn)
+	}
+	rows := make(Counts, 0, nRows)
+	untested := make([]string, 0, nUntested)
+	for i := range srcs {
+		src := &srcs[i]
+		sp := src.sp
+		from := len(rows)
+		for _, ord := range src.order {
+			if n := src.dense[ord]; n != 0 && w.shows(ord) {
+				rows = append(rows, Row{Label: src.labels[ord], Count: n})
+			}
+		}
+		sp.Counts = rows[from:len(rows):len(rows)]
+		if len(src.extra) > 0 {
+			from = len(rows)
+			rows = append(rows, src.extra...)
+			sp.Extra = rows[from:len(rows):len(rows)]
+		}
+		if sp.Covered < sp.Domain {
+			from = len(untested)
+			for ord, n := range src.dense {
+				if n == 0 && w.shows(ord) {
+					untested = append(untested, src.labels[ord])
+				}
+			}
+			sp.Untested = untested[from:len(untested):len(untested)]
+		}
+		if src.output {
+			s.Outputs = append(s.Outputs, sp)
+		} else {
+			s.Inputs = append(s.Inputs, sp)
 		}
 	}
 	if c := a.combos.stats(); len(c.All) > 0 {
 		s.OpenCombos = &SnapshotCombos{All: c.All, Rdonly: c.Rdonly}
 	}
 	return s
-}
-
-func snapshotSpace(rep *Report, class string) SnapshotSpace {
-	covered := rep.Covered()
-	sp := SnapshotSpace{
-		Syscall: rep.Syscall,
-		Arg:     rep.Arg,
-		Class:   class,
-		Domain:  rep.DomainSize(),
-		Covered: covered,
-		Counts:  make(map[string]int64, covered),
-	}
-	// One pass fills Counts and Untested (rep.Untested()), each sized once.
-	if n := len(rep.Rows) - covered; n > 0 {
-		sp.Untested = make([]string, 0, n)
-	}
-	for _, row := range rep.Rows {
-		if row.Count != 0 {
-			sp.Counts[row.Label] = row.Count
-		} else {
-			sp.Untested = append(sp.Untested, row.Label)
-		}
-	}
-	if len(rep.Extra) > 0 {
-		sp.Extra = make(map[string]int64, len(rep.Extra))
-		for _, row := range rep.Extra {
-			sp.Extra[row.Label] = row.Count
-		}
-	}
-	return sp
 }
 
 // Restore adds a snapshot's counts to the analyzer's dense counters: the
@@ -132,13 +192,13 @@ func (a *Analyzer) Restore(s *Snapshot) error {
 			return fmt.Errorf("coverage: unknown input space %s.%s, or one with extra partitions", sp.Syscall, sp.Arg)
 		}
 		c := a.inputFor(sp.Syscall, arg)
-		for label, n := range sp.Counts {
+		for _, r := range sp.Counts {
 			var ok bool
-			if ord := slices.Index(c.labels, label); ord >= 0 {
-				c.dense[ord], ok = restoreSum(c.dense[ord], n)
+			if ord := slices.Index(c.labels, r.Label); ord >= 0 {
+				c.dense[ord], ok = restoreSum(c.dense[ord], r.Count)
 			}
 			if !ok {
-				return fmt.Errorf("coverage: %s.%s: bad count %q: %d", sp.Syscall, sp.Arg, label, n)
+				return fmt.Errorf("coverage: %s.%s: bad count %q: %d", sp.Syscall, sp.Arg, r.Label, r.Count)
 			}
 		}
 	}
@@ -149,19 +209,17 @@ func (a *Analyzer) Restore(s *Snapshot) error {
 			return fmt.Errorf("coverage: unknown output space %s", sp.Syscall)
 		}
 		c := a.outputFor(sp.Syscall, spec)
-		for _, counts := range []map[string]int64{sp.Counts, sp.Extra} {
-			for label, n := range counts {
+		for _, counts := range [2]Counts{sp.Counts, sp.Extra} {
+			for _, r := range counts {
 				var ok bool
-				if ord := slices.Index(c.out.Domain(), label); ord >= 0 {
-					c.dense[ord], ok = restoreSum(c.dense[ord], n)
+				if ord := slices.Index(c.out.Domain(), r.Label); ord >= 0 {
+					c.dense[ord], ok = restoreSum(c.dense[ord], r.Count)
 				} else {
-					if c.extra == nil {
-						c.extra = make(map[string]int64)
-					}
-					c.extra[label], ok = restoreSum(c.extra[label], n)
+					n := c.extra.at(r.Label)
+					*n, ok = restoreSum(*n, r.Count)
 				}
 				if !ok {
-					return fmt.Errorf("coverage: %s output: bad count %q: %d", sp.Syscall, label, n)
+					return fmt.Errorf("coverage: %s output: bad count %q: %d", sp.Syscall, r.Label, r.Count)
 				}
 			}
 		}
@@ -232,10 +290,14 @@ func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 
 // Space finds a space by syscall and arg ("" for output), or nil.
 func (s *Snapshot) Space(syscall, arg string) *SnapshotSpace {
-	pool := s.Inputs
 	if arg == "" {
-		pool = s.Outputs
+		return findSpace(s.Outputs, syscall, arg)
 	}
+	return findSpace(s.Inputs, syscall, arg)
+}
+
+// findSpace finds a space of a pool by syscall and arg, or nil.
+func findSpace(pool []SnapshotSpace, syscall, arg string) *SnapshotSpace {
 	for i := range pool {
 		if pool[i].Syscall == syscall && pool[i].Arg == arg {
 			return &pool[i]
@@ -246,27 +308,27 @@ func (s *Snapshot) Space(syscall, arg string) *SnapshotSpace {
 
 // DiffSnapshot reports the partitions covered by s but not by other — the
 // regression-tracking primitive ("this release stopped testing O_SYNC").
+// A partition is covered when its count, in Counts or, for an errno
+// outside the documented universe, in Extra, is non-zero. Each space's
+// labels are listed in sorted order.
 func (s *Snapshot) DiffSnapshot(other *Snapshot) []SnapshotDiff {
 	var out []SnapshotDiff
 	diffPool := func(a, b []SnapshotSpace, isOutput bool) {
 		for i := range a {
 			sp := &a[i]
-			var ob *SnapshotSpace
 			arg := sp.Arg
 			if isOutput {
 				arg = ""
 			}
-			ob = (&Snapshot{Inputs: b, Outputs: b}).Space(sp.Syscall, arg)
+			ob := findSpace(b, sp.Syscall, arg)
 			var lost []string
-			for label := range sp.Counts {
-				if ob == nil || ob.Counts[label] == 0 {
-					lost = append(lost, label)
+			for _, r := range mergeCounts(sp.Counts, sp.Extra) {
+				if r.Count != 0 && (ob == nil || !ob.covers(r.Label)) {
+					lost = append(lost, r.Label)
 				}
 			}
 			if len(lost) > 0 {
-				out = append(out, SnapshotDiff{
-					Syscall: sp.Syscall, Arg: sp.Arg, OnlyInFirst: sortedCopy(lost),
-				})
+				out = append(out, SnapshotDiff{Syscall: sp.Syscall, Arg: sp.Arg, OnlyInFirst: lost})
 			}
 		}
 	}
@@ -275,15 +337,14 @@ func (s *Snapshot) DiffSnapshot(other *Snapshot) []SnapshotDiff {
 	return out
 }
 
+// covers reports whether the space counts label, in Counts or in Extra.
+func (sp *SnapshotSpace) covers(label string) bool {
+	return sp.Counts.Get(label) != 0 || sp.Extra.Get(label) != 0
+}
+
 // SnapshotDiff lists partitions one snapshot covers that the other misses.
 type SnapshotDiff struct {
 	Syscall     string   `json:"syscall"`
 	Arg         string   `json:"arg,omitempty"`
 	OnlyInFirst []string `json:"only_in_first"`
-}
-
-func sortedCopy(in []string) []string {
-	out := append([]string(nil), in...)
-	sort.Strings(out)
-	return out
 }

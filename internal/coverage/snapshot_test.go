@@ -2,8 +2,11 @@ package coverage
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 
 	"iocov/internal/partition"
@@ -29,14 +32,14 @@ func TestSnapshotContents(t *testing.T) {
 	if flags == nil {
 		t.Fatal("open.flags space missing")
 	}
-	if flags.Counts["O_CREAT"] != 1 || flags.Counts["O_RDONLY"] != 1 {
+	if flags.Counts.Get("O_CREAT") != 1 || flags.Counts.Get("O_RDONLY") != 1 {
 		t.Errorf("flag counts = %v", flags.Counts)
 	}
 	if flags.Covered != 3 || flags.Domain != 21 {
 		t.Errorf("covered/domain = %d/%d", flags.Covered, flags.Domain)
 	}
 	out := s.Space("open", "")
-	if out == nil || out.Counts["ENOENT"] != 1 || out.Counts["OK"] != 1 {
+	if out == nil || out.Counts.Get("ENOENT") != 1 || out.Counts.Get("OK") != 1 {
 		t.Errorf("open outputs = %+v", out)
 	}
 	if s.OpenCombos == nil || s.OpenCombos.All[2] != 1 || s.OpenCombos.All[1] != 1 {
@@ -44,7 +47,7 @@ func TestSnapshotContents(t *testing.T) {
 	}
 	// Zero-count partitions are omitted from Counts but present in the
 	// untested list.
-	if _, ok := flags.Counts["O_SYNC"]; ok {
+	if _, ok := flags.Counts.search("O_SYNC"); ok {
 		t.Error("zero count serialized")
 	}
 	found := false
@@ -71,7 +74,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if back.Analyzed != s.Analyzed || len(back.Inputs) != len(s.Inputs) || len(back.Outputs) != len(s.Outputs) {
 		t.Errorf("round trip changed shape: %+v", back)
 	}
-	if back.Space("open", "flags").Counts["O_CREAT"] != 1 {
+	if back.Space("open", "flags").Counts.Get("O_CREAT") != 1 {
 		t.Error("counts lost in round trip")
 	}
 }
@@ -191,6 +194,94 @@ func TestRestoreRejectsCorrupt(t *testing.T) {
 		}
 		if err := NewAnalyzer(DefaultOptions()).Restore(snap); err == nil {
 			t.Errorf("Restore accepted %s", body)
+		}
+	}
+}
+
+// TestSnapshotDiffZeroAndExtra: a zero count is not coverage, so a loaded
+// snapshot's explicit zero is never reported lost; and an errno outside
+// the documented universe, which a snapshot keeps in Extra, is coverage a
+// diff reports lost and sees kept, in either section of the other space.
+func TestSnapshotDiffZeroAndExtra(t *testing.T) {
+	load := func(body string) *Snapshot {
+		t.Helper()
+		s, err := LoadSnapshot(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("LoadSnapshot(%s): %v", body, err)
+		}
+		return s
+	}
+	zero := load(`{"inputs":[{"syscall":"open","arg":"flags","counts":{"O_SYNC":0,"O_CREAT":1}}],
+		"outputs":[{"syscall":"write","counts":{"OK":0},"extra":{"EACCES":0}}]}`)
+	if d := zero.DiffSnapshot(&Snapshot{}); !reflect.DeepEqual(d, []SnapshotDiff{{Syscall: "open", Arg: "flags", OnlyInFirst: []string{"O_CREAT"}}}) {
+		t.Errorf("zero counts diffed against an empty snapshot: %+v, want only O_CREAT lost", d)
+	}
+
+	undocumented := NewAnalyzer(DefaultOptions())
+	undocumented.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES))
+	documented := NewAnalyzer(DefaultOptions())
+	documented.Add(writeEvent(8, 8, sys.OK))
+	lost := undocumented.Snapshot(0).DiffSnapshot(documented.Snapshot(0))
+	if want := []SnapshotDiff{{Syscall: "write", OnlyInFirst: []string{"EACCES"}}}; !reflect.DeepEqual(lost, want) {
+		t.Errorf("lost extra errno: %+v, want %+v", lost, want)
+	}
+	documented.Add(writeEvent(8, -int64(sys.EACCES), sys.EACCES))
+	if d := undocumented.Snapshot(0).DiffSnapshot(documented.Snapshot(0)); len(d) != 0 {
+		t.Errorf("extra errno kept in Extra reported lost: %+v", d)
+	}
+	inCounts := load(`{"inputs":[{"syscall":"write","arg":"count","counts":{"2^3":1}}],
+		"outputs":[{"syscall":"write","counts":{"EACCES":4}}]}`)
+	if d := undocumented.Snapshot(0).DiffSnapshot(inCounts); len(d) != 0 {
+		t.Errorf("extra errno kept in Counts reported lost: %+v", d)
+	}
+	if d := inCounts.DiffSnapshot(undocumented.Snapshot(0)); len(d) != 0 {
+		t.Errorf("errno kept in Extra reported lost: %+v", d)
+	}
+}
+
+// TestLoadSnapshotCounts: the counts of a loaded snapshot read like
+// encoding/json's map[string]int64, the oracle (the last of duplicate keys
+// wins, invalid UTF-8 becomes U+FFFD, null is nil and {} is empty), and
+// come out as rows sorted by label, whatever order the keys came in.
+func TestLoadSnapshotCounts(t *testing.T) {
+	body := `{"inputs":[
+		{"syscall":"open","arg":"flags","counts":{"O_WRONLY":1,"O_CREAT":2,"O_WRONLY":3,"INVALID":4}},
+		{"syscall":"open","arg":"mode","counts":null},
+		{"syscall":"lseek","arg":"whence","counts":{}},
+		{"syscall":"lseek","arg":"offset"}],
+	"outputs":[{"syscall":"write","counts":{"OK:2^3":1,"OK:2^10":2},"extra":{"EACCES":1,"E2BIG":2,"EACCES":5}}]}`
+	body = strings.Replace(body, "INVALID", "\xff", 1)
+	s, err := LoadSnapshot(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m mirrorSnapshot
+	if err := json.Unmarshal([]byte(body), &m); err != nil {
+		t.Fatal(err)
+	}
+	for i, pool := range [2][]SnapshotSpace{s.Inputs, s.Outputs} {
+		mpool := [2][]mirrorSpace{m.Inputs, m.Outputs}[i]
+		for j, sp := range pool {
+			for _, c := range []struct {
+				got  Counts
+				want map[string]int64
+			}{{sp.Counts, mpool[j].Counts}, {sp.Extra, mpool[j].Extra}} {
+				if want := rowsOf(c.want); !reflect.DeepEqual(c.got, want) {
+					t.Errorf("%s.%s: rows %#v, encoding/json's map gives %#v", sp.Syscall, sp.Arg, c.got, want)
+				}
+			}
+		}
+	}
+	if got := s.Inputs[0].Counts; !reflect.DeepEqual(got, Counts{{"O_CREAT", 2}, {"O_WRONLY", 3}, {"�", 4}}) {
+		t.Errorf("duplicate and unsorted keys: %v", got)
+	}
+	if s.Inputs[1].Counts != nil || s.Inputs[2].Counts == nil || len(s.Inputs[2].Counts) != 0 || s.Inputs[3].Counts != nil {
+		t.Errorf("null, {} and absent counts: %#v, %#v, %#v", s.Inputs[1].Counts, s.Inputs[2].Counts, s.Inputs[3].Counts)
+	}
+	checkAgainstOracle(t, s)
+	for _, bad := range []string{`{"inputs":[{"counts":[1]}]}`, `{"inputs":[{"counts":{"a":1.5}}]}`, `{"outputs":[{"extra":"x"}]}`} {
+		if _, err := LoadSnapshot(strings.NewReader(bad)); err == nil {
+			t.Errorf("LoadSnapshot accepted %s", bad)
 		}
 	}
 }

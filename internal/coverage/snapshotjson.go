@@ -5,17 +5,17 @@ import (
 	"io"
 	"slices"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 )
 
 // WriteJSON serializes the snapshot as indented JSON. The bytes are exactly
 // what encoding/json's Encoder with SetIndent("", "  ") writes for the
-// value, trailing newline included; the tests keep that encoder as the
-// oracle. The fixed schema is appended into one buffer, which is written
-// with one Write. A *bytes.Buffer is appended to in place.
+// value with each Counts held as a map[string]int64, trailing newline
+// included; the tests keep that encoder as the oracle. The fixed schema is
+// appended into one buffer, which is written with one Write. A
+// *bytes.Buffer is appended to in place.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
-	est, maxKeys := s.jsonSize()
+	est := s.jsonSize()
 	var buf []byte
 	if bb, ok := w.(*bytes.Buffer); ok {
 		bb.Grow(est)
@@ -23,46 +23,36 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	} else {
 		buf = make([]byte, 0, est)
 	}
-	sw := snapshotWriter{b: buf, pairs: make([]labelCount, 0, maxKeys)}
+	sw := snapshotWriter{b: buf}
 	sw.snapshot(s)
 	_, err := w.Write(sw.b)
 	return err
 }
 
-// jsonSize estimates the indented encoding's length, and returns the size
-// of the largest string-keyed map, so that the buffer and the key scratch
-// are sized once. The per-space and per-entry sizes slightly overshoot
-// the suites' snapshots (about 19 KB estimated for 15.4 KB written); an
+// jsonSize estimates the indented encoding's length, so that the buffer is
+// sized once. The per-space and per-entry sizes slightly overshoot the
+// suites' snapshots (about 19 KB estimated for 15.4 KB written); an
 // undershoot only costs the buffer one more growth.
-func (s *Snapshot) jsonSize() (est, maxKeys int) {
-	est = 128
+func (s *Snapshot) jsonSize() int {
+	est := 128
 	if s == nil {
-		return est, 0
+		return est
 	}
 	for _, pool := range [2][]SnapshotSpace{s.Inputs, s.Outputs} {
 		for i := range pool {
 			sp := &pool[i]
-			n := len(sp.Counts) + len(sp.Extra) + len(sp.Untested)
-			est += 160 + 24*n
-			maxKeys = max(maxKeys, len(sp.Counts), len(sp.Extra))
+			est += 160 + 24*(len(sp.Counts)+len(sp.Extra)+len(sp.Untested))
 		}
 	}
 	if c := s.OpenCombos; c != nil {
 		est += 64 + 24*(len(c.All)+len(c.Rdonly))
 	}
-	return est, maxKeys
+	return est
 }
 
-// snapshotWriter appends a snapshot's JSON to b; pairs is the scratch a
-// label-keyed map is sorted in.
+// snapshotWriter appends a snapshot's JSON to b.
 type snapshotWriter struct {
-	b     []byte
-	pairs []labelCount
-}
-
-type labelCount struct {
-	label string
-	n     int64
+	b []byte
 }
 
 // indents holds a newline and the indentation of the deepest line, four
@@ -152,7 +142,7 @@ func (w *snapshotWriter) space(sp *SnapshotSpace) {
 	w.field(3, false, "covered")
 	w.b = strconv.AppendInt(w.b, int64(sp.Covered), 10)
 	w.field(3, false, "counts")
-	w.stringMap(sp.Counts, 3)
+	w.counts(sp.Counts, 3)
 	if len(sp.Untested) > 0 {
 		w.field(3, false, "untested")
 		w.b = append(w.b, '[')
@@ -168,40 +158,35 @@ func (w *snapshotWriter) space(sp *SnapshotSpace) {
 	}
 	if len(sp.Extra) > 0 {
 		w.field(3, false, "extra")
-		w.stringMap(sp.Extra, 3)
+		w.counts(sp.Extra, 3)
 	}
 	w.nl(2)
 	w.b = append(w.b, '}')
 }
 
-// stringMap writes a label-keyed map at depth, its keys in sorted order.
-func (w *snapshotWriter) stringMap(m map[string]int64, depth int) {
+// counts writes a space's rows at depth as one object, in slice order:
+// the rows are already sorted by label.
+func (w *snapshotWriter) counts(c Counts, depth int) {
 	switch {
-	case m == nil:
+	case c == nil:
 		w.b = append(w.b, "null"...)
 		return
-	case len(m) == 0:
+	case len(c) == 0:
 		w.b = append(w.b, "{}"...)
 		return
 	}
-	pairs := w.pairs[:0]
-	for k, n := range m {
-		pairs = append(pairs, labelCount{k, n})
-	}
-	slices.SortFunc(pairs, func(x, y labelCount) int { return strings.Compare(x.label, y.label) })
 	w.b = append(w.b, '{')
-	for i, p := range pairs {
+	for i, r := range c {
 		if i > 0 {
 			w.b = append(w.b, ',')
 		}
 		w.nl(depth + 1)
-		w.b = appendJSONString(w.b, p.label)
+		w.b = appendJSONString(w.b, r.Label)
 		w.b = append(w.b, ": "...)
-		w.b = strconv.AppendInt(w.b, p.n, 10)
+		w.b = strconv.AppendInt(w.b, r.Count, 10)
 	}
 	w.nl(depth)
 	w.b = append(w.b, '}')
-	w.pairs = pairs[:0]
 }
 
 // intMap writes an int-keyed map at depth. encoding/json writes each key

@@ -122,48 +122,30 @@ func combineSpace(x, y *SnapshotSpace) SnapshotSpace {
 		Arg:     x.Arg,
 		Class:   x.Class,
 		Domain:  x.Domain,
-		Counts:  make(map[string]int64, len(x.Counts)+len(y.Counts)),
-	}
-	for label, n := range x.Counts {
-		out.Counts[label] += n
-	}
-	for label, n := range y.Counts {
-		out.Counts[label] += n
+		Counts:  mergeCounts(x.Counts, y.Counts),
 	}
 	// A partition is untested in the merge iff neither side counted it.
 	// x.Untested is already in domain order, so filtering it keeps the
 	// canonical ordering without access to the domain itself.
 	for _, label := range x.Untested {
-		if out.Counts[label] == 0 {
+		if out.Counts.Get(label) == 0 {
 			out.Untested = append(out.Untested, label)
 		}
 	}
 	out.Covered = out.Domain - len(out.Untested)
 	if len(x.Extra)+len(y.Extra) > 0 {
-		out.Extra = make(map[string]int64, len(x.Extra)+len(y.Extra))
-		for label, n := range x.Extra {
-			out.Extra[label] += n
-		}
-		for label, n := range y.Extra {
-			out.Extra[label] += n
-		}
+		out.Extra = mergeCounts(x.Extra, y.Extra)
 	}
 	return out
 }
 
-// cloneSpace deep-copies one space so merges never alias the inputs' maps.
+// cloneSpace deep-copies one space so merges never alias the inputs' rows.
 func cloneSpace(sp *SnapshotSpace) SnapshotSpace {
 	out := *sp
-	out.Counts = make(map[string]int64, len(sp.Counts))
-	for label, n := range sp.Counts {
-		out.Counts[label] = n
-	}
+	out.Counts = mergeCounts(sp.Counts, nil)
 	out.Untested = append([]string(nil), sp.Untested...)
 	if len(sp.Extra) > 0 {
-		out.Extra = make(map[string]int64, len(sp.Extra))
-		for label, n := range sp.Extra {
-			out.Extra[label] = n
-		}
+		out.Extra = mergeCounts(sp.Extra, nil)
 	}
 	return out
 }

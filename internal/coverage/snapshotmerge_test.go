@@ -81,11 +81,11 @@ func TestMergeSnapshotsDoesNotAlias(t *testing.T) {
 	snapA := a.Snapshot(0)
 	merged := MergeSnapshots(snapA, nil)
 	for i := range merged.Inputs {
-		for label := range merged.Inputs[i].Counts {
-			merged.Inputs[i].Counts[label] += 100
+		for j := range merged.Inputs[i].Counts {
+			merged.Inputs[i].Counts[j].Count += 100
 		}
 	}
-	if snapA.Inputs[0].Counts["O_RDONLY"] != 1 {
+	if snapA.Inputs[0].Counts.Get("O_RDONLY") != 1 {
 		t.Errorf("merge aliased input snapshot: %v", snapA.Inputs[0].Counts)
 	}
 }

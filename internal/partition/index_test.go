@@ -163,3 +163,39 @@ func TestNumericValue(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelOrder checks every input scheme's and every output space's
+// label order: a permutation of the domain's ordinals whose labels strictly
+// ascend, so a snapshot that walks it lists each label once, in the order
+// encoding/json sorts a map's keys.
+func TestLabelOrder(t *testing.T) {
+	check := func(name string, domain []string, order []int) {
+		t.Helper()
+		if len(order) != len(domain) {
+			t.Fatalf("%s: order has %d ordinals, domain %d labels", name, len(order), len(domain))
+		}
+		seen := make([]bool, len(domain))
+		for i, ord := range order {
+			if ord < 0 || ord >= len(domain) || seen[ord] {
+				t.Fatalf("%s: order %v is not a permutation of the ordinals", name, order)
+			}
+			seen[ord] = true
+			if i > 0 && strings.Compare(domain[order[i-1]], domain[ord]) >= 0 {
+				t.Fatalf("%s: label %q does not follow %q", name, domain[ord], domain[order[i-1]])
+			}
+		}
+	}
+	for _, scheme := range []string{
+		sysspec.SchemeOpenFlags, sysspec.SchemeModeBits, sysspec.SchemeBytes,
+		sysspec.SchemeOffset, sysspec.SchemeWhence, sysspec.SchemeXattrFlags,
+	} {
+		domain := ForScheme(scheme).Domain()
+		check(scheme, domain, LabelOrder(domain))
+	}
+	tbl := sysspec.NewExtendedTable()
+	for _, base := range tbl.Bases() {
+		x := NewOutputIndexer(tbl.Spec(base))
+		check(base+" output", x.Domain(), x.LabelOrder())
+	}
+	check("empty", nil, LabelOrder(nil))
+}

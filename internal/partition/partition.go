@@ -19,6 +19,7 @@ package partition
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -324,6 +325,20 @@ func (xattrFlagsScheme) PartitionIndices(v int64, scratch []int) []int {
 	}
 }
 
+// LabelOrder returns the ordinals of a domain sorted by label under
+// strings.Compare, the order encoding/json gives a map's keys. Reports list
+// a domain in ordinal order; a snapshot's counts list it in this order, so
+// a render walks the domain once in either order without sorting. Callers
+// compute it once per domain, not per render.
+func LabelOrder(domain []string) []int {
+	order := make([]int, len(domain))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(x, y int) int { return strings.Compare(domain[x], domain[y]) })
+	return order
+}
+
 // OutputDomain returns the canonical output partitions for a spec: the
 // success partitions followed by one per documented errno. On failure the
 // partition is the errno name; on success it is "OK", refined to "OK:2^k"
@@ -354,6 +369,7 @@ type OutputIndexer struct {
 	success int // number of leading success ordinals in the domain
 	errno   map[sys.Errno]int
 	domain  []string
+	order   []int // LabelOrder(domain)
 }
 
 // NewOutputIndexer compiles the output domain of spec.
@@ -367,6 +383,7 @@ func NewOutputIndexer(spec *sysspec.Spec) *OutputIndexer {
 	for i, e := range spec.Errnos {
 		x.errno[e] = x.success + i
 	}
+	x.order = LabelOrder(x.domain)
 	return x
 }
 
@@ -387,6 +404,10 @@ func (x *OutputIndexer) Index(retVal int64, err sys.Errno) (idx int, ok bool) {
 // Domain returns the compiled output domain (identical to
 // OutputDomain(spec)).
 func (x *OutputIndexer) Domain() []string { return x.domain }
+
+// LabelOrder returns the domain's ordinals sorted by label, computed once
+// at construction (see the function LabelOrder).
+func (x *OutputIndexer) LabelOrder() []int { return x.order }
 
 // SuccessOrdinals returns how many leading domain ordinals are success
 // partitions; everything at or beyond it is an errno partition.

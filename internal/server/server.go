@@ -445,15 +445,15 @@ func (s *Server) handleTCD(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	freqs := make([]int64, 0, len(space.Counts)+len(space.Untested))
-	for _, n := range space.Counts {
-		freqs = append(freqs, n)
+	for _, r := range space.Counts {
+		freqs = append(freqs, r.Count)
 	}
 	for range space.Untested {
 		freqs = append(freqs, 0)
 	}
-	// Counts is a map, so its order changes between identical requests;
-	// summing the squared deviations in sorted order keeps the float result
-	// the same to the last bit.
+	// The squared deviations are summed in sorted order, so the float
+	// result depends on the frequencies alone, not on the order of their
+	// labels.
 	slices.Sort(freqs)
 	counts := iometrics.ClassifyAll(freqs, target, 10)
 	writeJSON(w, TCDResult{

@@ -622,8 +622,8 @@ func TestTCDDeterministic(t *testing.T) {
 	}
 	space := s.store.Report().Space("open", "flags")
 	var freqs []int64
-	for _, n := range space.Counts {
-		freqs = append(freqs, n)
+	for _, r := range space.Counts {
+		freqs = append(freqs, r.Count)
 	}
 	freqs = append(freqs, make([]int64, len(space.Untested))...)
 	slices.Sort(freqs)
@@ -720,5 +720,41 @@ func TestRestoreCorruptCheckpoint(t *testing.T) {
 func TestBadMountPattern(t *testing.T) {
 	if _, err := New(Config{MountPattern: "("}); err == nil {
 		t.Error("New accepted invalid mount pattern")
+	}
+}
+
+// TestReportSnapshotIndependent: Report folds into a pooled analyzer and
+// Resets it once the snapshot is built, so a snapshot shares nothing with
+// it. Later merges and reports leave an earlier snapshot's bytes as they
+// were, and every report still equals the serial analyzer's.
+func TestReportSnapshotIndependent(t *testing.T) {
+	st := NewStore(coverage.DefaultOptions(), 0)
+	var streams [][]trace.Event
+	merge := func(i int) {
+		streams = append(streams, streamEvents(i))
+		if err := st.MergeSession(streamAnalyzer(t, streams[len(streams)-1])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func(s *coverage.Snapshot) []byte {
+		var buf bytes.Buffer
+		if err := s.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for i := 0; i < 4; i++ {
+		merge(i)
+	}
+	first := st.Report()
+	want := render(first)
+	for i := 4; i < 12; i++ {
+		merge(i)
+		if got := render(st.Report()); !bytes.Equal(got, serialSnapshot(t, streams)) {
+			t.Fatalf("report after %d sessions differs from the serial analyzer's", len(streams))
+		}
+	}
+	if got := render(first); !bytes.Equal(got, want) {
+		t.Fatalf("a later merge or report changed an earlier snapshot\n got: %s\nwant: %s", got, want)
 	}
 }

@@ -32,6 +32,10 @@ type Store struct {
 	// next assigns sessions to stripes round-robin.
 	next    atomic.Uint64
 	stripes [storeStripes]storeStripe
+
+	// folds recycles Report's scratch analyzers: each is Reset once its
+	// snapshot is built, which shares nothing with it.
+	folds sync.Pool
 }
 
 // storeStripe is one lock shard of the store.
@@ -99,9 +103,13 @@ func (s *Store) Totals() (analyzed, skipped int64) {
 // scratch analyzer (each stripe locked only while it is being absorbed).
 // The scratch fold goes through Analyzer.Merge, so the result is
 // byte-identical to what a single unstriped analyzer would have reported
-// over the same sessions.
+// over the same sessions. The scratch analyzer comes from a pool and goes
+// back to it Reset.
 func (s *Store) Report() *coverage.Snapshot {
-	fold := coverage.NewAnalyzer(s.opts)
+	fold, ok := s.folds.Get().(*coverage.Analyzer)
+	if !ok {
+		fold = coverage.NewAnalyzer(s.opts)
+	}
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
@@ -113,7 +121,10 @@ func (s *Store) Report() *coverage.Snapshot {
 			panic(fmt.Sprintf("server: stripe fold: %v", err))
 		}
 	}
-	return fold.Snapshot(s.maxNumeric)
+	snap := fold.Snapshot(s.maxNumeric)
+	fold.Reset()
+	s.folds.Put(fold)
+	return snap
 }
 
 // Restore loads a checkpoint file written by WriteCheckpoint into stripe
